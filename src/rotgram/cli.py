@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +29,6 @@ EXIT_DATA = 3
 EXIT_NOCONV = 4
 
 MODAL_ORTHO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    family: str
-    kappa: float
-    modal: np.ndarray
-    tol: float
-    output_path: str | None
 
 
 def _fmt(value: float) -> str:
@@ -89,54 +79,35 @@ def _parse_modal(entries: str | None, axis: str | None, angle: float | None) -> 
     return _orthonormalise(M)
 
 
-def _family_kappa(args) -> tuple[distributions.Family, float]:
-    family = distributions.Family(args.family)
-    if family is distributions.Family.HAAR and args.kappa != 0.0:
-        raise DomainError("the haar family has no concentration; omit --kappa")
-    return family, args.kappa
-
-
-def _build_spec(config: RunConfig, family: distributions.Family) -> distributions.DistributionSpec:
-    return distributions.DistributionSpec(family, modal=config.modal, kappa=config.kappa)
-
-
-def _run_config(args) -> RunConfig:
-    modal = _parse_modal(
-        getattr(args, "modal", None),
-        getattr(args, "modal_axis", None),
-        getattr(args, "modal_angle", None),
-    )
-    return RunConfig(
-        seed=args.seed,
-        family=args.family,
-        kappa=args.kappa,
-        modal=modal,
-        tol=args.tol,
-        output_path=getattr(args, "out", None),
-    )
+def _spec(args) -> distributions.DistributionSpec:
+    modal = _parse_modal(args.modal, args.modal_axis, args.modal_angle)
+    return distributions.DistributionSpec(args.family, modal=modal, kappa=args.kappa)
 
 
 def _chunked_mc(fn, n: int, seed: int, threads: int):
-    """Split an MC task into per-thread streams.  threads == 1 keeps the
-    single-stream bitwise contract; more threads spawn child generators
-    (still deterministic, but a different stream than one thread)."""
-    if threads <= 1:
+    """Split an MC task of n >= 1 draws into min(threads, n) streams.
+    One stream keeps the single-stream bitwise contract; more streams
+    spawn child generators (still deterministic, but a different stream
+    than one thread).  The worker count is capped at the CPU count and
+    does not change any stream's draws."""
+    if threads < 1:
+        raise DomainError("--threads must be >= 1")
+    streams = min(threads, n)
+    if streams == 1:
         return fn(n, np.random.default_rng(seed))
-    seqs = np.random.SeedSequence(seed).spawn(threads)
-    counts = [n // threads] * threads
+    seqs = np.random.SeedSequence(seed).spawn(streams)
+    counts = [n // streams] * streams
     counts[0] += n - sum(counts)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
         parts = list(pool.map(lambda sc: fn(sc[0], np.random.default_rng(sc[1])), zip(counts, seqs)))
     return sum(c * p for c, p in zip(counts, parts)) / n
 
 
 def cmd_sample(args) -> int:
-    config = _run_config(args)
     if args.n < 1:
         raise DomainError("--n must be >= 1")
-    family, _ = _family_kappa(args)
-    spec = _build_spec(config, family)
-    rng = np.random.default_rng(config.seed)
+    spec = _spec(args)
+    rng = np.random.default_rng(args.seed)
     P, axes, angles, x = distributions.sample_rotations(spec, args.n, rng, return_parts=True)
     header = ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
               "theta", "u1", "u2", "u3", "x"]
@@ -145,8 +116,8 @@ def cmd_sample(args) -> int:
         + [float(angles[i]), float(axes[i, 0]), float(axes[i, 1]), float(axes[i, 2]), float(x[i])]
         for i in range(args.n)
     )
-    if config.output_path:
-        with _open_out(config.output_path) as fh:
+    if args.out:
+        with _open_out(args.out) as fh:
             _write_csv(fh, header, rows)
     else:
         _write_csv(sys.stdout, header, rows)
@@ -154,13 +125,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    if args.kappa_max <= 0.0:
-        raise DomainError("--kappa-max must be positive")
-    if args.n_points < 2:
-        raise DomainError("--n-points must be >= 2")
-    quad = moments.QuadratureSpec(abs_tol=args.tol)
-    cay = fake_uniformity.scan_curve("cayley", args.kappa_max, args.n_points, quad)
-    fvm = fake_uniformity.scan_curve("fvm", args.kappa_max, args.n_points, quad)
+    cay = fake_uniformity.scan_curve("cayley", args.kappa_max, args.n_points)
+    fvm = fake_uniformity.scan_curve("fvm", args.kappa_max, args.n_points)
     rows = [[p.kappa, p.tau2_minus_third, q.tau2_minus_third] for p, q in zip(cay, fvm)]
     with _open_out(args.out) as fh:
         _write_csv(fh, ["kappa", "cayley", "fvm"], rows)
@@ -173,9 +139,7 @@ def _load_landmarks(path: str) -> np.ndarray:
     CSV rows, one landmark per column."""
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
-    except Exception as exc:
+    except ValueError as exc:
         raise ValueError("could not parse landmark CSV: %s" % exc) from exc
     if raw.ndim != 2 or raw.shape[0] != 3 or raw.shape[1] < 1:
         raise ValueError("landmark CSV must hold a 3 x k matrix (three rows)")
@@ -191,20 +155,18 @@ def _print_matrix(label: str, G: np.ndarray) -> None:
 
 
 def cmd_gram(args) -> int:
-    config = _run_config(args)
     if args.n_mc < 1:
         raise DomainError("--n-mc must be >= 1")
-    family, _ = _family_kappa(args)
+    spec = _spec(args)
     try:
         V = _load_landmarks(args.landmarks)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
-    spec = _build_spec(config, family)
     closed = radon.expected_projected_gram(spec, V)
     mc = _chunked_mc(
         lambda n, rng: radon.mc_projected_gram(spec, V, n, rng),
-        args.n_mc, config.seed, args.threads,
+        args.n_mc, args.seed, args.threads,
     )
     deviation = mc - closed
     naive_bias = 1.5 * closed - radon.gram(V)
@@ -214,36 +176,36 @@ def cmd_gram(args) -> int:
     _print_matrix("naive uniform-law recovery bias (1.5 E - Gram(V)):", naive_bias)
     print("max |deviation| = %s" % _fmt(np.max(np.abs(deviation))))
     print("max |naive bias| = %s" % _fmt(np.max(np.abs(naive_bias))))
-    if config.output_path:
+    if args.out:
         k = V.shape[1]
         rows = []
         for name, G in (("closed", closed), ("mc", mc), ("bias", naive_bias)):
             for i in range(k):
                 for j in range(k):
                     rows.append([name, i, j, float(G[i, j])])
-        with _open_out(config.output_path) as fh:
+        with _open_out(args.out) as fh:
             _write_csv(fh, ["block", "i", "j", "value"], rows)
-        print("wrote %s" % config.output_path)
+        print("wrote %s" % args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    config = _run_config(args)
     if args.n_mc < 1:
         raise DomainError("--n-mc must be >= 1")
+    m1 = _parse_modal(args.modal, args.modal_axis, args.modal_angle)
     m2 = _parse_modal(args.modal2, args.modal2_axis, args.modal2_angle)
-    angle = so3.rotation_angle_between(config.modal, m2)
+    angle = so3.rotation_angle_between(m1, m2)
     if angle < 1e-9 or angle > math.pi - 1e-9:
         raise DomainError("modal rotations coincide or are a half-turn apart; "
                           "the separation angle must lie in (0, pi)")
-    family, kappa = _family_kappa(args)
-    common = distributions.DistributionSpec(family, kappa=kappa)
-    pair = classifier.ClassPair(m1=config.modal, m2=m2, common=common)
-    psi = classifier.psi_closed(pair)
-    dpsi = classifier.psi_derivative(pair)
+    common = distributions.DistributionSpec(args.family, kappa=args.kappa)
+    pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
+    quad = moments.QuadratureSpec(abs_tol=args.tol)
+    psi = classifier.psi_closed(pair, quad)
+    dpsi = classifier.psi_derivative(pair, quad)
     acc = _chunked_mc(
         lambda n, rng: classifier.mc_accuracy(pair, n, rng),
-        args.n_mc, config.seed, args.threads,
+        args.n_mc, args.seed, args.threads,
     )
     stderr = math.sqrt(max(acc * (1.0 - acc), 1e-300) / args.n_mc)
     print("alpha = %s" % _fmt(pair.alpha))
@@ -256,21 +218,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fakeuni(args) -> int:
-    if args.kappa_max <= 0.0:
-        raise DomainError("--kappa-max must be positive")
     family = args.family
     slope = fake_uniformity.initial_slope(family)
     points = fake_uniformity.scan_curve(family, args.kappa_max, args.n_points)
-    roots = []
-    for left, right in zip(points[1:-1], points[2:]):
-        if left.tau2_minus_third == 0.0:
-            roots.append(left.kappa)
-        elif left.tau2_minus_third * right.tau2_minus_third < 0.0:
-            root = fake_uniformity.find_fake_uniformity(family, left.kappa, right.kappa, args.tol)
-            if root is not None:
-                roots.append(root)
-    if points[-1].tau2_minus_third == 0.0:
-        roots.append(points[-1].kappa)
+    # kappa = 0 is the uniform law itself, not a fake-uniformity root.
+    roots = fake_uniformity.curve_roots(family, points[1:], args.tol)
     print("family = %s" % family)
     print("initial_slope = %s" % _fmt(slope))
     if roots:
@@ -285,17 +237,18 @@ def cmd_fakeuni(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, with_modal: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="PCG64 seed (default 0)")
     parser.add_argument("--family", choices=["haar", "cayley", "fvm"], default="haar")
     parser.add_argument("--kappa", type=float, default=0.0, help="concentration (>= 0)")
-    parser.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    parser.add_argument("--modal", help="nine row-major rotation entries, comma-separated")
+    parser.add_argument("--modal-axis", help="modal rotation axis 'x,y,z' (preferred input)")
+    parser.add_argument("--modal-angle", type=float, help="modal rotation angle in radians")
+
+
+def _add_threads(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1,
-                        help="MC worker streams; 1 (default) is the bitwise-reproducible mode")
-    if with_modal:
-        parser.add_argument("--modal", help="nine row-major rotation entries, comma-separated")
-        parser.add_argument("--modal-axis", help="modal rotation axis 'x,y,z' (preferred input)")
-        parser.add_argument("--modal-angle", type=float, help="modal rotation angle in radians")
+                        help="MC worker streams (>= 1); 1 (default) is the bitwise-reproducible mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,12 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure1", help="tau2(kappa) - 1/3 curves for both families")
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--n-points", type=int, default=101)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("gram", help="closed-form vs MC projected Gram on a landmark file")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--landmarks", required=True,
                    help="headerless CSV holding the 3 x k landmark matrix "
                         "(three rows, one landmark per column)")
@@ -331,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="closed-form and MC accuracy for two modal rotations")
     _add_common(p)
+    _add_threads(p)
+    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance (> 0)")
     p.add_argument("--modal2", help="second modal rotation, nine entries")
     p.add_argument("--modal2-axis", help="second modal rotation axis 'x,y,z'")
     p.add_argument("--modal2-angle", type=float, help="second modal rotation angle")
@@ -341,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["cayley", "fvm"], default="cayley")
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--n-points", type=int, default=129)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help="root tolerance in kappa (> 0)")
     p.add_argument("--out", help="optional CSV path for the curve")
     p.set_defaults(func=cmd_fakeuni)
 

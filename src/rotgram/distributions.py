@@ -77,7 +77,7 @@ def fisher_von_mises(kappa: float, modal=None) -> DistributionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions of the first kind, orders 0 and 1.
+# Modified Bessel functions of the first kind, orders 0 to 3.
 # Power series below BESSEL_SERIES_CUTOFF, large-argument asymptotics above;
 # the cutoff is where both branches agree to 1e-12 (covered by tests).
 
@@ -86,10 +86,7 @@ def _bessel_series(order: int, z: float) -> float:
     if z == 0.0:
         return 1.0 if order == 0 else 0.0
     q = 0.25 * z * z
-    if order == 0:
-        term = 1.0
-    else:
-        term = 0.5 * z
+    term = (0.5 * z) ** order / math.factorial(order)
     total = term
     m = 1
     while True:
@@ -124,9 +121,9 @@ def _bessel_asymptotic(order: int, z: float) -> float:
 
 
 def bessel_i(order: int, z: float) -> float:
-    """I_0(z) or I_1(z) for z in [0, 100], relative error <= 1e-12."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    """I_n(z) for n in 0..3 and z in [0, 100], relative error <= 1e-12."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError("order must be 0, 1, 2 or 3")
     if not 0.0 <= z <= BESSEL_MAX_ARG:
         raise OutOfRange("bessel_i supports 0 <= z <= %g" % BESSEL_MAX_ARG)
     if z < BESSEL_SERIES_CUTOFF:
@@ -246,11 +243,6 @@ def sample_x_values(spec: DistributionSpec, n: int, rng: np.random.Generator) ->
     return out
 
 
-def sample_x(spec: DistributionSpec, rng: np.random.Generator) -> float:
-    """One draw of X in [0, 1], distributed per ``fx_density``."""
-    return float(sample_x_values(spec, 1, rng)[0])
-
-
 def sample_rotations(
     spec: DistributionSpec,
     n: int,
@@ -273,7 +265,3 @@ def sample_rotations(
         return P, axes, angles, x
     return P
 
-
-def sample_rotation(spec: DistributionSpec, rng: np.random.Generator) -> np.ndarray:
-    """One rotation draw; see ``sample_rotations``."""
-    return sample_rotations(spec, 1, rng)[0]

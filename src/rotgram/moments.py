@@ -1,6 +1,10 @@
 """Quadrature engine and the moment/density transforms linking the angle
 variate X = (1 + cos Theta)/2 and the zonal variate Z = (R e3)_3.
 
+``tau2`` is the closed-form second zonal moment used in production;
+``rho_moment``, ``tau_k`` and ``moment_vector`` are the general-order
+moment bridge, by quadrature where no closed form is implemented.
+
 The zonal density f_Z is normalised so that (1/2) * integral_{-1}^{1}
 f_Z(s) ds = 1, matching the sphere-density convention of the closed
 Cayley-LMR form (Haar gives f_Z identically 1).
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family, fx_density
+from .distributions import DistributionSpec, Family, bessel_i, fx_density
 from .errors import DomainError, NoConvergence
 
 _SQRT2 = math.sqrt(2.0)
@@ -209,6 +213,22 @@ def tau_from_rho(rho1: float, rho2: float) -> tuple[float, float]:
     tau1 = -1.0 / 3.0 + (4.0 / 3.0) * rho1
     tau2 = 7.0 / 15.0 - (8.0 / 5.0) * rho1 + (32.0 / 15.0) * rho2
     return tau1, tau2
+
+
+def tau2(spec: DistributionSpec) -> float:
+    """E[Z^2] in closed form, without quadrature.
+
+    Haar and Cayley-LMR: (2 + k + k^2) / (6 + 5k + k^2), which is 1/3 at
+    k = 0.  Fisher-von Mises: 1/3 + (2/15) (I2 - I3) / (I0 - I1) at
+    argument 2k, from the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1
+    and I_{n-1} - I_{n+1} = (2n/z) I_n; no terms cancel as k -> 0, and
+    the value exceeds 1/3 for every k > 0.
+    """
+    k = spec.kappa
+    if spec.family is Family.FVM and k > 0.0:
+        i0, i1, i2, i3 = (bessel_i(n, 2.0 * k) for n in range(4))
+        return 1.0 / 3.0 + (2.0 / 15.0) * (i2 - i3) / (i0 - i1)
+    return (2.0 + k + k * k) / (6.0 + 5.0 * k + k * k)
 
 
 @functools.lru_cache(maxsize=None)

@@ -54,18 +54,18 @@ def is_gram(G, tol: float = 1e-12) -> bool:
     return float(np.linalg.eigvalsh(G)[0]) >= -1e-10 * scale
 
 
-def shape_dispersion_matrix(spec: DistributionSpec, quad=None) -> np.ndarray:
+def shape_dispersion_matrix(spec: DistributionSpec) -> np.ndarray:
     """The diagonal matrix D with D^2 = diag((1-tau2)/2, (1-tau2)/2, tau2),
-    computed through the moment integral ``moments.tau_k``."""
-    tau2 = moments.tau_k(spec, 2, quad)
+    with tau2 from the closed form ``moments.tau2``."""
+    tau2 = moments.tau2(spec)
     d = math.sqrt(max((1.0 - tau2) / 2.0, 0.0))
     return np.diag([d, d, math.sqrt(max(tau2, 0.0))])
 
 
-def expected_projected_gram(spec: DistributionSpec, V, quad=None) -> np.ndarray:
+def expected_projected_gram(spec: DistributionSpec, V) -> np.ndarray:
     """Closed-form E[Gram(H A V)] = Gram(V) - Gram(D M V)."""
     V = np.asarray(V, dtype=float)
-    D = shape_dispersion_matrix(spec, quad)
+    D = shape_dispersion_matrix(spec)
     return gram(V) - gram(D @ spec.modal @ V)
 
 

@@ -160,20 +160,13 @@ def planar_block(alpha: float) -> np.ndarray:
     ])
 
 
-def sample_uniform_axis(rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the unit sphere.
+def sample_uniform_axes(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform points on the unit sphere as an (n, 3) array.
 
     Built from a uniform third component on [-1, 1] and a uniform
-    azimuth, so the U3 marginal is uniform by construction.
-    """
-    return sample_uniform_axes(1, rng)[0]
-
-
-def sample_uniform_axes(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised ``sample_uniform_axis``: (n,3) array of unit vectors.
-
-    Draw order is fixed (all third components, then all azimuths) so a
-    seeded generator reproduces the same axes.
+    azimuth, so the U3 marginal is uniform by construction.  Draw order
+    is fixed (all third components, then all azimuths) so a seeded
+    generator reproduces the same axes.
     """
     u3 = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)

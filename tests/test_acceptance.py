@@ -47,7 +47,7 @@ def test_criterion_02_figure1_reproduction(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "figure1.csv"
     code = cli.main(["figure1", "--kappa-max", "1.0", "--n-points", "101",
-                     "--tol", "1e-9", "--out", str(out)])
+                     "--out", str(out)])
     table = np.loadtxt(out, delimiter=",", skiprows=1)
     elapsed = time.perf_counter() - t0
     kappa, cay, fvm = table[:, 0], table[:, 1], table[:, 2]

@@ -245,7 +245,7 @@ class TestMcAccuracy:
         common = dist.cayley(1.5)
         psi_z = cls.psi_closed(z_pair(1.1, common))
         m1 = random_rotation(rng)
-        axis = so3.sample_uniform_axis(rng)
+        axis = so3.sample_uniform_axes(1, rng)[0]
         m2 = so3.from_axis_angle(axis, 1.1) @ m1
         pair = cls.ClassPair(m1, m2, common)
         assert abs(pair.alpha - 1.1) < 1e-12

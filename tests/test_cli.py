@@ -77,6 +77,12 @@ class TestSample:
             run(["sample", "--family", "nosuch", "--n", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--tol", "--threads"])
+    def test_no_tol_or_threads_flag(self, flag):
+        with pytest.raises(SystemExit) as info:
+            run(["sample", "--family", "haar", "--n", "1", flag, "1"])
+        assert info.value.code == 2
+
 
 class TestFigure1:
     def test_curve_contract(self, tmp_path):
@@ -173,6 +179,11 @@ class TestClassify:
         se = float(text.split("mc_stderr = ")[1].splitlines()[0])
         assert gap <= 3.0 * se
 
+    def test_nonpositive_tol_exits_2(self):
+        assert run(["classify", "--family", "cayley", "--kappa", "2",
+                    "--modal2-axis", "0,0,1", "--modal2-angle", "1.0",
+                    "--n-mc", "10", "--tol", "-5"]) == 2
+
     def test_coincident_modals_exit_2(self):
         assert run(["classify", "--family", "haar",
                     "--modal2-axis", "0,0,1", "--modal2-angle", "0.0"]) == 2
@@ -201,6 +212,10 @@ class TestFakeuni:
     def test_zero_kappa_max_exits_2(self):
         assert run(["fakeuni", "--family", "cayley", "--kappa-max", "0"]) == 2
 
+    def test_nonpositive_tol_exits_2(self):
+        for tol in ("0", "-1"):
+            assert run(["fakeuni", "--family", "cayley", "--kappa-max", "5", "--tol", tol]) == 2
+
 
 class TestDeterminism:
     def test_gram_reruns_identical(self, tmp_path):
@@ -228,3 +243,19 @@ class TestDeterminism:
         assert run(["gram", "--family", "haar", "--landmarks", str(V),
                     "--n-mc", "4000", "--seed", "1", "--threads", "2"]) == 0
         capsys.readouterr()
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        V = tmp_path / "V.csv"
+        V.write_text("1\n0\n0\n", encoding="utf-8")
+        for threads in ("0", "-3"):
+            assert run(["gram", "--family", "haar", "--landmarks", str(V),
+                        "--n-mc", "100", "--threads", threads]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_more_threads_than_draws(self, tmp_path, capsys):
+        V = tmp_path / "V.csv"
+        V.write_text("1\n0\n0\n", encoding="utf-8")
+        assert run(["gram", "--family", "haar", "--landmarks", str(V),
+                    "--n-mc", "2", "--seed", "1", "--threads", "4"]) == 0
+        text = capsys.readouterr().out
+        assert math.isfinite(float(text.split("max |deviation| = ")[1].splitlines()[0]))

@@ -68,12 +68,25 @@ class TestFindFakeUniformity:
         assert abs(root - 1.0) < 1e-8
 
     def test_single_root_in_window(self):
-        points = fu.scan_curve("cayley", 5.0, 201)[1:]
-        crossings = sum(
-            1 for a, b in zip(points, points[1:])
-            if a.tau2_minus_third * b.tau2_minus_third < 0.0
-        )
+        # kappa = 1 lies on this grid, where the curve is exactly 0; a sign
+        # change is counted between neighbouring nonzero values.
+        values = [p.tau2_minus_third for p in fu.scan_curve("cayley", 5.0, 201)[1:]]
+        values = [v for v in values if v != 0.0]
+        crossings = sum(1 for a, b in zip(values, values[1:]) if a * b < 0.0)
         assert crossings == 1
+
+    def test_curve_roots_of_a_scan(self):
+        roots = fu.curve_roots("cayley", fu.scan_curve("cayley", 5.0, 129)[1:])
+        assert len(roots) == 1 and abs(roots[0] - 1.0) < 1e-8
+        # a grid point exactly on the root is reported as it is
+        assert fu.curve_roots("cayley", fu.scan_curve("cayley", 2.0, 3)[1:]) == [1.0]
+        assert fu.curve_roots("fvm", fu.scan_curve("fvm", 5.0, 129)[1:]) == []
+
+    def test_tolerance_finer_than_float_spacing_terminates(self):
+        root = fu.find_fake_uniformity("cayley", 0.1, 5.0, tol=1e-300)
+        assert abs(root - 1.0) < 1e-12
+        with pytest.raises(DomainError):
+            fu.find_fake_uniformity("cayley", 0.1, 5.0, tol=0.0)
 
     def test_fvm_has_no_root(self):
         assert fu.find_fake_uniformity("fvm", 0.1, 5.0, tol=1e-8) is None

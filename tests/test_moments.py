@@ -199,6 +199,18 @@ class TestTauK:
             moments.tau_k(dist.haar(), 0)
 
 
+class TestTau2:
+    def test_closed_form_matches_tau_k_oracle(self):
+        specs = [dist.haar()]
+        for kappa in (0.0, 5e-4, 1e-3, 0.01, 0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 49.9):
+            specs += [dist.cayley(kappa), dist.fisher_von_mises(kappa)]
+        for spec in specs:
+            closed = moments.tau2(spec)
+            assert abs(closed - moments.tau_k(spec, 2)) <= 1e-11, (spec.family, spec.kappa)
+            if spec.family is dist.Family.FVM and spec.kappa > 0.0:
+                assert closed > 1.0 / 3.0, spec.kappa
+
+
 class TestMomentVector:
     def test_build_and_invariants(self):
         mv = moments.moment_vector(dist.cayley(1.0), 3)

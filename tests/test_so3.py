@@ -51,7 +51,7 @@ class TestFromAxisAngle:
     def test_sampled_rotation_invariants(self):
         rng = np.random.default_rng(2)
         for _ in range(2000):
-            u = so3.sample_uniform_axis(rng)
+            u = so3.sample_uniform_axes(1, rng)[0]
             t = rng.uniform(0.0, math.pi)
             R = so3.from_axis_angle(u, t)
             assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
@@ -88,7 +88,7 @@ class TestToAxisAngle:
     def test_round_trip_random(self):
         rng = np.random.default_rng(4)
         for _ in range(10000):
-            u = so3.sample_uniform_axis(rng)
+            u = so3.sample_uniform_axes(1, rng)[0]
             t = rng.uniform(1e-6, math.pi - 1e-6)
             R = so3.from_axis_angle(u, t)
             aa = so3.to_axis_angle(R)
@@ -98,7 +98,7 @@ class TestToAxisAngle:
     def test_round_trip_near_degenerate_edges(self):
         rng = np.random.default_rng(5)
         for t in [3e-9, 1e-7, 1e-4, math.pi - 1e-4, math.pi - 1e-7, math.pi - 3e-9]:
-            u = so3.sample_uniform_axis(rng)
+            u = so3.sample_uniform_axes(1, rng)[0]
             R = so3.from_axis_angle(u, t)
             back = so3.to_axis_angle(R)
             rebuilt = so3.from_axis_angle(back.axis, back.angle)
@@ -173,7 +173,7 @@ class TestSampleUniformAxis:
 
     def test_scalar_form(self):
         rng = np.random.default_rng(11)
-        u = so3.sample_uniform_axis(rng)
+        u = so3.sample_uniform_axes(1, rng)[0]
         assert u.shape == (3,)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 

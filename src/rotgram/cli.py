@@ -200,9 +200,8 @@ def cmd_classify(args) -> int:
                           "the separation angle must lie in (0, pi)")
     common = distributions.DistributionSpec(args.family, kappa=args.kappa)
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
-    quad = moments.QuadratureSpec(abs_tol=args.tol)
-    psi = classifier.psi_closed(pair, quad)
-    dpsi = classifier.psi_derivative(pair, quad)
+    psi = classifier.psi_closed(pair)
+    dpsi = classifier.psi_derivative(pair)
     acc = _chunked_mc(
         lambda n, rng: classifier.mc_accuracy(pair, n, rng),
         args.n_mc, args.seed, args.threads,
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="closed-form and MC accuracy for two modal rotations")
     _add_common(p)
     _add_threads(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance (> 0)")
     p.add_argument("--modal2", help="second modal rotation, nine entries")
     p.add_argument("--modal2-axis", help="second modal rotation axis 'x,y,z'")
     p.add_argument("--modal2-angle", type=float, help="second modal rotation angle")

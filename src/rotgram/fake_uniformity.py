@@ -4,9 +4,9 @@ A family has the fake uniformity property when some kappa > 0 gives the
 same second zonal moment tau2 = 1/3 as the uniform law, so its expected
 projected Gram cannot be told apart from Haar's.  The Cayley-LMR family
 crosses at kappa = 1; Fisher-von Mises does not cross at all, its tau2
-exceeding 1/3 for every kappa > 0.  tau2 comes from the closed form
-``moments.tau2``, and ``curve_roots`` finds the crossings of a scanned
-curve.
+exceeding 1/3 for every kappa > 0.  The curve tau2 - 1/3 comes from the
+closed form ``moments.tau2_excess``, whose sign is exact, and
+``curve_roots`` finds the crossings of a scanned curve.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .distributions import DistributionSpec
 from .errors import DomainError
-from .moments import tau2
+from .moments import tau2, tau2_excess
 
 SCAN_POINTS = 64
 
@@ -32,11 +32,15 @@ def tau2_of_kappa(family, kappa: float) -> float:
     return tau2(DistributionSpec(family, kappa=kappa))
 
 
+def _excess(family, kappa: float) -> float:
+    return tau2_excess(DistributionSpec(family, kappa=kappa))
+
+
 def _scan(family, kappa_lo: float, kappa_hi: float, n_points: int) -> list:
     points = []
     for i in range(n_points):
         kappa = kappa_lo + (kappa_hi - kappa_lo) * i / (n_points - 1)
-        points.append(CurvePoint(kappa, tau2_of_kappa(family, kappa) - 1.0 / 3.0))
+        points.append(CurvePoint(kappa, _excess(family, kappa)))
     return points
 
 
@@ -73,7 +77,7 @@ def _bisect(family, left: CurvePoint, right: CurvePoint, tol: float) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        gm = tau2_of_kappa(family, mid) - 1.0 / 3.0
+        gm = _excess(family, mid)
         if gm == 0.0:
             return mid
         if glo * gm < 0.0:

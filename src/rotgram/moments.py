@@ -1,7 +1,8 @@
 """Quadrature engine and the moment/density transforms linking the angle
 variate X = (1 + cos Theta)/2 and the zonal variate Z = (R e3)_3.
 
-``tau2`` is the closed-form second zonal moment used in production;
+``tau2`` is the closed-form second zonal moment used in production, and
+``tau2_excess`` is tau2 - 1/3 with an exact sign;
 ``rho_moment``, ``tau_k`` and ``moment_vector`` are the general-order
 moment bridge, by quadrature where no closed form is implemented.
 
@@ -215,20 +216,27 @@ def tau_from_rho(rho1: float, rho2: float) -> tuple[float, float]:
     return tau1, tau2
 
 
-def tau2(spec: DistributionSpec) -> float:
-    """E[Z^2] in closed form, without quadrature.
+def tau2_excess(spec: DistributionSpec) -> float:
+    """tau2 - 1/3 in closed form, without quadrature.  No 1/3 is
+    subtracted, so the sign is exact in floating point.
 
-    Haar and Cayley-LMR: (2 + k + k^2) / (6 + 5k + k^2), which is 1/3 at
-    k = 0.  Fisher-von Mises: 1/3 + (2/15) (I2 - I3) / (I0 - I1) at
-    argument 2k, from the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1
-    and I_{n-1} - I_{n+1} = (2n/z) I_n; no terms cancel as k -> 0, and
-    the value exceeds 1/3 for every k > 0.
+    Haar and Cayley-LMR: 2k (k - 1) / (3 (k + 2)(k + 3)), from
+    tau2 = (2 + k + k^2) / (6 + 5k + k^2); 0 at k = 0 and at k = 1.
+    Fisher-von Mises: (2/15) (I2 - I3) / (I0 - I1) at argument 2k, from
+    the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1 and
+    I_{n-1} - I_{n+1} = (2n/z) I_n; no terms cancel as k -> 0, and the
+    value is positive for every k > 0.
     """
     k = spec.kappa
     if spec.family is Family.FVM and k > 0.0:
         i0, i1, i2, i3 = (bessel_i(n, 2.0 * k) for n in range(4))
-        return 1.0 / 3.0 + (2.0 / 15.0) * (i2 - i3) / (i0 - i1)
-    return (2.0 + k + k * k) / (6.0 + 5.0 * k + k * k)
+        return (2.0 / 15.0) * (i2 - i3) / (i0 - i1)
+    return 2.0 * k * (k - 1.0) / (3.0 * (k + 2.0) * (k + 3.0))
+
+
+def tau2(spec: DistributionSpec) -> float:
+    """E[Z^2] = 1/3 + ``tau2_excess(spec)``."""
+    return 1.0 / 3.0 + tau2_excess(spec)
 
 
 @functools.lru_cache(maxsize=None)

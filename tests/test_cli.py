@@ -179,10 +179,12 @@ class TestClassify:
         se = float(text.split("mc_stderr = ")[1].splitlines()[0])
         assert gap <= 3.0 * se
 
-    def test_nonpositive_tol_exits_2(self):
-        assert run(["classify", "--family", "cayley", "--kappa", "2",
-                    "--modal2-axis", "0,0,1", "--modal2-angle", "1.0",
-                    "--n-mc", "10", "--tol", "-5"]) == 2
+    def test_no_tol_flag(self):
+        with pytest.raises(SystemExit) as info:
+            run(["classify", "--family", "cayley", "--kappa", "2",
+                 "--modal2-axis", "0,0,1", "--modal2-angle", "1.0",
+                 "--n-mc", "10", "--tol", "1e-9"])
+        assert info.value.code == 2
 
     def test_coincident_modals_exit_2(self):
         assert run(["classify", "--family", "haar",

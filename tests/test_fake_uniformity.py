@@ -68,12 +68,23 @@ class TestFindFakeUniformity:
         assert abs(root - 1.0) < 1e-8
 
     def test_single_root_in_window(self):
-        # kappa = 1 lies on this grid, where the curve is exactly 0; a sign
-        # change is counted between neighbouring nonzero values.
-        values = [p.tau2_minus_third for p in fu.scan_curve("cayley", 5.0, 201)[1:]]
-        values = [v for v in values if v != 0.0]
-        crossings = sum(1 for a, b in zip(values, values[1:]) if a * b < 0.0)
-        assert crossings == 1
+        points = fu.scan_curve("cayley", 5.0, 201)[1:]
+        crossings = sum(
+            1 for a, b in zip(points, points[1:])
+            if a.tau2_minus_third * b.tau2_minus_third < 0.0
+        )
+        # kappa = 1 lies on this grid and the closed form is exactly 0
+        # there, so the one crossing is that grid point, between
+        # neighbours of opposite sign, and no pair of neighbours changes sign.
+        zeros = [i for i, p in enumerate(points) if p.tau2_minus_third == 0.0]
+        assert crossings == 0 and [points[i].kappa for i in zeros] == [1.0]
+        i = zeros[0]
+        assert points[i - 1].tau2_minus_third < 0.0 < points[i + 1].tau2_minus_third
+
+    def test_no_spurious_roots_near_zero(self):
+        # tau2 - 1/3 is far below the spacing of doubles near 1/3 here
+        assert fu.curve_roots("fvm", fu.scan_curve("fvm", 1e-7, 25)[1:]) == []
+        assert fu.curve_roots("cayley", fu.scan_curve("cayley", 1e-17, 25)[1:]) == []
 
     def test_curve_roots_of_a_scan(self):
         roots = fu.curve_roots("cayley", fu.scan_curve("cayley", 5.0, 129)[1:])

@@ -210,6 +210,14 @@ class TestTau2:
             if spec.family is dist.Family.FVM and spec.kappa > 0.0:
                 assert closed > 1.0 / 3.0, spec.kappa
 
+    def test_excess_has_the_exact_sign(self):
+        for kappa in (1e-12, 1e-8, 1e-3):
+            assert moments.tau2_excess(dist.fisher_von_mises(kappa)) > 0.0
+            assert moments.tau2_excess(dist.cayley(kappa)) < 0.0
+        assert moments.tau2_excess(dist.cayley(1.0)) == 0.0
+        assert moments.tau2_excess(dist.cayley(1.5)) > 0.0
+        assert moments.tau2_excess(dist.haar()) == 0.0
+
 
 class TestMomentVector:
     def test_build_and_invariants(self):

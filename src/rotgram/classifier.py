@@ -61,15 +61,6 @@ def make_h(spec: DistributionSpec):
     return h
 
 
-def bayes_assign(P, pair: ClassPair) -> int:
-    """Bayes-optimal class of an observed rotation; ties (statistic
-    within TIE_TOL of zero) go to class 1 for reproducibility."""
-    P = np.asarray(P, dtype=float)
-    contrast = np.eye(3) - pair.m1 @ pair.m2.T
-    stat = float(np.trace(P @ pair.m1.T @ contrast))
-    return 1 if (stat > 0.0 or abs(stat) < TIE_TOL) else 2
-
-
 def quad_coeffs(alpha: float, x: float) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the quadratic in U3 whose sign decides
     the assignment, at separation alpha and angle variate x:
@@ -88,20 +79,15 @@ def quad_coeffs(alpha: float, x: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _accuracy_integrals(spec: DistributionSpec, alpha: float, quad):
-    w = math.cos(0.5 * alpha)
-    lo = 0.5 * (1.0 - w)
-    hi = 0.5 * (1.0 + w)
+def _h_integrals(spec: DistributionSpec, alpha: float, quad):
+    """The split points lo = (1 - w)/2 and hi = (1 + w)/2, w = cos(alpha/2),
+    and the integrals of h over [lo, hi] and [0, lo].  lo and hi are
+    computed as sin^2(alpha/4) and cos^2(alpha/4): 1 - w rounds to 0.0
+    for alpha below about 2e-8."""
+    lo = math.sin(0.25 * alpha) ** 2
+    hi = math.cos(0.25 * alpha) ** 2
     h = make_h(spec)
-
-    def fx_via_h(x: float) -> float:
-        return math.sqrt((1.0 - x) / x) * h(x)
-
-    upper = integrate(fx_via_h, hi, 1.0, quad)
-    middle = integrate(fx_via_h, lo, hi, quad)
-    h_mid = integrate(h, lo, hi, quad)
-    h_tail = integrate(h, 0.0, lo, quad)
-    return w, upper, middle, h_mid, h_tail
+    return lo, hi, integrate(h, lo, hi, quad), integrate(h, 0.0, lo, quad)
 
 
 def psi_closed(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
@@ -111,68 +97,36 @@ def psi_closed(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
         psi = int_{(1+w)/2}^{1} sqrt((1-x)/x) h
               + (1/2) int_{(1-w)/2}^{(1+w)/2} sqrt((1-x)/x) h
               + (tan(alpha/4)/2) int_{(1-w)/2}^{(1+w)/2} h
-              + (1/sin(alpha/2)) int_{0}^{(1-w)/2} h.
+              + (1/sin(alpha/2)) int_{0}^{(1-w)/2} h,
+
+    where sqrt((1-x)/x) h is f_X itself.
     """
     alpha = pair.alpha
-    w, upper, middle, h_mid, h_tail = _accuracy_integrals(pair.common, alpha, quad)
+    spec = pair.common
+    lo, hi, h_mid, h_tail = _h_integrals(spec, alpha, quad)
+
+    def fx(x: float) -> float:
+        return fx_density(spec, x)
+
     return (
-        upper
-        + 0.5 * middle
+        integrate(fx, hi, 1.0, quad)
+        + 0.5 * integrate(fx, lo, hi, quad)
         + 0.5 * math.tan(0.25 * alpha) * h_mid
         + h_tail / math.sin(0.5 * alpha)
     )
 
 
-def psi_theta_form(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
-    """The same accuracy through the rotation-angle law: region
-    probabilities of Theta plus cot(Theta/2) partial expectations,
-    integrated in the angle variable.  Cross-checks ``psi_closed``."""
-    alpha = pair.alpha
-    spec = pair.common
-
-    def f_theta(theta: float) -> float:
-        x = 0.5 * (1.0 + math.cos(theta))
-        if x >= 1.0:
-            x = math.nextafter(1.0, 0.0)
-        elif x <= 0.0:
-            x = math.nextafter(0.0, 1.0)
-        return 0.5 * fx_density(spec, x) * math.sin(theta)
-
-    def cot_weighted(theta: float) -> float:
-        return f_theta(theta) / math.tan(0.5 * theta)
-
-    p_low = integrate(f_theta, 0.0, 0.5 * alpha, quad)
-    p_mid = integrate(f_theta, 0.5 * alpha, math.pi - 0.5 * alpha, quad)
-    e_mid = integrate(cot_weighted, 0.5 * alpha, math.pi - 0.5 * alpha, quad)
-    e_tail = integrate(cot_weighted, math.pi - 0.5 * alpha, math.pi, quad)
-    return (
-        p_low
-        + 0.5 * p_mid
-        + 0.5 * math.tan(0.25 * alpha) * e_mid
-        + e_tail / math.sin(0.5 * alpha)
-    )
-
-
 def psi_derivative(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
     """d psi / d alpha as a weighted difference of two integral means of
-    h, with w = cos(alpha/2):
+    h, with w = cos(alpha/2), lo = (1 - w)/2 and hi = (1 + w)/2:
 
-        psi'(alpha) = (w / (4 (1 + w)))
-                      * ((1/w) int_{(1-w)/2}^{(1+w)/2} h
-                         - (2 / (1 - w)) int_{0}^{(1-w)/2} h).
+        psi'(alpha) = (int_{lo}^{hi} h - (w / lo) int_{0}^{lo} h) / (4 (1 + w)).
 
     Identically zero under the uniform law, where h is constant.
     """
-    alpha = pair.alpha
-    if not 0.0 < alpha < math.pi:
-        raise DomainError("alpha must lie in (0, pi)")
-    w = math.cos(0.5 * alpha)
-    lo = 0.5 * (1.0 - w)
-    hi = 0.5 * (1.0 + w)
-    h = make_h(pair.common)
-    h_mid = integrate(h, lo, hi, quad)
-    h_tail = integrate(h, 0.0, lo, quad)
-    return (w / (4.0 * (1.0 + w))) * (h_mid / w - 2.0 * h_tail / (1.0 - w))
+    w = math.cos(0.5 * pair.alpha)
+    lo, _, h_mid, h_tail = _h_integrals(pair.common, pair.alpha, quad)
+    return (h_mid - w * h_tail / lo) / (4.0 * (1.0 + w))
 
 
 def mc_accuracy(

@@ -194,10 +194,6 @@ def cmd_classify(args) -> int:
         raise DomainError("--n-mc must be >= 1")
     m1 = _parse_modal(args.modal, args.modal_axis, args.modal_angle)
     m2 = _parse_modal(args.modal2, args.modal2_axis, args.modal2_angle)
-    angle = so3.rotation_angle_between(m1, m2)
-    if angle < 1e-9 or angle > math.pi - 1e-9:
-        raise DomainError("modal rotations coincide or are a half-turn apart; "
-                          "the separation angle must lie in (0, pi)")
     common = distributions.DistributionSpec(args.family, kappa=args.kappa)
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
@@ -220,12 +216,11 @@ def cmd_fakeuni(args) -> int:
     family = args.family
     slope = fake_uniformity.initial_slope(family)
     points = fake_uniformity.scan_curve(family, args.kappa_max, args.n_points)
-    # kappa = 0 is the uniform law itself, not a fake-uniformity root.
-    roots = fake_uniformity.curve_roots(family, points[1:], args.tol)
+    root = fake_uniformity.find_fake_uniformity(family, 0.0, args.kappa_max)
     print("family = %s" % family)
     print("initial_slope = %s" % _fmt(slope))
-    if roots:
-        print("fake-uniformity roots: " + ", ".join(_fmt(r) for r in roots))
+    if root is not None:
+        print("fake-uniformity roots: %s" % _fmt(root))
     else:
         print("fake-uniformity roots: none in (0, %s]" % _fmt(args.kappa_max))
     if args.out:
@@ -294,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["cayley", "fvm"], default="cayley")
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--n-points", type=int, default=129)
-    p.add_argument("--tol", type=float, default=1e-10, help="root tolerance in kappa (> 0)")
     p.add_argument("--out", help="optional CSV path for the curve")
     p.set_defaults(func=cmd_fakeuni)
 

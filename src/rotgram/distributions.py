@@ -53,8 +53,8 @@ class DistributionSpec:
         family = Family(self.family)
         object.__setattr__(self, "family", family)
         kappa = float(self.kappa)
-        if kappa < 0.0:
-            raise DomainError("concentration kappa must be >= 0")
+        if not 0.0 <= kappa < math.inf:
+            raise DomainError("concentration kappa must be finite and >= 0")
         if family is Family.HAAR and kappa != 0.0:
             raise DomainError("the Haar family has kappa = 0 by definition")
         object.__setattr__(self, "kappa", kappa)
@@ -207,18 +207,15 @@ def sample_x_values(spec: DistributionSpec, n: int, rng: np.random.Generator) ->
 
     Haar and Cayley-LMR use the exact Beta(kappa + 1/2, 3/2) law via the
     ratio-of-Gammas construction (numpy's Marsaglia-Tsang gamma core).
-    Fisher-von Mises rejects from that same Beta(1/2, 3/2) proposal with
+    Fisher-von Mises at kappa = 0 is that Beta(1/2, 3/2) law; for
+    kappa > 0 it rejects from it as the proposal, with
     acceptance probability exp(4 kappa (x - 1)), the envelope being tight
     at x = 1; acceptance degrades for large kappa, so kappa <= 50 is
     recommended.
     """
     k = spec.kappa
-    if spec.family is not Family.FVM:
+    if spec.family is not Family.FVM or k == 0.0:
         g1 = rng.standard_gamma(k + 0.5, size=n)
-        g2 = rng.standard_gamma(1.5, size=n)
-        return g1 / (g1 + g2)
-    if k == 0.0:
-        g1 = rng.standard_gamma(0.5, size=n)
         g2 = rng.standard_gamma(1.5, size=n)
         return g1 / (g1 + g2)
     if k > FVM_KAPPA_RECOMMENDED_MAX:

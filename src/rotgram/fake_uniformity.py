@@ -2,22 +2,24 @@
 
 A family has the fake uniformity property when some kappa > 0 gives the
 same second zonal moment tau2 = 1/3 as the uniform law, so its expected
-projected Gram cannot be told apart from Haar's.  The Cayley-LMR family
-crosses at kappa = 1; Fisher-von Mises does not cross at all, its tau2
-exceeding 1/3 for every kappa > 0.  The curve tau2 - 1/3 comes from the
-closed form ``moments.tau2_excess``, whose sign is exact, and
-``curve_roots`` finds the crossings of a scanned curve.
+projected Gram is indistinguishable from Haar's.  Everything here comes
+from the closed form ``moments.tau2_excess`` of tau2 - 1/3:
+
+- Cayley-LMR: 2 kappa (kappa - 1) / (3 (kappa + 2)(kappa + 3)), whose one
+  root with kappa > 0 is kappa = 1 and whose slope at kappa = 0 is -1/9.
+- Fisher-von Mises: (2/15) (I2 - I3) / (I0 - I1) at 2 kappa, positive for
+  every kappa > 0 because I_n(z) strictly decreases in n for z > 0, so it
+  has no root; it is kappa^2/15 + O(kappa^3), so its slope at 0 is 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, Family
 from .errors import DomainError
 from .moments import tau2, tau2_excess
-
-SCAN_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -32,82 +34,45 @@ def tau2_of_kappa(family, kappa: float) -> float:
     return tau2(DistributionSpec(family, kappa=kappa))
 
 
-def _excess(family, kappa: float) -> float:
-    return tau2_excess(DistributionSpec(family, kappa=kappa))
-
-
-def _scan(family, kappa_lo: float, kappa_hi: float, n_points: int) -> list:
+def scan_curve(family, kappa_max: float, n_points: int):
+    """tau2(kappa) - 1/3 from ``moments.tau2_excess`` on the uniform grid
+    kappa_max * i / (n_points - 1), i = 0 .. n_points - 1."""
+    if not 0.0 < kappa_max < math.inf:
+        raise DomainError("kappa_max must be positive and finite")
+    if n_points < 2:
+        raise DomainError("n_points must be >= 2")
     points = []
     for i in range(n_points):
-        kappa = kappa_lo + (kappa_hi - kappa_lo) * i / (n_points - 1)
-        points.append(CurvePoint(kappa, _excess(family, kappa)))
+        kappa = kappa_max * i / (n_points - 1)
+        points.append(CurvePoint(kappa, tau2_excess(DistributionSpec(family, kappa=kappa))))
     return points
 
 
-def scan_curve(family, kappa_max: float, n_points: int):
-    """tau2(kappa) - 1/3 on a uniform grid over [0, kappa_max]."""
-    if kappa_max <= 0.0:
-        raise DomainError("kappa_max must be positive")
-    if n_points < 2:
-        raise DomainError("n_points must be >= 2")
-    return _scan(family, 0.0, kappa_max, n_points)
+def _concentrated(family) -> Family:
+    family = Family(family)
+    if family is Family.HAAR:
+        raise DomainError("the Haar family has kappa = 0 by definition")
+    return family
 
 
-def curve_roots(family, points, tol: float = 1e-10) -> list:
-    """Every root of tau2(kappa) - 1/3 that a scanned curve shows, in
-    increasing kappa: each point where the curve is exactly 0, and each
-    sign change between neighbouring points, bisected to ``tol`` in
-    kappa (or to adjacent floats, if ``tol`` is finer than that)."""
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    roots = []
-    for left, right in zip(points, points[1:]):
-        if left.tau2_minus_third == 0.0:
-            roots.append(left.kappa)
-        elif left.tau2_minus_third * right.tau2_minus_third < 0.0:
-            roots.append(_bisect(family, left, right, tol))
-    if points and points[-1].tau2_minus_third == 0.0:
-        roots.append(points[-1].kappa)
-    return roots
+def find_fake_uniformity(family, kappa_lo: float, kappa_hi: float):
+    """The root kappa > 0 of tau2(kappa) - 1/3 in [kappa_lo, kappa_hi], or
+    None, from ``moments.tau2_excess``: kappa = 1 for Cayley-LMR, none for
+    Fisher-von Mises.  kappa = 0 is the uniform law itself, not a root."""
+    if not 0.0 <= kappa_lo < kappa_hi:
+        raise DomainError("need 0 <= kappa_lo < kappa_hi")
+    if _concentrated(family) is Family.CAYLEY and kappa_lo <= 1.0 <= kappa_hi:
+        return 1.0
+    return None
 
 
-def _bisect(family, left: CurvePoint, right: CurvePoint, tol: float) -> float:
-    lo, hi, glo = left.kappa, right.kappa, left.tau2_minus_third
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        gm = _excess(family, mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
-
-
-def find_fake_uniformity(family, kappa_lo: float, kappa_hi: float, tol: float = 1e-10):
-    """First root of tau2(kappa) - 1/3 in [kappa_lo, kappa_hi], or None:
-    ``curve_roots`` over a 64-point scan of the interval."""
-    if not 0.0 < kappa_lo < kappa_hi:
-        raise DomainError("need 0 < kappa_lo < kappa_hi")
-    roots = curve_roots(family, _scan(family, kappa_lo, kappa_hi, SCAN_POINTS), tol)
-    return roots[0] if roots else None
-
-
-def initial_slope(family, h: float = 1e-3) -> float:
-    """One-sided derivative of tau2(kappa) at kappa = 0+, Richardson
-    extrapolated over steps h and h/2.
+def initial_slope(family) -> float:
+    """d tau2 / d kappa at kappa = 0+, exactly, from ``moments.tau2_excess``:
+    -1/9 for Cayley-LMR and 0 for Fisher-von Mises.
 
     A negative slope means the curve dips below the uniform value 1/3,
     which forces a return crossing (fake uniformity) once tau2 tends to
     1 for large kappa.  The sign is invariant under smooth monotone
     reparametrisations of kappa fixing 0.
     """
-    if not 0.0 < h <= 1e-3:
-        raise DomainError("h must lie in (0, 1e-3]")
-    base = tau2_of_kappa(family, 0.0)
-    d_full = (tau2_of_kappa(family, h) - base) / h
-    d_half = (tau2_of_kappa(family, 0.5 * h) - base) / (0.5 * h)
-    return 2.0 * d_half - d_full
+    return -1.0 / 9.0 if _concentrated(family) is Family.CAYLEY else 0.0

@@ -28,6 +28,46 @@ def spectral_rotation(m1, m2):
     return so3.from_axis_angle(cross / norm, math.acos(np.clip(u @ E3, -1.0, 1.0)))
 
 
+def bayes_assign(P, pair):
+    """Oracle for the batch rule in ``mc_accuracy``: the Bayes-optimal
+    class of one observed rotation; ties (statistic within TIE_TOL of
+    zero) go to class 1 for reproducibility."""
+    P = np.asarray(P, dtype=float)
+    contrast = np.eye(3) - pair.m1 @ pair.m2.T
+    stat = float(np.trace(P @ pair.m1.T @ contrast))
+    return 1 if (stat > 0.0 or abs(stat) < cls.TIE_TOL) else 2
+
+
+def psi_theta_form(pair, quad=None):
+    """Oracle for ``psi_closed``: the same accuracy through the
+    rotation-angle law, as region probabilities of Theta plus
+    cot(Theta/2) partial expectations, integrated in the angle variable."""
+    alpha = pair.alpha
+    spec = pair.common
+
+    def f_theta(theta):
+        x = 0.5 * (1.0 + math.cos(theta))
+        if x >= 1.0:
+            x = math.nextafter(1.0, 0.0)
+        elif x <= 0.0:
+            x = math.nextafter(0.0, 1.0)
+        return 0.5 * dist.fx_density(spec, x) * math.sin(theta)
+
+    def cot_weighted(theta):
+        return f_theta(theta) / math.tan(0.5 * theta)
+
+    p_low = moments.integrate(f_theta, 0.0, 0.5 * alpha, quad)
+    p_mid = moments.integrate(f_theta, 0.5 * alpha, math.pi - 0.5 * alpha, quad)
+    e_mid = moments.integrate(cot_weighted, 0.5 * alpha, math.pi - 0.5 * alpha, quad)
+    e_tail = moments.integrate(cot_weighted, math.pi - 0.5 * alpha, math.pi, quad)
+    return (
+        p_low
+        + 0.5 * p_mid
+        + 0.5 * math.tan(0.25 * alpha) * e_mid
+        + e_tail / math.sin(0.5 * alpha)
+    )
+
+
 class TestClassPair:
     def test_alpha_is_recomputed(self):
         pair = z_pair(1.0, dist.haar())
@@ -74,11 +114,11 @@ class TestHFunction:
 class TestBayesAssign:
     def test_modal_one_goes_to_class_one(self):
         pair = z_pair(1.2, dist.cayley(1.0))
-        assert cls.bayes_assign(pair.m1, pair) == 1
+        assert bayes_assign(pair.m1, pair) == 1
 
     def test_modal_two_goes_to_class_two(self):
         pair = z_pair(1.2, dist.cayley(1.0))
-        assert cls.bayes_assign(pair.m2, pair) == 2
+        assert bayes_assign(pair.m2, pair) == 2
         # decision statistic at M2 is -2 (1 - cos alpha)
         contrast = np.eye(3) - pair.m1 @ pair.m2.T
         stat = np.trace(pair.m2 @ pair.m1.T @ contrast)
@@ -93,7 +133,7 @@ class TestBayesAssign:
         P = so3.from_axis_angle(axis, 0.5 * math.pi)
         contrast = np.eye(3) - pair.m1 @ pair.m2.T
         assert abs(np.trace(P @ pair.m1.T @ contrast)) < 1e-14
-        assert cls.bayes_assign(P, pair) == 1
+        assert bayes_assign(P, pair) == 1
 
     def test_decision_statistic_conjugation_identity(self):
         rng = np.random.default_rng(0)
@@ -178,7 +218,7 @@ class TestPsiClosed:
             for alpha in (0.3, 0.9, 1.5, 2.2, 2.9):
                 pair = z_pair(alpha, common)
                 a = cls.psi_closed(pair)
-                b = cls.psi_theta_form(pair)
+                b = psi_theta_form(pair)
                 assert abs(a - b) < 1e-8, (kappa, alpha)
 
     def test_increasing_in_concentration(self):
@@ -204,6 +244,15 @@ class TestPsiDerivative:
             - cls.psi_closed(z_pair(alpha - step, common), quad)
         ) / (2.0 * step)
         assert abs(cls.psi_derivative(z_pair(alpha, common), quad) - fd) < 1e-6
+
+    @pytest.mark.parametrize("alpha", [1e-11, 1e-10, 2e-9, 1e-8])
+    def test_tiny_separation_limit(self, alpha):
+        # psi'(0+) = (int_0^1 h - h(0+)) / 8, which is 2 / (3 pi) for
+        # Cayley kappa = 2, where h(x) = 16 x^2 / pi; 1 - cos(alpha/2)
+        # rounds to 0.0 for the three smaller angles
+        dpsi = cls.psi_derivative(z_pair(alpha, dist.cayley(2.0)))
+        assert abs(dpsi - 2.0 / (3.0 * math.pi)) < 1e-12
+        assert abs(cls.psi_derivative(z_pair(alpha, dist.haar()))) < 1e-12
 
     def test_never_meaningfully_negative(self):
         for kappa in (0.0, 0.5, 2.0):

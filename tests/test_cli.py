@@ -190,6 +190,14 @@ class TestClassify:
         assert run(["classify", "--family", "haar",
                     "--modal2-axis", "0,0,1", "--modal2-angle", "0.0"]) == 2
 
+    def test_tiny_separation(self, capsys):
+        # 1 - cos(alpha/2) rounds to 0.0 at this angle
+        assert run(["classify", "--family", "cayley", "--kappa", "2",
+                    "--modal2-axis", "0,0,1", "--modal2-angle", "1e-8", "--n-mc", "100"]) == 0
+        values = [line.split(" = ")[1].split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert len(values) == 6 and all(math.isfinite(float(v)) for v in values)
+
 
 class TestFakeuni:
     def test_cayley_report(self, tmp_path, capsys):
@@ -216,7 +224,26 @@ class TestFakeuni:
 
     def test_nonpositive_tol_exits_2(self):
         for tol in ("0", "-1"):
-            assert run(["fakeuni", "--family", "cayley", "--kappa-max", "5", "--tol", tol]) == 2
+            with pytest.raises(SystemExit) as info:
+                run(["fakeuni", "--family", "cayley", "--kappa-max", "5", "--tol", tol])
+            assert info.value.code == 2
+
+    def test_fvm_slope_is_flat(self, capsys):
+        assert run(["fakeuni", "--family", "fvm", "--kappa-max", "10"]) == 0
+        assert "initial_slope = 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--family", "cayley", "--kappa", "nan", "--n", "3"],
+    ["classify", "--family", "cayley", "--kappa", "nan",
+     "--modal2-axis", "0,0,1", "--modal2-angle", "1.0", "--n-mc", "10"],
+    ["fakeuni", "--family", "cayley", "--kappa-max", "nan"],
+    ["figure1", "--kappa-max", "nan", "--out", "unused.csv"],
+])
+def test_nan_concentration_exits_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -73,6 +73,14 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             dist.cayley(-0.5)
 
+    @pytest.mark.parametrize("family", [dist.Family.CAYLEY, dist.Family.FVM])
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa(self, family, kappa):
+        # checked here, not through the CLI: fvm sampling at kappa = inf
+        # would never accept a draw
+        with pytest.raises(DomainError):
+            dist.DistributionSpec(family, kappa=kappa)
+
     def test_modal_must_be_rotation(self):
         with pytest.raises(ValueError):
             dist.cayley(1.0, modal=np.eye(3) * 1.01)
@@ -196,6 +204,11 @@ class TestSampleX:
         x = dist.sample_x_values(dist.fisher_von_mises(3.0), 2000, rng)
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert 0.0 <= dist.sample_x_values(dist.cayley(2.0), 1, rng)[0] <= 1.0
+
+    def test_fvm_zero_is_the_haar_stream(self):
+        a = dist.sample_x_values(dist.fisher_von_mises(0.0), 1000, np.random.default_rng(3))
+        b = dist.sample_x_values(dist.haar(), 1000, np.random.default_rng(3))
+        assert np.array_equal(a, b)
 
     def test_large_kappa_warns(self):
         rng = np.random.default_rng(16)

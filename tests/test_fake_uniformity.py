@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from rotgram import distributions as dist
 from rotgram import fake_uniformity as fu
+from rotgram import moments
 from rotgram.errors import DomainError
 
 
 def cayley_tau2_closed(kappa):
     return (2.0 + kappa + kappa * kappa) / (6.0 + 5.0 * kappa + kappa * kappa)
+
+
+def excess(family, kappa):
+    return moments.tau2_excess(dist.DistributionSpec(family, kappa=kappa))
 
 
 class TestTau2OfKappa:
@@ -54,6 +60,11 @@ class TestScanCurve:
         np.testing.assert_allclose([p.kappa for p in points], [0.0, 0.5, 1.0, 1.5, 2.0])
         assert all(math.isfinite(p.tau2_minus_third) for p in points)
 
+    def test_non_finite_kappa_max(self):
+        for kappa_max in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fu.scan_curve("cayley", kappa_max, 5)
+
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             fu.scan_curve("cayley", 0.0, 5)
@@ -63,9 +74,8 @@ class TestScanCurve:
 
 class TestFindFakeUniformity:
     def test_cayley_root_at_one(self):
-        root = fu.find_fake_uniformity("cayley", 0.1, 5.0, tol=1e-10)
-        assert root is not None
-        assert abs(root - 1.0) < 1e-8
+        root = fu.find_fake_uniformity("cayley", 0.1, 5.0)
+        assert root == 1.0
 
     def test_single_root_in_window(self):
         points = fu.scan_curve("cayley", 5.0, 201)[1:]
@@ -83,24 +93,17 @@ class TestFindFakeUniformity:
 
     def test_no_spurious_roots_near_zero(self):
         # tau2 - 1/3 is far below the spacing of doubles near 1/3 here
-        assert fu.curve_roots("fvm", fu.scan_curve("fvm", 1e-7, 25)[1:]) == []
-        assert fu.curve_roots("cayley", fu.scan_curve("cayley", 1e-17, 25)[1:]) == []
+        assert fu.find_fake_uniformity("fvm", 0.0, 1e-7) is None
+        assert fu.find_fake_uniformity("cayley", 0.0, 1e-17) is None
 
     def test_curve_roots_of_a_scan(self):
-        roots = fu.curve_roots("cayley", fu.scan_curve("cayley", 5.0, 129)[1:])
-        assert len(roots) == 1 and abs(roots[0] - 1.0) < 1e-8
-        # a grid point exactly on the root is reported as it is
-        assert fu.curve_roots("cayley", fu.scan_curve("cayley", 2.0, 3)[1:]) == [1.0]
-        assert fu.curve_roots("fvm", fu.scan_curve("fvm", 5.0, 129)[1:]) == []
-
-    def test_tolerance_finer_than_float_spacing_terminates(self):
-        root = fu.find_fake_uniformity("cayley", 0.1, 5.0, tol=1e-300)
-        assert abs(root - 1.0) < 1e-12
-        with pytest.raises(DomainError):
-            fu.find_fake_uniformity("cayley", 0.1, 5.0, tol=0.0)
+        root = fu.find_fake_uniformity("cayley", 0.0, 5.0)
+        assert root is not None and abs(root - 1.0) < 1e-8
+        assert fu.find_fake_uniformity("cayley", 0.0, 2.0) == 1.0
+        assert fu.find_fake_uniformity("fvm", 0.0, 5.0) is None
 
     def test_fvm_has_no_root(self):
-        assert fu.find_fake_uniformity("fvm", 0.1, 5.0, tol=1e-8) is None
+        assert fu.find_fake_uniformity("fvm", 0.1, 5.0) is None
 
     def test_cayley_no_root_beyond_one(self):
         assert fu.find_fake_uniformity("cayley", 1.5, 5.0) is None
@@ -108,6 +111,27 @@ class TestFindFakeUniformity:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             fu.find_fake_uniformity("cayley", 1.0, 0.5)
+
+    def test_domain(self):
+        assert fu.find_fake_uniformity("cayley", 0.0, 1.0) == 1.0
+        assert fu.find_fake_uniformity("cayley", 1.0, 1.5) == 1.0
+        for lo, hi in ((-1.0, 2.0), (1.0, 1.0), (math.nan, 2.0), (0.5, math.nan)):
+            with pytest.raises(DomainError):
+                fu.find_fake_uniformity("cayley", lo, hi)
+        with pytest.raises(DomainError):
+            fu.find_fake_uniformity("haar", 0.0, 2.0)
+        with pytest.raises(ValueError):
+            fu.find_fake_uniformity("nosuch", 0.0, 2.0)
+
+    def test_root_is_the_closed_form_zero(self):
+        # the excess is exactly 0 at kappa = 1 and changes sign there;
+        # fvm stays positive (I_n strictly decreasing in n)
+        assert excess("cayley", 1.0) == 0.0
+        assert excess("cayley", math.nextafter(1.0, 0.0)) < 0.0
+        assert excess("cayley", math.nextafter(1.0, 2.0)) > 0.0
+        assert all(excess("cayley", k) < 0.0 for k in np.linspace(0.01, 0.99, 50))
+        assert all(excess("cayley", k) > 0.0 for k in np.linspace(1.01, 49.0, 50))
+        assert all(excess("fvm", k) > 0.0 for k in np.geomspace(1e-12, 49.0, 60))
 
 
 class TestInitialSlope:
@@ -128,8 +152,19 @@ class TestInitialSlope:
         assert reparam_slope < 0.0
         assert math.copysign(1.0, reparam_slope) == math.copysign(1.0, fu.initial_slope("cayley"))
 
-    def test_step_domain(self):
+    @pytest.mark.parametrize("family", ["cayley", "fvm"])
+    def test_is_the_closed_form_derivative(self, family):
+        # excess(kappa) / kappa tends to the slope with an O(kappa) error
+        slope = fu.initial_slope(family)
+        for kappa in (1e-3, 1e-5, 1e-8):
+            assert abs(excess(family, kappa) / kappa - slope) < kappa
+        if family == "cayley":
+            assert slope == -1.0 / 9.0
+
+    def test_haar_rejected(self):
         with pytest.raises(DomainError):
-            fu.initial_slope("cayley", h=1e-2)
-        with pytest.raises(DomainError):
-            fu.initial_slope("cayley", h=0.0)
+            fu.initial_slope("haar")
+
+    def test_fvm_value(self):
+        # tau2 - 1/3 = kappa^2/15 + O(kappa^3): flat at kappa = 0, no dip
+        assert fu.initial_slope("fvm") == 0.0

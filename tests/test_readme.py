@@ -1,0 +1,29 @@
+"""README drift: every ``rotgram ...`` command in the README's CLI code
+block is accepted by the current argument parser.  Commands are parsed
+only, never run."""
+
+import pathlib
+import shlex
+
+import pytest
+
+from rotgram import cli
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rotgram ")]
+
+
+def test_every_subcommand_has_an_example():
+    assert {argv[0] for argv in readme_commands()} == {
+        "sample", "figure1", "gram", "classify", "fakeuni"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_example_parses(argv):
+    cli.build_parser().parse_args(argv)

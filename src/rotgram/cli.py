@@ -85,22 +85,39 @@ def _spec(args) -> distributions.DistributionSpec:
 
 
 def _chunked_mc(fn, n: int, seed: int, threads: int):
-    """Split an MC task of n >= 1 draws into min(threads, n) streams.
-    One stream keeps the single-stream bitwise contract; more streams
-    spawn child generators (still deterministic, but a different stream
-    than one thread).  The worker count is capped at the CPU count and
-    does not change any stream's draws."""
+    """Split an MC task of n >= 1 draws into min(threads, n) streams and
+    return the draw counts and the results of fn(count, rng), one per
+    stream.  One stream keeps the single-stream bitwise contract; more
+    streams spawn child generators (still deterministic, but a different
+    stream than one thread).  The worker count is capped at the CPU count
+    and does not change any stream's draws."""
     if threads < 1:
         raise DomainError("--threads must be >= 1")
     streams = min(threads, n)
     if streams == 1:
-        return fn(n, np.random.default_rng(seed))
+        return [n], [fn(n, np.random.default_rng(seed))]
     seqs = np.random.SeedSequence(seed).spawn(streams)
     counts = [n // streams] * streams
     counts[0] += n - sum(counts)
     with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
         parts = list(pool.map(lambda sc: fn(sc[0], np.random.default_rng(sc[1])), zip(counts, seqs)))
-    return sum(c * p for c, p in zip(counts, parts)) / n
+    return counts, parts
+
+
+def _pooled_mean(counts, means):
+    """Draw-weighted mean of per-stream means; one stream's mean as is."""
+    if len(means) == 1:
+        return means[0]
+    return sum(c * m for c, m in zip(counts, means)) / sum(counts)
+
+
+def _pooled_stderr(counts, stderrs):
+    """Standard error of ``_pooled_mean`` over independent streams:
+    sqrt(sum((c_i / n)^2 se_i^2))."""
+    if len(stderrs) == 1:
+        return stderrs[0]
+    n = sum(counts)
+    return np.sqrt(sum((c / n) ** 2 * se * se for c, se in zip(counts, stderrs)))
 
 
 def cmd_sample(args) -> int:
@@ -164,10 +181,12 @@ def cmd_gram(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     closed = radon.expected_projected_gram(spec, V)
-    mc = _chunked_mc(
-        lambda n, rng: radon.mc_projected_gram(spec, V, n, rng),
+    counts, parts = _chunked_mc(
+        lambda n, rng: radon.mc_projected_gram(spec, V, n, rng, return_stderr=True),
         args.n_mc, args.seed, args.threads,
     )
+    mc = _pooled_mean(counts, [mean for mean, _ in parts])
+    mc_se = _pooled_stderr(counts, [se for _, se in parts])
     deviation = mc - closed
     naive_bias = 1.5 * closed - radon.gram(V)
     _print_matrix("closed-form expected projected Gram:", closed)
@@ -176,6 +195,13 @@ def cmd_gram(args) -> int:
     _print_matrix("naive uniform-law recovery bias (1.5 E - Gram(V)):", naive_bias)
     print("max |deviation| = %s" % _fmt(np.max(np.abs(deviation))))
     print("max |naive bias| = %s" % _fmt(np.max(np.abs(naive_bias))))
+    _print_matrix("entrywise MC standard error:", mc_se)
+    spread = mc_se > 0.0
+    if np.all(deviation[~spread] == 0.0):
+        z = np.abs(deviation[spread]) / mc_se[spread]
+        print("max |z| = %s" % _fmt(np.max(z, initial=0.0)))
+    else:
+        print("max |z| = undefined (zero standard error)")
     if args.out:
         k = V.shape[1]
         rows = []
@@ -198,10 +224,10 @@ def cmd_classify(args) -> int:
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
     dpsi = classifier.psi_derivative(pair)
-    acc = _chunked_mc(
+    acc = _pooled_mean(*_chunked_mc(
         lambda n, rng: classifier.mc_accuracy(pair, n, rng),
         args.n_mc, args.seed, args.threads,
-    )
+    ))
     stderr = math.sqrt(max(acc * (1.0 - acc), 1e-300) / args.n_mc)
     print("alpha = %s" % _fmt(pair.alpha))
     print("psi_closed = %s" % _fmt(psi))

@@ -248,17 +248,18 @@ def sample_rotations(
 ):
     """n rotation draws as an (n, 3, 3) array.
 
-    Each sample is built as P = R M with R = from_axis_angle(u, theta),
-    theta = arccos(2 X - 1), X drawn first and the axes drawn second
-    (the draw order is part of the seeded-reproducibility contract).
-    With ``return_parts`` the tuple (P, axes, angles, x) is returned.
+    Each sample is built as P = R M, with R the rotation of the unit
+    quaternion w = sqrt(X), v = sqrt(1 - X) u, which is the axis-angle
+    rotation about u by theta = arccos(2 X - 1).  X is drawn first and
+    the axes u second (the draw order is part of the seeded-reproducibility
+    contract).  With ``return_parts`` the tuple (P, axes, angles, x) is
+    returned; the angles are only computed then.
     """
     x = sample_x_values(spec, n, rng)
-    angles = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
     axes = so3.sample_uniform_axes(n, rng)
-    R = so3.from_axis_angle_batch(axes, angles)
+    R = so3.from_quaternion_batch(np.sqrt(x), np.sqrt(1.0 - x)[:, None] * axes)
     P = R @ spec.modal
     if return_parts:
+        angles = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
         return P, axes, angles, x
     return P
-

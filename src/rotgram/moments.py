@@ -55,6 +55,7 @@ _WG = (
 
 _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
+CAYLEY_SCALED_KAPPA = 1e150
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,20 @@ def tau2_excess(spec: DistributionSpec) -> float:
     the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1 and
     I_{n-1} - I_{n+1} = (2n/z) I_n; no terms cancel as k -> 0, and the
     value is positive for every k > 0.
+
+    k = 0 returns +0.0 (2 * 0 * (0 - 1) is -0.0).  Above
+    CAYLEY_SCALED_KAPPA the Cayley-LMR form is divided through by k^2,
+    because k^2 overflows near 1.3e154; the excess tends to 2/3, so
+    tau2 tends to 1.
     """
     k = spec.kappa
-    if spec.family is Family.FVM and k > 0.0:
+    if k == 0.0:
+        return 0.0
+    if spec.family is Family.FVM:
         i0, i1, i2, i3 = (bessel_i(n, 2.0 * k) for n in range(4))
         return (2.0 / 15.0) * (i2 - i3) / (i0 - i1)
+    if k > CAYLEY_SCALED_KAPPA:
+        return 2.0 * (1.0 - 1.0 / k) / (3.0 * (1.0 + 2.0 / k) * (1.0 + 3.0 / k))
     return 2.0 * k * (k - 1.0) / (3.0 * (k + 2.0) * (k + 3.0))
 
 

@@ -24,6 +24,7 @@ from .distributions import DistributionSpec, sample_rotations
 from .errors import DomainError
 
 _H = np.diag([1.0, 1.0, 0.0])
+MC_CHUNK = 1 << 16
 
 
 def gram(V) -> np.ndarray:
@@ -78,8 +79,11 @@ def mc_projected_gram(
 ):
     """Monte Carlo mean of Gram(H A V) over n rotation draws.
 
-    Accumulation is chunked but the chunk order is fixed, so the result
-    is reproducible bitwise for a given seeded generator.  With
+    Gram(H A V) = Gram(V) - g g^T with g the third row of A V, so a draw
+    enters only through g.  Each chunk of MC_CHUNK draws adds g^T g and,
+    for the standard error, (g*g)^T (g*g) as two matrix products.  The
+    chunk order is fixed, so the result is reproducible bitwise for a
+    given seeded generator, and memory does not grow with n.  With
     ``return_stderr`` the entrywise standard error of the mean is
     returned as a second array.
     """
@@ -89,20 +93,19 @@ def mc_projected_gram(
     k = V.shape[1]
     total = np.zeros((k, k))
     total_sq = np.zeros((k, k))
-    chunk = 1 << 16
     done = 0
     while done < n:
-        m = min(chunk, n - done)
-        A = sample_rotations(spec, m, rng)
-        B = A[:, :2, :] @ V  # rows of H A V that survive the projection
-        G = np.einsum("ndj,ndl->njl", B, B)
-        total += G.sum(axis=0)
-        total_sq += (G * G).sum(axis=0)
+        m = min(MC_CHUNK, n - done)
+        g = sample_rotations(spec, m, rng)[:, 2, :] @ V
+        total += g.T @ g
+        gg = g * g
+        total_sq += gg.T @ gg
         done += m
-    mean = total / n
+    outer = total / n
+    mean = gram(V) - outer
     if not return_stderr:
         return mean
-    var = np.maximum(total_sq / n - mean * mean, 0.0)
+    var = np.maximum(total_sq / n - outer * outer, 0.0)
     if n > 1:
         var *= n / (n - 1.0)
     return mean, np.sqrt(var / n)

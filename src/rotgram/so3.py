@@ -1,5 +1,6 @@
-"""Deterministic SO(3) algebra: the axis-angle chart, skew operator,
-angles between rotations, and the planar spectral block.
+"""Deterministic SO(3) algebra: the axis-angle chart, rotations from
+unit quaternions, skew operator, angles between rotations, and the
+planar spectral block.
 
 Conventions:
 - Rotations are plain 3x3 numpy arrays acting on column vectors, with
@@ -83,22 +84,37 @@ def from_axis_angle(axis, angle: float) -> np.ndarray:
     return c * _EYE3 + s * skew(u) + (1.0 - c) * np.outer(u, u)
 
 
-def from_axis_angle_batch(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Vectorised axis-angle chart: (n,3) axes and (n,) angles -> (n,3,3)."""
-    u = np.asarray(axes, dtype=float)
-    t = np.asarray(angles, dtype=float)
-    c = np.cos(t)[:, None, None]
-    s = np.sin(t)[:, None, None]
-    n = u.shape[0]
-    S = np.zeros((n, 3, 3))
-    S[:, 0, 1] = -u[:, 2]
-    S[:, 0, 2] = u[:, 1]
-    S[:, 1, 0] = u[:, 2]
-    S[:, 1, 2] = -u[:, 0]
-    S[:, 2, 0] = -u[:, 1]
-    S[:, 2, 1] = u[:, 0]
-    outer = u[:, :, None] * u[:, None, :]
-    return c * _EYE3 + s * S + (1.0 - c) * outer
+def from_quaternion_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotations of the unit quaternions (w, v): (n,) scalars and (n,3)
+    vectors with w^2 + |v|^2 = 1 -> (n,3,3).
+
+    R = (2 w^2 - 1) I + 2 v v^T + 2 w S(v), filled entry by entry.  With
+    w = cos(t/2) and v = sin(t/2) u this is the axis-angle chart at
+    angle t, but it needs no trigonometry, and it stays accurate near
+    t = pi, where w is small.
+    """
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(v, dtype=float)
+    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
+    w2 = 2.0 * w
+    d = w2 * w - 1.0
+    R = np.empty((w.shape[0], 3, 3))
+    R[:, 0, 0] = d + 2.0 * v1 * v1
+    R[:, 1, 1] = d + 2.0 * v2 * v2
+    R[:, 2, 2] = d + 2.0 * v3 * v3
+    a = 2.0 * v1 * v2
+    b = w2 * v3
+    R[:, 0, 1] = a - b
+    R[:, 1, 0] = a + b
+    a = 2.0 * v1 * v3
+    b = w2 * v2
+    R[:, 0, 2] = a + b
+    R[:, 2, 0] = a - b
+    a = 2.0 * v2 * v3
+    b = w2 * v1
+    R[:, 1, 2] = a - b
+    R[:, 2, 1] = a + b
+    return R
 
 
 def to_axis_angle(R) -> AxisAngle:

@@ -14,10 +14,23 @@ def random_rotation(rng):
     return so3.from_axis_angle(axis, angle)
 
 
-def random_rotations(rng, n):
-    axes = so3.sample_uniform_axes(n, rng)
-    angles = rng.uniform(0.05, math.pi - 0.05, size=n)
-    return so3.from_axis_angle_batch(axes, angles)
+def from_axis_angle_batch(axes, angles):
+    """Oracle for ``so3.from_quaternion_batch``: the vectorised
+    axis-angle chart, (n,3) axes and (n,) angles -> (n,3,3)."""
+    u = np.asarray(axes, dtype=float)
+    t = np.asarray(angles, dtype=float)
+    c = np.cos(t)[:, None, None]
+    s = np.sin(t)[:, None, None]
+    n = u.shape[0]
+    S = np.zeros((n, 3, 3))
+    S[:, 0, 1] = -u[:, 2]
+    S[:, 0, 2] = u[:, 1]
+    S[:, 1, 0] = u[:, 2]
+    S[:, 1, 2] = -u[:, 0]
+    S[:, 2, 0] = -u[:, 1]
+    S[:, 2, 1] = u[:, 0]
+    outer = u[:, :, None] * u[:, None, :]
+    return c * np.eye(3) + s * S + (1.0 - c) * outer
 
 
 def ks_statistic(a, b):

@@ -38,6 +38,26 @@ def bayes_assign(P, pair):
     return 1 if (stat > 0.0 or abs(stat) < cls.TIE_TOL) else 2
 
 
+def two_einsum_accuracy(pair, n, rng):
+    """Oracle for ``mc_accuracy``: the same labels and rotation draws,
+    with the class-1 and class-2 statistics tr(R S_i) from one einsum
+    each.  Returns (overall, class 1, class 2) accuracies."""
+    contrast = np.eye(3) - pair.m1 @ pair.m2.T
+    stat2 = pair.m2 @ pair.m1.T @ contrast
+    labels = rng.integers(1, 3, size=n)
+    hits = []
+    for start in range(0, n, cls.MC_CHUNK):
+        R = dist.sample_rotations(pair.common, min(cls.MC_CHUNK, n - start), rng)
+        lab = labels[start:start + R.shape[0]]
+        s1 = np.einsum("nij,ji->n", R, contrast)
+        s2 = np.einsum("nij,ji->n", R, stat2)
+        stat = np.where(lab == 1, s1, s2)
+        assign1 = (stat > 0.0) | (np.abs(stat) < cls.TIE_TOL)
+        hits.append(np.where(lab == 1, assign1, ~assign1))
+    hit = np.concatenate(hits)
+    return hit.mean(), hit[labels == 1].mean(), hit[labels == 2].mean()
+
+
 def psi_theta_form(pair, quad=None):
     """Oracle for ``psi_closed``: the same accuracy through the
     rotation-angle law, as region probabilities of Theta plus
@@ -303,6 +323,14 @@ class TestMcAccuracy:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             cls.mc_accuracy(z_pair(1.0, dist.haar()), 0, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("n", [1000, 2 * cls.MC_CHUNK + 4321])
+    def test_matches_two_einsum_oracle(self, n):
+        rng = np.random.default_rng(17)
+        m1 = random_rotation(rng)
+        pair = cls.ClassPair(m1, so3.from_axis_angle(E3, 0.8) @ m1, dist.cayley(1.5))
+        got = cls.mc_accuracy(pair, n, np.random.default_rng(18), return_by_class=True)
+        assert got == two_einsum_accuracy(pair, n, np.random.default_rng(18))
 
 
 class TestGramIsNotAClassificationFeature:

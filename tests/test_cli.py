@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rotgram import cli, so3
+from rotgram import cli, radon, so3
+from rotgram import distributions as dist
 
 
 def run(args):
@@ -97,6 +98,12 @@ class TestFigure1:
         assert abs(table[-1, 1]) < 1e-9  # cayley vanishes again at kappa = 1
         assert np.all(table[1:-1, 1] < 0.0)
 
+    def test_zero_row_has_no_negative_zero(self, tmp_path, capsys):
+        out = tmp_path / "fig1.csv"
+        assert run(["figure1", "--kappa-max", "10", "--n-points", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "0,0,0"
+
     def test_bad_args_exit_2(self, tmp_path):
         assert run(["figure1", "--kappa-max", "0", "--out", str(tmp_path / "x.csv")]) == 2
         assert run(["figure1", "--kappa-max", "1", "--n-points", "1",
@@ -145,6 +152,69 @@ class TestGram:
         text = capsys.readouterr().out
         bias = float(text.split("max |naive bias| = ")[1].splitlines()[0])
         assert bias > 0.05
+
+    def _blocks(self, text):
+        blocks, label = {}, None
+        for line in text.splitlines():
+            if line.startswith("  ") and label is not None:
+                blocks[label].append([float(v) for v in line.split()])
+            elif line.endswith(":"):
+                label = line[:-1]
+                blocks[label] = []
+            else:
+                label = None
+        return {k: np.array(v) for k, v in blocks.items()}
+
+    def _report(self, tmp_path, capsys, *extra):
+        V = tmp_path / "V.csv"
+        V.write_text("1,0,0.5,-1\n0,1,0.25,2\n0,0,1,0.5\n", encoding="utf-8")
+        assert run(["gram", "--family", "cayley", "--kappa", "2", "--modal-axis", "1,2,3",
+                    "--modal-angle", "0.4", "--landmarks", str(V), "--seed", "5", *extra]) == 0
+        axis = np.array([1.0, 2.0, 3.0])
+        spec = dist.cayley(2.0, modal=so3.from_axis_angle(axis / np.linalg.norm(axis), 0.4))
+        return capsys.readouterr().out, spec, np.loadtxt(V, delimiter=",")
+
+    def test_stderr_block_and_max_z(self, tmp_path, capsys):
+        text, spec, V = self._report(tmp_path, capsys, "--n-mc", "20000")
+        lines = text.splitlines()
+        # the earlier report is unchanged; the stderr block and max |z| follow it
+        assert lines[-7].startswith("max |naive bias| = ")
+        assert lines[-6] == "entrywise MC standard error:"
+        assert lines[-1].startswith("max |z| = ")
+        assert [label for label in self._blocks(text) if label.startswith("monte-carlo")] == [
+            "monte-carlo estimate (n=20000)"]
+        mean, se = radon.mc_projected_gram(spec, V, 20000, np.random.default_rng(5),
+                                           return_stderr=True)
+        blocks = self._blocks(text)
+        np.testing.assert_array_equal(blocks["entrywise MC standard error"], se)
+        np.testing.assert_array_equal(blocks["monte-carlo estimate (n=20000)"], mean)
+        z = np.abs(blocks["entrywise deviation (mc - closed)"]) / se
+        assert abs(float(lines[-1].split(" = ")[1]) - z.max()) <= 1e-12 * z.max()
+        assert z.max() < 6.0
+
+    def test_threaded_stderr_pools_the_streams(self, tmp_path, capsys):
+        text, spec, V = self._report(tmp_path, capsys, "--n-mc", "30001", "--threads", "2")
+        counts = [15001, 15000]
+        seqs = np.random.SeedSequence(5).spawn(2)
+        ses = [radon.mc_projected_gram(spec, V, c, np.random.default_rng(q), return_stderr=True)[1]
+               for c, q in zip(counts, seqs)]
+        pooled = np.sqrt(sum((c / 30001) ** 2 * se * se for c, se in zip(counts, ses)))
+        got = self._blocks(text)["entrywise MC standard error"]
+        np.testing.assert_allclose(got, pooled, rtol=1e-15, atol=0.0)
+        # about the single-stream stderr at the same n
+        _, single = radon.mc_projected_gram(spec, V, 30001, np.random.default_rng(5),
+                                            return_stderr=True)
+        assert np.all(np.abs(got / single - 1.0) < 0.1)
+
+    def test_single_draw_has_undefined_z(self, tmp_path, capsys):
+        text, _, _ = self._report(tmp_path, capsys, "--n-mc", "1")
+        assert text.splitlines()[-1] == "max |z| = undefined (zero standard error)"
+
+    def test_huge_concentration_is_finite(self, tmp_path, capsys):
+        text, _, _ = self._report(tmp_path, capsys, "--kappa", "1e308", "--n-mc", "100")
+        for label, G in self._blocks(text).items():
+            assert G.shape == (4, 4) and np.all(np.isfinite(G)), label
+        assert "nan" not in text and "inf" not in text
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run(["gram", "--landmarks", str(tmp_path / "absent.csv")]) == 3
@@ -227,6 +297,21 @@ class TestFakeuni:
             with pytest.raises(SystemExit) as info:
                 run(["fakeuni", "--family", "cayley", "--kappa-max", "5", "--tol", tol])
             assert info.value.code == 2
+
+    def test_zero_row_has_no_negative_zero(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run(["fakeuni", "--family", "fvm", "--kappa-max", "10", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "0,0"
+
+    def test_huge_kappa_max_is_finite(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert run(["fakeuni", "--family", "cayley", "--kappa-max", "1e200", "--n-points", "3",
+                    "--out", str(out)]) == 0
+        assert "fake-uniformity roots: 1\n" in capsys.readouterr().out
+        _, rows = read_csv(out)
+        values = [float(r[1]) for r in rows]
+        assert values[0] == 0.0 and all(abs(v - 2.0 / 3.0) <= 1e-15 for v in values[1:])
 
     def test_fvm_slope_is_flat(self, capsys):
         assert run(["fakeuni", "--family", "fvm", "--kappa-max", "10"]) == 0

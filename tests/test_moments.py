@@ -218,6 +218,22 @@ class TestTau2:
         assert moments.tau2_excess(dist.cayley(1.5)) > 0.0
         assert moments.tau2_excess(dist.haar()) == 0.0
 
+    def test_zero_concentration_is_positive_zero(self):
+        for spec in (dist.haar(), dist.cayley(0.0), dist.fisher_von_mises(0.0)):
+            assert math.copysign(1.0, moments.tau2_excess(spec)) == 1.0
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e308, 1.7976931348623157e308])
+    def test_huge_cayley_concentration_stays_finite(self, kappa):
+        # the excess tends to 2/3, so tau2 tends to 1
+        assert abs(moments.tau2_excess(dist.cayley(kappa)) - 2.0 / 3.0) <= 1e-15
+        assert abs(moments.tau2(dist.cayley(kappa)) - 1.0) <= 2e-16
+
+    def test_scaled_cayley_form_is_continuous(self):
+        k = moments.CAYLEY_SCALED_KAPPA
+        below = moments.tau2_excess(dist.cayley(k))
+        above = moments.tau2_excess(dist.cayley(math.nextafter(k, math.inf)))
+        assert abs(above - below) <= 2e-16
+
 
 class TestMomentVector:
     def test_build_and_invariants(self):

@@ -114,6 +114,29 @@ class TestMcProjectedGram:
         with pytest.raises(ValueError):
             radon.mc_projected_gram(dist.haar(), np.eye(3), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [1000, radon.MC_CHUNK, 2 * radon.MC_CHUNK + 12345])
+    def test_matches_per_draw_oracle(self, n):
+        # the same chunked draws, reduced draw by draw as Gram(H A V)
+        rng = np.random.default_rng(13)
+        V = rng.normal(size=(3, 4))
+        spec = dist.cayley(2.0, modal=random_rotation(rng))
+        mean, se = radon.mc_projected_gram(spec, V, n, np.random.default_rng(14),
+                                           return_stderr=True)
+        oracle_rng = np.random.default_rng(14)
+        grams = []
+        for start in range(0, n, radon.MC_CHUNK):
+            A = dist.sample_rotations(spec, min(radon.MC_CHUNK, n - start), oracle_rng)
+            B = A[:, :2, :] @ V
+            grams.append(np.einsum("ndj,ndl->njl", B, B))
+        G = np.concatenate(grams)
+        np.testing.assert_allclose(mean, G.mean(axis=0), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(se, G.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12, atol=0.0)
+
+    def test_mean_is_symmetric(self):
+        V = np.random.default_rng(15).normal(size=(3, 5))
+        G = radon.mc_projected_gram(dist.cayley(1.0), V, 5000, np.random.default_rng(16))
+        np.testing.assert_array_equal(G, G.T)
+
 
 class TestRecoverGram:
     def test_fake_uniform_point_ignores_w(self):

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import from_axis_angle_batch, random_rotation
 from rotgram import so3
 from rotgram.errors import DegenerateRotation
 
@@ -65,9 +68,50 @@ class TestFromAxisAngle:
         rng = np.random.default_rng(3)
         axes = so3.sample_uniform_axes(10, rng)
         angles = rng.uniform(0.0, math.pi, size=10)
-        batch = so3.from_axis_angle_batch(axes, angles)
+        batch = from_axis_angle_batch(axes, angles)
         for i in range(10):
             np.testing.assert_array_equal(batch[i], so3.from_axis_angle(axes[i], angles[i]))
+
+
+def quaternion_and_oracle(x, axes):
+    """R from the quaternion w = sqrt(x), v = sqrt(1 - x) u, and from the
+    axis-angle oracle at theta = 2 atan2(sqrt(1 - x), sqrt(x)), which,
+    unlike arccos(2x - 1), keeps its digits near theta = pi."""
+    x = np.asarray(x, dtype=float)
+    w = np.sqrt(x)
+    s = np.sqrt(1.0 - x)
+    R = so3.from_quaternion_batch(w, s[:, None] * axes)
+    return R, from_axis_angle_batch(axes, 2.0 * np.arctan2(s, w))
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda a: 1e-3 < math.hypot(*a)).map(lambda a: np.array(a) / math.hypot(*a))
+
+
+class TestFromQuaternionBatch:
+    @given(st.floats(0.0, 1.0), unit_axes)
+    def test_matches_axis_angle_oracle(self, x, u):
+        R, oracle = quaternion_and_oracle([x], u[None, :])
+        assert so3.is_rotation(R[0])
+        assert np.max(np.abs(R - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-20, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    def test_edge_angles(self, x):
+        axes = so3.sample_uniform_axes(64, np.random.default_rng(11))
+        R, oracle = quaternion_and_oracle(np.full(64, x), axes)
+        assert all(so3.is_rotation(r) for r in R)
+        assert np.max(np.abs(R - oracle)) <= 1e-14
+
+    def test_haar_draws(self):
+        rng = np.random.default_rng(12)
+        x = rng.beta(0.5, 1.5, size=20000)
+        R, oracle = quaternion_and_oracle(x, so3.sample_uniform_axes(20000, rng))
+        assert np.max(np.abs(R - oracle)) <= 1e-14
+
+    def test_half_turn_layout(self):
+        # w = 0: R = -I + 2 u u^T
+        R = so3.from_quaternion_batch(np.zeros(1), E1[None, :])[0]
+        np.testing.assert_array_equal(R, np.diag([1.0, -1.0, -1.0]))
 
 
 class TestToAxisAngle:

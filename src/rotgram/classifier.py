@@ -138,13 +138,15 @@ def mc_accuracy(
 ):
     """Monte Carlo estimate of the classification accuracy.
 
-    Draws n class labels uniformly, samples each observation as
+    Draws class labels uniformly, samples each observation as
     P = R M_label from the common centred law, applies the Bayes rule,
-    and returns the fraction of correct assignments.  The rule's
-    statistic is tr(R S_label), with S_1 = I - M1 M2^T and
-    S_2 = M2 M1^T S_1; per chunk of MC_CHUNK draws both come from one
-    (m, 9) @ (9, 2) matrix product.  With ``return_by_class`` the tuple
-    (overall, class1 accuracy, class2 accuracy) is returned.
+    and returns the fraction of correct assignments.  The draws come in
+    chunks of MC_CHUNK, each drawing its labels first and its rotations
+    second, so memory does not grow with n.  The rule's statistic is
+    tr(R S_label), with S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1; per
+    chunk both come from one (m, 9) @ (9, 2) matrix product.  With
+    ``return_by_class`` the tuple (overall, class1 accuracy, class2
+    accuracy) is returned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -153,14 +155,13 @@ def mc_accuracy(
     stat2 = pair.m2 @ pair.m1.T @ contrast
     # tr(R S) = <vec(R), vec(S^T)>
     W = np.column_stack((stat1.T.reshape(9), stat2.T.reshape(9)))
-    labels = rng.integers(1, 3, size=n)
     correct = 0
     correct1 = 0
     n1 = 0
     done = 0
     while done < n:
         m = min(MC_CHUNK, n - done)
-        is1 = labels[done:done + m] == 1
+        is1 = rng.integers(1, 3, size=m) == 1
         S = sample_rotations(pair.common, m, rng).reshape(m, 9) @ W
         stat = np.where(is1, S[:, 0], S[:, 1])
         assign1 = (stat > 0.0) | (np.abs(stat) < TIE_TOL)

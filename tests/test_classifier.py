@@ -40,21 +40,23 @@ def bayes_assign(P, pair):
 
 def two_einsum_accuracy(pair, n, rng):
     """Oracle for ``mc_accuracy``: the same labels and rotation draws,
-    with the class-1 and class-2 statistics tr(R S_i) from one einsum
-    each.  Returns (overall, class 1, class 2) accuracies."""
+    chunk by chunk, with the class-1 and class-2 statistics tr(R S_i)
+    from one einsum each.  Returns (overall, class 1, class 2)
+    accuracies."""
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
     stat2 = pair.m2 @ pair.m1.T @ contrast
-    labels = rng.integers(1, 3, size=n)
-    hits = []
+    labels, hits = [], []
     for start in range(0, n, cls.MC_CHUNK):
-        R = dist.sample_rotations(pair.common, min(cls.MC_CHUNK, n - start), rng)
-        lab = labels[start:start + R.shape[0]]
+        m = min(cls.MC_CHUNK, n - start)
+        lab = rng.integers(1, 3, size=m)
+        R = dist.sample_rotations(pair.common, m, rng)
         s1 = np.einsum("nij,ji->n", R, contrast)
         s2 = np.einsum("nij,ji->n", R, stat2)
         stat = np.where(lab == 1, s1, s2)
         assign1 = (stat > 0.0) | (np.abs(stat) < cls.TIE_TOL)
+        labels.append(lab)
         hits.append(np.where(lab == 1, assign1, ~assign1))
-    hit = np.concatenate(hits)
+    labels, hit = np.concatenate(labels), np.concatenate(hits)
     return hit.mean(), hit[labels == 1].mean(), hit[labels == 2].mean()
 
 

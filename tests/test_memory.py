@@ -1,0 +1,46 @@
+"""Peak memory of the Monte Carlo kernels does not grow with the number
+of draws: both work in fixed-size chunks and keep nothing per draw."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rotgram import classifier as cls
+from rotgram import distributions as dist
+from rotgram import radon, so3
+
+# From two chunks on: one chunk's results are still held while the next
+# is drawn.
+CHUNK_COUNTS = (2, 3, 5)
+
+
+def peak_bytes(fn):
+    fn(1000)  # first-call allocations are not per draw
+    tracemalloc.start()
+    try:
+        fn(None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_flat(run, chunk):
+    peaks = [peak_bytes(lambda n, c=c: run(n or c * chunk)) for c in CHUNK_COUNTS]
+    # five chunks of draws may not cost more than two, give or take 1%
+    assert max(peaks) <= 1.01 * min(peaks), peaks
+
+
+def test_mc_accuracy_peak_is_flat():
+    pair = cls.ClassPair(np.eye(3), so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.0),
+                         dist.cayley(2.0))
+    assert_flat(lambda n: cls.mc_accuracy(pair, n, np.random.default_rng(1)), cls.MC_CHUNK)
+
+
+@pytest.mark.parametrize("return_stderr", [False, True])
+def test_mc_projected_gram_peak_is_flat(return_stderr):
+    V = np.random.default_rng(2).normal(size=(3, 4))
+    spec = dist.cayley(2.0)
+    assert_flat(lambda n: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
+                                                  return_stderr=return_stderr),
+                radon.MC_CHUNK)

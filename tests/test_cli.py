@@ -177,7 +177,7 @@ class TestGram:
     def test_stderr_block_and_max_z(self, tmp_path, capsys):
         text, spec, V = self._report(tmp_path, capsys, "--n-mc", "20000")
         lines = text.splitlines()
-        # the earlier report is unchanged; the stderr block and max |z| follow it
+        # the stderr block and max |z| follow the earlier report
         assert lines[-7].startswith("max |naive bias| = ")
         assert lines[-6] == "entrywise MC standard error:"
         assert lines[-1].startswith("max |z| = ")

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-
 from hypothesis import given
 from hypothesis import strategies as st
 

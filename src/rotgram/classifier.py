@@ -20,12 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .distributions import DistributionSpec, fx_density, sample_rotations
+from .distributions import DistributionSpec, fx_density_fn, sample_rotations
 from .errors import DomainError
 from .moments import QuadratureSpec, integrate
 
 TIE_TOL = 1e-14
 MC_CHUNK = 1 << 17
+# f_X peaks within about 1/kappa of x = 1.  Up to this concentration the
+# adaptive quadrature of the h-form resolves that peak (to 1e-9 against an
+# incomplete-beta oracle); above it the first panels can miss the peak
+# and the integrals lose their mass.
+PSI_KAPPA_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,10 @@ class ClassPair:
 
 def make_h(spec: DistributionSpec):
     """The weight h(x) = sqrt(x / (1 - x)) f_X(x) on (0, 1)."""
+    fx = fx_density_fn(spec)
 
     def h(x: float) -> float:
-        return math.sqrt(x / (1.0 - x)) * fx_density(spec, x)
+        return math.sqrt(x / (1.0 - x)) * fx(x)
 
     return h
 
@@ -84,7 +90,10 @@ def _h_integrals(spec: DistributionSpec, alpha: float, quad):
     """The split points lo = (1 - w)/2 and hi = (1 + w)/2, w = cos(alpha/2),
     and the integrals of h over [lo, hi] and [0, lo].  lo and hi are
     computed as sin^2(alpha/4) and cos^2(alpha/4): 1 - w rounds to 0.0
-    for alpha below about 2e-8."""
+    for alpha below about 2e-8.  Raises DomainError above PSI_KAPPA_MAX."""
+    if spec.kappa > PSI_KAPPA_MAX:
+        raise DomainError("the closed-form accuracy supports kappa <= %g, got %g"
+                          % (PSI_KAPPA_MAX, spec.kappa))
     lo = math.sin(0.25 * alpha) ** 2
     hi = math.cos(0.25 * alpha) ** 2
     h = make_h(spec)
@@ -105,10 +114,7 @@ def psi_closed(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
     alpha = pair.alpha
     spec = pair.common
     lo, hi, h_mid, h_tail = _h_integrals(spec, alpha, quad)
-
-    def fx(x: float) -> float:
-        return fx_density(spec, x)
-
+    fx = fx_density_fn(spec)
     return (
         integrate(fx, hi, 1.0, quad)
         + 0.5 * integrate(fx, lo, hi, quad)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family, bessel_i, fx_density
+from .distributions import DistributionSpec, Family, bessel_i, fx_density_fn
 from .errors import DomainError, NoConvergence
 
 _SQRT2 = math.sqrt(2.0)
@@ -200,7 +200,8 @@ def rho_moment(spec: DistributionSpec, r: int, quad: QuadratureSpec | None = Non
     if r == 0:
         return 1.0
     if spec.family is Family.FVM and spec.kappa > 0.0:
-        return integrate(lambda x: x ** r * fx_density(spec, x), 0.0, 1.0, quad)
+        fx = fx_density_fn(spec)
+        return integrate(lambda x: x ** r * fx(x), 0.0, 1.0, quad)
     p = spec.kappa + 0.5
     out = 1.0
     for j in range(r):
@@ -288,7 +289,8 @@ def tau_k(spec: DistributionSpec, k: int, quad: QuadratureSpec | None = None) ->
     tau_k = 1 - (k / sqrt2) * integral_0^1 f_X(x) G0_k(x) dx."""
     if not 1 <= k <= 20:
         raise DomainError("tau_k is supported for 1 <= k <= 20")
-    value = integrate(lambda x: fx_density(spec, x) * g0(k, x), 0.0, 1.0, quad)
+    fx = fx_density_fn(spec)
+    value = integrate(lambda x: fx(x) * g0(k, x), 0.0, 1.0, quad)
     return 1.0 - (k / _SQRT2) * value
 
 
@@ -316,9 +318,10 @@ def fz_from_fx(spec: DistributionSpec, s: float, quad: QuadratureSpec | None = N
     if not -1.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (-1, 1)")
     upper = 0.5 * (1.0 + s)
+    fx = fx_density_fn(spec)
 
     def integrand(x: float) -> float:
-        return fx_density(spec, x) / math.sqrt((1.0 + s - 2.0 * x) * (1.0 - x))
+        return fx(x) / math.sqrt((1.0 + s - 2.0 * x) * (1.0 - x))
 
     value = integrate(integrand, 0.0, upper, quad) / _SQRT2
     return max(value, 0.0)

@@ -33,6 +33,25 @@ def from_axis_angle_batch(axes, angles):
     return c * np.eye(3) + s * S + (1.0 - c) * outer
 
 
+def fvm_x_beta_rejection(kappa, n, rng):
+    """Oracle for the Fisher-von Mises ``sample_x_values`` at kappa > 0:
+    rejection from the Beta(1/2, 3/2) law, accepting with probability
+    exp(4 kappa (x - 1)).  Exact, but its acceptance falls like
+    kappa^-3/2, so it is only usable for small kappa."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = n - filled
+        g1 = rng.standard_gamma(0.5, size=m)
+        g2 = rng.standard_gamma(1.5, size=m)
+        x = g1 / (g1 + g2)
+        accept = rng.uniform(size=m) <= np.exp(4.0 * kappa * (x - 1.0))
+        num = int(np.count_nonzero(accept))
+        out[filled:filled + num] = x[accept]
+        filled += num
+    return out
+
+
 def ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov statistic."""
     a = np.sort(np.asarray(a, dtype=float))

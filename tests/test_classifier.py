@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -246,6 +247,63 @@ class TestPsiClosed:
     def test_increasing_in_concentration(self):
         values = [cls.psi_closed(z_pair(1.0, dist.cayley(k))) for k in (0.5, 1.0, 2.0, 5.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def psi_cayley_oracle(kappa, alpha):
+    """psi for the Cayley-LMR family from the h-form, with every integral
+    in closed form: f_X is the Beta(kappa + 1/2, 3/2) density (mpmath's
+    regularised incomplete beta) and h(x) = x^kappa / B(kappa + 1/2, 3/2)."""
+    with mpmath.workdps(30):
+        k, a = mpmath.mpf(kappa), mpmath.mpf(alpha)
+        lo, hi = mpmath.sin(a / 4) ** 2, mpmath.cos(a / 4) ** 2
+        p = k + mpmath.mpf(1) / 2
+
+        def f_int(x1, x2):
+            return mpmath.betainc(p, 1.5, x1, x2, regularized=True)
+
+        def h_int(x1, x2):
+            return (x2 ** (k + 1) - x1 ** (k + 1)) / ((k + 1) * mpmath.beta(p, 1.5))
+
+        return float(f_int(hi, 1) + f_int(lo, hi) / 2 + mpmath.tan(a / 4) / 2 * h_int(lo, hi)
+                     + h_int(0, lo) / mpmath.sin(a / 2))
+
+
+class TestPsiKappaRange:
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.01, 0.03, 0.1])
+    def test_largest_supported_kappa_against_oracle(self, alpha):
+        kappa = cls.PSI_KAPPA_MAX
+        psi = cls.psi_closed(z_pair(alpha, dist.cayley(kappa)))
+        assert abs(psi - psi_cayley_oracle(kappa, alpha)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    def test_largest_supported_kappa_is_certain(self, alpha):
+        # P(X < cos^2(alpha/4)) is below 1e-2000 here, so psi is 1 in
+        # double precision
+        assert abs(cls.psi_closed(z_pair(alpha, dist.cayley(cls.PSI_KAPPA_MAX))) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kappa", [2.0 * cls.PSI_KAPPA_MAX, 1e8, 1e308])
+    def test_above_the_maximum_is_rejected(self, kappa):
+        pair = z_pair(1.0, dist.cayley(kappa))
+        with pytest.raises(DomainError):
+            cls.psi_closed(pair)
+        with pytest.raises(DomainError):
+            cls.psi_derivative(pair)
+
+    def test_fvm_normaliser_is_computed_once_per_integrand(self, monkeypatch):
+        calls = []
+        bessel_i = dist.bessel_i
+
+        def counting(order, z):
+            calls.append(order)
+            return bessel_i(order, z)
+
+        monkeypatch.setattr(dist, "bessel_i", counting)
+        pair = z_pair(1.0, dist.fisher_von_mises(2.0))
+        cls.psi_closed(pair)
+        cls.psi_derivative(pair)
+        # one I0 and one I1 for each of the three density closures: h in
+        # psi_closed and psi_derivative, f_X in psi_closed
+        assert calls == [0, 1] * 3
 
 
 class TestPsiDerivative:

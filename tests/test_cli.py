@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ class TestSample:
             theta, u1, u2, u3, x = (float(v) for v in row[9:])
             assert abs(math.cos(theta) - (2.0 * x - 1.0)) < 1e-12
             assert abs(u1 * u1 + u2 * u2 + u3 * u3 - 1.0) < 1e-12
+
+    def test_fvm_large_kappa_without_warning(self, tmp_path):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--family", "fvm", "--kappa", "1000", "--n", "20000",
+                        "--seed", "3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        x = np.array([float(row[13]) for row in rows])
+        assert len(rows) == 20000 and np.all((x > 0.0) & (x < 1.0))
 
     def test_cayley_mean_x(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -267,6 +278,16 @@ class TestClassify:
         values = [line.split(" = ")[1].split()[0]
                   for line in capsys.readouterr().out.splitlines()]
         assert len(values) == 6 and all(math.isfinite(float(v)) for v in values)
+
+
+    @pytest.mark.parametrize("kappa", ["1e308", "1e8"])
+    def test_cayley_kappa_above_closed_form_range_exits_2(self, kappa, capsys):
+        # 1e308 overflowed in lgamma; 1e8 printed psi_closed = 5e-116
+        assert run(["classify", "--family", "cayley", "--kappa", kappa,
+                    "--modal2-axis", "0,0,1", "--modal2-angle", "1", "--n-mc", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kappa <= 100000" in captured.err
 
 
 class TestFakeuni:

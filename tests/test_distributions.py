@@ -1,12 +1,14 @@
 import math
-import warnings
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import ks_critical, ks_statistic, random_rotation
+from conftest import fvm_x_beta_rejection, ks_critical, ks_statistic, random_rotation
 from rotgram import distributions as dist
 from rotgram import moments, so3
 from rotgram.errors import DomainError, OutOfRange
@@ -210,12 +212,86 @@ class TestSampleX:
         b = dist.sample_x_values(dist.haar(), 1000, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
-    def test_large_kappa_warns(self):
-        rng = np.random.default_rng(16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dist.sample_x_values(dist.fisher_von_mises(51.0), 10, rng)
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+class CountingGenerator:
+    """A numpy Generator proxy that records the ``size`` of every
+    ``uniform`` call, one uniform per rejection proposal."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.uniform_sizes = []
+
+    def uniform(self, *args, size=None, **kwargs):
+        self.uniform_sizes.append(size)
+        return self._rng.uniform(*args, size=size, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def fvm_mean_x_oracle(kappa):
+    """E[X] of the Fisher-von Mises angle variate by mpmath tanh-sinh
+    quadrature of the unnormalised density sqrt((1-x)/x) e^{4 kappa (x-1)},
+    split where the mass concentrates near x = 1."""
+    k = mpmath.mpf(kappa)
+
+    def weight(x):
+        return mpmath.sqrt((1 - x) / x) * mpmath.exp(4 * k * (x - 1))
+
+    points = [0, mpmath.mpf(1) / 2, 1 - 1 / k, 1]
+    return float(mpmath.quad(lambda x: x * weight(x), points) / mpmath.quad(weight, points))
+
+
+class TestFvmSampler:
+    @pytest.mark.parametrize("kappa", [1e-6, 0.1, 0.5, 0.7, 2.0, 20.0, 1e3, 1e6, 1e300])
+    def test_envelope_dominates_target(self, kappa):
+        # log(f / (M g)) <= 0 on a grid of 1 - X dense near X = 1: the
+        # rejection step is exact only if the envelope bound holds.
+        inv_omega, slope, log_m = dist._fvm_envelope(kappa)
+        y = np.concatenate([[0.0], np.geomspace(1e-300, 1.0, 20001)])
+        log_ratio = -slope * y / inv_omega + 2.0 * np.log(1.0 - y + y / inv_omega) - log_m
+        assert np.max(log_ratio) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.1, 0.5, 0.7, 2.0, 20.0, 1e3, 1e6, 1e300])
+    def test_envelope_parameter_solves_its_equation(self, kappa):
+        # every b > 0 gives a valid envelope; the root of
+        # 1/b + 3/(b + 8 kappa) = 1 is the one that maximises acceptance
+        inv_omega = dist._fvm_envelope(kappa)[0]
+        b = 8.0 * kappa * inv_omega / (1.0 - inv_omega)
+        assert abs(1.0 / b + 3.0 / (b + 8.0 * kappa) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [1.0, 50.0, 1000.0])
+    def test_acceptance_is_bounded(self, kappa):
+        n = 20000
+        rng = CountingGenerator(np.random.default_rng(16))
+        x = dist.sample_x_values(dist.fisher_von_mises(kappa), n, rng)
+        assert x.size == n
+        assert n / sum(rng.uniform_sizes) >= 0.40
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 5.0])
+    def test_matches_beta_rejection_oracle(self, kappa):
+        n = 20000
+        x = dist.sample_x_values(dist.fisher_von_mises(kappa), n, np.random.default_rng(25))
+        ref = fvm_x_beta_rejection(kappa, n, np.random.default_rng(26))
+        assert ks_statistic(x, ref) < ks_critical(n, n, alpha=0.001)
+
+    @pytest.mark.parametrize("kappa", [20.0, 200.0, 1000.0])
+    def test_mean_matches_quadrature_oracle(self, kappa):
+        x = dist.sample_x_values(dist.fisher_von_mises(kappa), 200000, np.random.default_rng(27))
+        se = x.std(ddof=1) / math.sqrt(x.size)
+        assert abs(x.mean() - fvm_mean_x_oracle(kappa)) < 4.0 * se
+
+    @settings(max_examples=40, deadline=None)
+    @given(kappa=st.integers(-12, 12).map(lambda e: 10.0 ** (e / 2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kappa=0.5, seed=0)
+    @example(kappa=sys.float_info.max, seed=0)
+    def test_draws_are_valid_for_every_kappa(self, kappa, seed):
+        modal = so3.from_axis_angle(np.array([0.0, 0.6, 0.8]), 2.0)
+        spec = dist.fisher_von_mises(kappa, modal=modal)
+        P, _, _, x = dist.sample_rotations(spec, 64, np.random.default_rng(seed), return_parts=True)
+        assert np.all(np.isfinite(x)) and np.all((x >= 0.0) & (x <= 1.0))
+        assert all(so3.is_rotation(R) for R in P)
 
 
 class TestSampleRotation:

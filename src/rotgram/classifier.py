@@ -68,24 +68,6 @@ def make_h(spec: DistributionSpec):
     return h
 
 
-def quad_coeffs(alpha: float, x: float) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) of the quadratic in U3 whose sign decides
-    the assignment, at separation alpha and angle variate x:
-
-        a = -2 (1 - cos a)(1 - x) < 0,
-        b = 4 sin(a) sqrt(x (1 - x)),
-        c = 2 (1 - cos a) x.
-
-    Its roots are -tan(a/4) cot(t/2) and cot(a/4) cot(t/2) with
-    t = arccos(2x - 1).
-    """
-    one_minus_cos = 1.0 - math.cos(alpha)
-    a = -2.0 * one_minus_cos * (1.0 - x)
-    b = 4.0 * math.sin(alpha) * math.sqrt(x * (1.0 - x))
-    c = 2.0 * one_minus_cos * x
-    return a, b, c
-
-
 def _h_integrals(spec: DistributionSpec, alpha: float, quad):
     """The split points lo = (1 - w)/2 and hi = (1 + w)/2, w = cos(alpha/2),
     and the integrals of h over [lo, hi] and [0, lo].  lo and hi are

@@ -228,12 +228,18 @@ def cmd_classify(args) -> int:
         lambda n, rng: classifier.mc_accuracy(pair, n, rng),
         args.n_mc, args.seed, args.threads,
     ))
-    stderr = math.sqrt(max(acc * (1.0 - acc), 1e-300) / args.n_mc)
+    if 0.0 < acc < 1.0:
+        stderr = _fmt(math.sqrt(acc * (1.0 - acc) / args.n_mc))
+    else:
+        # Every draw got the same verdict, so the binomial standard error
+        # reads 0; report the 95% rule-of-three bound instead.
+        stderr = "%s (rule-of-three bound 3/n; MC accuracy is exactly %s)" % (
+            _fmt(3.0 / args.n_mc), _fmt(acc))
     print("alpha = %s" % _fmt(pair.alpha))
     print("psi_closed = %s" % _fmt(psi))
     print("psi_derivative = %s" % _fmt(dpsi))
     print("mc_accuracy = %s (n=%d)" % (_fmt(acc), args.n_mc))
-    print("mc_stderr = %s" % _fmt(stderr))
+    print("mc_stderr = %s" % stderr)
     print("gap |closed - mc| = %s" % _fmt(abs(psi - acc)))
     return EXIT_OK
 

@@ -90,7 +90,7 @@ def _bessel_series(order: int, z: float) -> float:
     while True:
         term *= q / (m * (m + order))
         total += term
-        if term < 1e-17 * total:
+        if term <= 1e-17 * total:  # <=: once the terms underflow, both sides are 0
             return total
         m += 1
 

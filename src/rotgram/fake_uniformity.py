@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
-from .moments import tau2, tau2_excess
+from .moments import tau2_excess
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,10 @@ class CurvePoint:
     tau2_minus_third: float
 
 
-def tau2_of_kappa(family, kappa: float) -> float:
-    """tau2 for the centred family at concentration kappa, from the
-    closed form ``moments.tau2``."""
-    return tau2(DistributionSpec(family, kappa=kappa))
-
-
 def scan_curve(family, kappa_max: float, n_points: int):
     """tau2(kappa) - 1/3 from ``moments.tau2_excess`` on the uniform grid
-    kappa_max * i / (n_points - 1), i = 0 .. n_points - 1."""
+    kappa_max * i / (n_points - 1), i = 0 .. n_points - 1.  Where
+    kappa_max * i overflows, the grid point is kappa_max * (i / (n_points - 1))."""
     if not 0.0 < kappa_max < math.inf:
         raise DomainError("kappa_max must be positive and finite")
     if n_points < 2:
@@ -44,6 +39,8 @@ def scan_curve(family, kappa_max: float, n_points: int):
     points = []
     for i in range(n_points):
         kappa = kappa_max * i / (n_points - 1)
+        if kappa == math.inf:
+            kappa = kappa_max * (i / (n_points - 1))
         points.append(CurvePoint(kappa, tau2_excess(DistributionSpec(family, kappa=kappa))))
     return points
 

@@ -4,7 +4,9 @@ variate X = (1 + cos Theta)/2 and the zonal variate Z = (R e3)_3.
 ``tau2`` is the closed-form second zonal moment used in production, and
 ``tau2_excess`` is tau2 - 1/3 with an exact sign;
 ``rho_moment``, ``tau_k`` and ``moment_vector`` are the general-order
-moment bridge, by quadrature where no closed form is implemented.
+moment bridge: tau_k is the mean of a Bernstein polynomial in X with
+nonnegative weights, exact for the Beta laws of Haar and Cayley-LMR and
+one quadrature for Fisher-von Mises.
 
 The zonal density f_Z is normalised so that (1/2) * integral_{-1}^{1}
 f_Z(s) ds = 1, matching the sphere-density convention of the closed
@@ -13,7 +15,6 @@ Cayley-LMR form (Haar gives f_Z identically 1).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -192,6 +193,31 @@ class MomentVector:
         object.__setattr__(self, "tau", tau)
 
 
+def _bernstein_mean(spec: DistributionSpec, n: int, weights, quad) -> float:
+    """sum_j weights[j] E[X^(n-j) (1-X)^j] over j = 0 .. len(weights) - 1.
+
+    Haar and Cayley-LMR have X ~ Beta(p, 3/2) with p = kappa + 1/2, so
+    each mean is a product of ratios, exact to rounding:
+    E[X^a (1-X)^b] = prod_{i<a} (p+i)/(p+3/2+i) * prod_{i<b} (3/2+i)/(p+3/2+a+i).
+    Fisher-von Mises integrates f_X times the weighted sum, in one call.
+    """
+    if spec.family is Family.FVM and spec.kappa > 0.0:
+        fx = fx_density_fn(spec)
+        return integrate(lambda x: fx(x) * sum(w * x ** (n - j) * (1.0 - x) ** j
+                                               for j, w in enumerate(weights)), 0.0, 1.0, quad)
+    p = spec.kappa + 0.5
+    total = 0.0
+    for b, w in enumerate(weights):
+        a = n - b
+        out = w
+        for i in range(a):
+            out *= (p + i) / (p + 1.5 + i)
+        for i in range(b):
+            out *= (1.5 + i) / (p + 1.5 + a + i)
+        total += out
+    return total
+
+
 def rho_moment(spec: DistributionSpec, r: int, quad: QuadratureSpec | None = None) -> float:
     """E[X^r].  Haar and Cayley-LMR use the Beta-moment Pochhammer ratio
     with p = kappa + 1/2, q = 3/2; Fisher-von Mises integrates x^r f_X."""
@@ -199,23 +225,7 @@ def rho_moment(spec: DistributionSpec, r: int, quad: QuadratureSpec | None = Non
         raise DomainError("moment order must lie in 0..20")
     if r == 0:
         return 1.0
-    if spec.family is Family.FVM and spec.kappa > 0.0:
-        fx = fx_density_fn(spec)
-        return integrate(lambda x: x ** r * fx(x), 0.0, 1.0, quad)
-    p = spec.kappa + 0.5
-    out = 1.0
-    for j in range(r):
-        out *= (p + j) / (p + 1.5 + j)
-    return out
-
-
-def tau_from_rho(rho1: float, rho2: float) -> tuple[float, float]:
-    """(tau_1, tau_2) from the first two X-moments:
-    tau_1 = -1/3 + (4/3) rho_1,  tau_2 = 7/15 - (8/5) rho_1 + (32/15) rho_2.
-    """
-    tau1 = -1.0 / 3.0 + (4.0 / 3.0) * rho1
-    tau2 = 7.0 / 15.0 - (8.0 / 5.0) * rho1 + (32.0 / 15.0) * rho2
-    return tau1, tau2
+    return _bernstein_mean(spec, r, (1.0,), quad)
 
 
 def tau2_excess(spec: DistributionSpec) -> float:
@@ -250,52 +260,25 @@ def tau2(spec: DistributionSpec) -> float:
     return 1.0 / 3.0 + tau2_excess(spec)
 
 
-@functools.lru_cache(maxsize=None)
-def g0_coefficients(k: int) -> tuple:
-    """Ascending polynomial coefficients of G0_k(x) = G_k(x) / sqrt(1-x).
-
-    G_k(x) = integral_{2x-1}^{1} t^{k-1} sqrt(1 + t - 2x) dt satisfies
-    G_k = a_k + b_k G_{k-1} with a_k = (4 sqrt2 / (2k+1)) (1-x)^{3/2} and
-    b_k = (2(k-1)/(2k+1)) (2x-1).  Writing G_k = (1-x)^{3/2} P_k(x), the
-    polynomial recursion for P_k is carried exactly in coefficient space,
-    so no division by sqrt(1-x) ever happens numerically.
-    """
-    if not 1 <= k <= 20:
-        raise DomainError("g0 is supported for 1 <= k <= 20")
-    p = np.array([4.0 * _SQRT2 / 3.0])
-    for j in range(2, k + 1):
-        shifted = np.convolve(p, [-1.0, 2.0])  # (2x - 1) * P, ascending
-        p = (2.0 * (j - 1) / (2.0 * j + 1.0)) * shifted
-        p[0] += 4.0 * _SQRT2 / (2.0 * j + 1.0)
-    return tuple(np.convolve(p, [1.0, -1.0]))  # (1 - x) * P_k
-
-
-def g0(k: int, x: float) -> float:
-    """G0_k(x) for x in [-1, 1]; the (1-x) factor is kept analytic so the
-    value is exactly 0 at x = 1."""
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("g0 expects x in [-1, 1]")
-    if x == 1.0:
-        return 0.0
-    coeffs = g0_coefficients(k)
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def tau_k(spec: DistributionSpec, k: int, quad: QuadratureSpec | None = None) -> float:
-    """E[Z^k] computed through the angle density:
-    tau_k = 1 - (k / sqrt2) * integral_0^1 f_X(x) G0_k(x) dx."""
+    """E[Z^k], the mean of a Bernstein polynomial in X with nonnegative
+    weights.  Rodrigues' formula gives Z = X + (1 - X) W, with W = 2 U^2 - 1
+    for the uniform axis component U independent of X, so
+    tau_k = 1 - sum_{j=1}^{k} C(k, j) d_j E[X^(k-j) (1 - X)^j] with
+    d_j = 1 - E[W^j] in [0, 2].  By parts (2j + 1) E[W^j] + 2j E[W^(j-1)] = 1,
+    so d_0 = 0 and d_j = 2j (2 - d_{j-1}) / (2j + 1), which damps rounding."""
     if not 1 <= k <= 20:
         raise DomainError("tau_k is supported for 1 <= k <= 20")
-    fx = fx_density_fn(spec)
-    value = integrate(lambda x: fx(x) * g0(k, x), 0.0, 1.0, quad)
-    return 1.0 - (k / _SQRT2) * value
+    weights = [0.0]
+    d = 0.0
+    for j in range(1, k + 1):
+        d = 2.0 * j * (2.0 - d) / (2.0 * j + 1.0)
+        weights.append(math.comb(k, j) * d)
+    return 1.0 - _bernstein_mean(spec, k, weights, quad)
 
 
 def moment_vector(spec: DistributionSpec, order: int, quad: QuadratureSpec | None = None) -> MomentVector:
-    """rho and tau up to ``order`` (tau via the G-recursion integrals)."""
+    """rho and tau up to ``order`` (tau via the Bernstein kernel of ``tau_k``)."""
     rho = [rho_moment(spec, r, quad) for r in range(order + 1)]
     tau = [1.0] + [tau_k(spec, j, quad) for j in range(1, order + 1)]
     return MomentVector(rho=tuple(rho), tau=tuple(tau))

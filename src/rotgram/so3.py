@@ -1,6 +1,6 @@
 """Deterministic SO(3) algebra: the axis-angle chart, rotations from
-unit quaternions, skew operator, angles between rotations, and the
-planar spectral block.
+unit quaternions, skew operator, angles between rotations, and uniform
+axes.
 
 Conventions:
 - Rotations are plain 3x3 numpy arrays acting on column vectors, with
@@ -162,18 +162,6 @@ def rotation_angle_between(m1, m2) -> float:
     c = (float(np.trace(D)) - 1.0) / 2.0
     c = min(1.0, max(-1.0, c))
     return math.atan2(s, c)
-
-
-def planar_block(alpha: float) -> np.ndarray:
-    """The 3x3 block A(alpha) whose top-left 2x2 corner is
-    [[1-cos a, sin a], [-sin a, 1-cos a]] and which is zero elsewhere."""
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    return np.array([
-        [1.0 - c, s, 0.0],
-        [-s, 1.0 - c, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
 
 
 def sample_uniform_axes(n: int, rng: np.random.Generator) -> np.ndarray:

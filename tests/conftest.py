@@ -1,10 +1,15 @@
 """Shared helpers for the test suite."""
 
+import functools
 import math
 
 import numpy as np
 
-from rotgram import so3
+from rotgram import distributions as dist
+from rotgram import moments, so3
+from rotgram.errors import DomainError
+
+SQRT2 = math.sqrt(2.0)
 
 
 def random_rotation(rng):
@@ -79,3 +84,93 @@ def rotation_with_third_row(p):
     r1 = r1 / np.linalg.norm(r1)
     r2 = np.cross(p, r1)
     return np.vstack([r1, r2, p])
+
+
+# ---------------------------------------------------------------------------
+# Second routes kept as oracles for the production code
+
+
+def tau_from_rho(rho1, rho2):
+    """(tau_1, tau_2) from the first two X-moments:
+    tau_1 = -1/3 + (4/3) rho_1,  tau_2 = 7/15 - (8/5) rho_1 + (32/15) rho_2.
+    """
+    tau1 = -1.0 / 3.0 + (4.0 / 3.0) * rho1
+    tau2 = 7.0 / 15.0 - (8.0 / 5.0) * rho1 + (32.0 / 15.0) * rho2
+    return tau1, tau2
+
+
+@functools.lru_cache(maxsize=None)
+def g0_coefficients(k):
+    """Ascending polynomial coefficients of G0_k(x) = G_k(x) / sqrt(1-x).
+
+    G_k(x) = integral_{2x-1}^{1} t^{k-1} sqrt(1 + t - 2x) dt satisfies
+    G_k = a_k + b_k G_{k-1} with a_k = (4 sqrt2 / (2k+1)) (1-x)^{3/2} and
+    b_k = (2(k-1)/(2k+1)) (2x-1).  Writing G_k = (1-x)^{3/2} P_k(x), the
+    polynomial recursion for P_k is carried exactly in coefficient space,
+    so no division by sqrt(1-x) ever happens numerically.
+    """
+    if not 1 <= k <= 20:
+        raise DomainError("g0 is supported for 1 <= k <= 20")
+    p = np.array([4.0 * SQRT2 / 3.0])
+    for j in range(2, k + 1):
+        shifted = np.convolve(p, [-1.0, 2.0])  # (2x - 1) * P, ascending
+        p = (2.0 * (j - 1) / (2.0 * j + 1.0)) * shifted
+        p[0] += 4.0 * SQRT2 / (2.0 * j + 1.0)
+    return tuple(np.convolve(p, [1.0, -1.0]))  # (1 - x) * P_k
+
+
+def g0(k, x):
+    """G0_k(x) for x in [-1, 1]; the (1-x) factor is kept analytic so the
+    value is exactly 0 at x = 1."""
+    if not -1.0 <= x <= 1.0:
+        raise DomainError("g0 expects x in [-1, 1]")
+    if x == 1.0:
+        return 0.0
+    out = 0.0
+    for c in reversed(g0_coefficients(k)):
+        out = out * x + c
+    return out
+
+
+def tau_k_g0(spec, k, quad=None):
+    """Oracle for ``moments.tau_k`` through the G0 recursion:
+    tau_k = 1 - (k / sqrt2) * integral_0^1 f_X(x) G0_k(x) dx."""
+    fx = dist.fx_density_fn(spec)
+    value = moments.integrate(lambda x: fx(x) * g0(k, x), 0.0, 1.0, quad)
+    return 1.0 - (k / SQRT2) * value
+
+
+def tau2_of_kappa(family, kappa):
+    """tau2 for the centred family at concentration kappa, from the
+    closed form ``moments.tau2``."""
+    return moments.tau2(dist.DistributionSpec(family, kappa=kappa))
+
+
+def quad_coeffs(alpha, x):
+    """Coefficients (a, b, c) of the quadratic in U3 whose sign decides
+    the Bayes assignment, at separation alpha and angle variate x:
+
+        a = -2 (1 - cos a)(1 - x) < 0,
+        b = 4 sin(a) sqrt(x (1 - x)),
+        c = 2 (1 - cos a) x.
+
+    Its roots are -tan(a/4) cot(t/2) and cot(a/4) cot(t/2) with
+    t = arccos(2x - 1).
+    """
+    one_minus_cos = 1.0 - math.cos(alpha)
+    a = -2.0 * one_minus_cos * (1.0 - x)
+    b = 4.0 * math.sin(alpha) * math.sqrt(x * (1.0 - x))
+    c = 2.0 * one_minus_cos * x
+    return a, b, c
+
+
+def planar_block(alpha):
+    """The 3x3 block A(alpha) whose top-left 2x2 corner is
+    [[1-cos a, sin a], [-sin a, 1-cos a]] and which is zero elsewhere."""
+    c = math.cos(alpha)
+    s = math.sin(alpha)
+    return np.array([
+        [1.0 - c, s, 0.0],
+        [-s, 1.0 - c, 0.0],
+        [0.0, 0.0, 0.0],
+    ])

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from conftest import rotation_with_third_row
+from conftest import rotation_with_third_row, tau2_of_kappa, tau_from_rho
 from rotgram import classifier as cls
 from rotgram import cli
 from rotgram import distributions as dist
@@ -31,7 +31,7 @@ def generic_modal():
 def test_criterion_01_fake_uniformity_root():
     t0 = time.perf_counter()
     root = fu.find_fake_uniformity("cayley", 0.1, 5.0)
-    tau2_at_one = fu.tau2_of_kappa("cayley", 1.0)
+    tau2_at_one = tau2_of_kappa("cayley", 1.0)
     elapsed = time.perf_counter() - t0
     ok = (
         root is not None
@@ -137,7 +137,7 @@ def test_criterion_06_moment_bridge():
     for family in (dist.cayley, dist.fisher_von_mises):
         for kappa in (0.0, 0.5, 1.0, 2.0, 5.0):
             spec = family(kappa)
-            tau1, tau2 = moments.tau_from_rho(
+            tau1, tau2 = tau_from_rho(
                 moments.rho_moment(spec, 1), moments.rho_moment(spec, 2)
             )
             worst = max(worst, abs(moments.tau_k(spec, 1) - tau1),
@@ -201,9 +201,9 @@ def test_criterion_08_derivative_consistency():
 def test_criterion_09_slope_criterion():
     slope = fu.initial_slope("cayley")
     h = 1e-3
-    base = fu.tau2_of_kappa("cayley", 0.0)
-    d_full = (fu.tau2_of_kappa("cayley", 0.5 * h) - base) / h
-    d_half = (fu.tau2_of_kappa("cayley", 0.25 * h) - base) / (0.5 * h)
+    base = tau2_of_kappa("cayley", 0.0)
+    d_full = (tau2_of_kappa("cayley", 0.5 * h) - base) / h
+    d_half = (tau2_of_kappa("cayley", 0.25 * h) - base) / (0.5 * h)
     reparam = 2.0 * d_half - d_full  # slope under kappa~ = 2 kappa
     ok = abs(slope - (-1.0 / 9.0)) <= 1e-6 and reparam < 0.0 and slope < 0.0
     report(9, "initial slope criterion", ok,

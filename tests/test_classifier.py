@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_rotation
+from conftest import planar_block, quad_coeffs, random_rotation
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
@@ -167,17 +167,17 @@ class TestBayesAssign:
                 continue
             Q = spectral_rotation(m1, m2)
             np.testing.assert_allclose(
-                Q.T @ so3.planar_block(alpha) @ Q, np.eye(3) - m1 @ m2.T, atol=1e-12
+                Q.T @ planar_block(alpha) @ Q, np.eye(3) - m1 @ m2.T, atol=1e-12
             )
             P = random_rotation(rng)
             lhs = np.trace(P @ m1.T @ (np.eye(3) - m1 @ m2.T))
-            rhs = np.trace(Q @ P @ m1.T @ Q.T @ so3.planar_block(alpha))
+            rhs = np.trace(Q @ P @ m1.T @ Q.T @ planar_block(alpha))
             assert abs(lhs - rhs) < 1e-12
 
 
 class TestQuadCoeffs:
     def test_reference_point(self):
-        a, b, c = cls.quad_coeffs(math.pi / 2, 0.5)
+        a, b, c = quad_coeffs(math.pi / 2, 0.5)
         assert (abs(a + 1.0) < 1e-15 and abs(b - 2.0) < 1e-15 and abs(c - 1.0) < 1e-15)
         roots = np.sort(np.roots([a, b, c]))
         np.testing.assert_allclose(roots, [1.0 - math.sqrt(2.0), 1.0 + math.sqrt(2.0)], atol=1e-12)
@@ -190,7 +190,7 @@ class TestQuadCoeffs:
         for _ in range(100):
             alpha = rng.uniform(1e-3, math.pi - 1e-3)
             x = rng.uniform(1e-6, 1.0 - 1e-6)
-            a, _, _ = cls.quad_coeffs(alpha, x)
+            a, _, _ = quad_coeffs(alpha, x)
             assert a < 0.0
 
     def test_root_closed_forms(self):
@@ -199,7 +199,7 @@ class TestQuadCoeffs:
             alpha = rng.uniform(0.1, math.pi - 0.1)
             x = rng.uniform(0.05, 0.95)
             theta = math.acos(2.0 * x - 1.0)
-            a, b, c = cls.quad_coeffs(alpha, x)
+            a, b, c = quad_coeffs(alpha, x)
             disc = math.sqrt(b * b - 4.0 * a * c)
             r1 = (-b + disc) / (2.0 * a)  # smaller root since a < 0
             r2 = (-b - disc) / (2.0 * a)

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -260,6 +264,15 @@ class TestClassify:
         se = float(text.split("mc_stderr = ")[1].splitlines()[0])
         assert gap <= 3.0 * se
 
+    def test_certain_accuracy_reports_the_rule_of_three(self, capsys):
+        # every draw is classified correctly, so the binomial stderr would read 0
+        assert run(["classify", "--family", "cayley", "--kappa", "1e5",
+                    "--modal2-axis", "0,0,1", "--modal2-angle", "1", "--n-mc", "1000"]) == 0
+        text = capsys.readouterr().out
+        assert "mc_accuracy = 1 (n=1000)\n" in text
+        assert ("mc_stderr = 0.0030000000000000001 (rule-of-three bound 3/n; "
+                "MC accuracy is exactly 1)\n") in text
+
     def test_no_tol_flag(self):
         with pytest.raises(SystemExit) as info:
             run(["classify", "--family", "cayley", "--kappa", "2",
@@ -333,6 +346,27 @@ class TestFakeuni:
         _, rows = read_csv(out)
         values = [float(r[1]) for r in rows]
         assert values[0] == 0.0 and all(abs(v - 2.0 / 3.0) <= 1e-15 for v in values[1:])
+
+    def test_kappa_max_near_overflow_keeps_the_grid(self, tmp_path, capsys):
+        # kappa_max * i overflows here; the grid still ends at kappa_max exactly
+        out = tmp_path / "curve.csv"
+        assert run(["fakeuni", "--family", "cayley", "--kappa-max", "1e308", "--n-points", "3",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        values = [float(v) for row in rows for v in row]
+        assert all(math.isfinite(v) for v in values)
+        assert [float(r[0]) for r in rows] == [0.0, 5e307, 1e308]
+
+    def test_fvm_tiny_kappa_max_returns(self, tmp_path):
+        # the Bessel series once looped forever when its terms underflowed
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotgram.cli", "fakeuni", "--family", "fvm",
+             "--kappa-max", "1e-107", "--n-points", "3"],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert "fake-uniformity roots: none in (0, 1e-107]" in proc.stdout
 
     def test_fvm_slope_is_flat(self, capsys):
         assert run(["fakeuni", "--family", "fvm", "--kappa-max", "10"]) == 0

@@ -8,7 +8,8 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fvm_x_beta_rejection, ks_critical, ks_statistic, random_rotation
+from conftest import (fvm_x_beta_rejection, ks_critical, ks_statistic, random_rotation,
+                      tau_from_rho)
 from rotgram import distributions as dist
 from rotgram import moments, so3
 from rotgram.errors import DomainError, OutOfRange
@@ -49,6 +50,14 @@ class TestBessel:
             for order in (0, 1, 2, 3):
                 ref = scipy.special.iv(order, z)
                 assert abs(dist.bessel_i(order, z) - ref) < 1e-12 * abs(ref) + 1e-15
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-107])
+    def test_underflowing_series_terminates(self, z):
+        # once the series terms underflow to 0 the stopping test must still hold
+        for order in (0, 1, 2, 3):
+            value = dist.bessel_i(order, z)
+            ref = float(mpmath.besseli(order, z))
+            assert math.isfinite(value) and abs(value - ref) <= 1e-12 * ref + 1e-320, order
 
     def test_branch_agreement_at_cutoff(self):
         from rotgram.distributions import _bessel_asymptotic, _bessel_series
@@ -306,7 +315,7 @@ class TestSampleRotation:
         rng = np.random.default_rng(18)
         P = dist.sample_rotations(spec, 10 ** 6, rng)
         z = P[:, 2, 2]
-        tau1 = moments.tau_from_rho(moments.rho_moment(spec, 1), moments.rho_moment(spec, 2))[0]
+        tau1 = tau_from_rho(moments.rho_moment(spec, 1), moments.rho_moment(spec, 2))[0]
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - tau1) < 3.0 * se
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tau2_of_kappa
 from rotgram import distributions as dist
 from rotgram import fake_uniformity as fu
 from rotgram import moments
@@ -19,25 +20,25 @@ def excess(family, kappa):
 
 class TestTau2OfKappa:
     def test_zero_is_uniform(self):
-        assert abs(fu.tau2_of_kappa("cayley", 0.0) - 1.0 / 3.0) < 1e-15
+        assert abs(tau2_of_kappa("cayley", 0.0) - 1.0 / 3.0) < 1e-15
 
     def test_cayley_unit_kappa(self):
-        assert abs(fu.tau2_of_kappa("cayley", 1.0) - 1.0 / 3.0) < 1e-12
+        assert abs(tau2_of_kappa("cayley", 1.0) - 1.0 / 3.0) < 1e-12
 
     def test_cayley_two(self):
-        assert abs(fu.tau2_of_kappa("cayley", 2.0) - 0.4) < 1e-12
+        assert abs(tau2_of_kappa("cayley", 2.0) - 0.4) < 1e-12
 
     def test_matches_closed_form_on_grid(self):
         for kappa in np.arange(0.0, 5.01, 0.25):
-            mine = fu.tau2_of_kappa("cayley", float(kappa))
+            mine = tau2_of_kappa("cayley", float(kappa))
             assert abs(mine - cayley_tau2_closed(kappa)) < 1e-12
 
     def test_fvm_zero(self):
-        assert abs(fu.tau2_of_kappa("fvm", 0.0) - 1.0 / 3.0) < 1e-9
+        assert abs(tau2_of_kappa("fvm", 0.0) - 1.0 / 3.0) < 1e-9
 
     def test_negative_kappa(self):
         with pytest.raises(DomainError):
-            fu.tau2_of_kappa("cayley", -1.0)
+            tau2_of_kappa("cayley", -1.0)
 
 
 class TestScanCurve:
@@ -145,9 +146,9 @@ class TestInitialSlope:
     def test_sign_invariant_under_doubling_reparametrisation(self):
         # with kappa~ = 2 kappa the curve is kappa~ -> tau2(kappa~ / 2)
         h = 1e-3
-        base = fu.tau2_of_kappa("cayley", 0.0)
-        d_full = (fu.tau2_of_kappa("cayley", 0.5 * h) - base) / h
-        d_half = (fu.tau2_of_kappa("cayley", 0.25 * h) - base) / (0.5 * h)
+        base = tau2_of_kappa("cayley", 0.0)
+        d_full = (tau2_of_kappa("cayley", 0.5 * h) - base) / h
+        d_half = (tau2_of_kappa("cayley", 0.25 * h) - base) / (0.5 * h)
         reparam_slope = 2.0 * d_half - d_full
         assert reparam_slope < 0.0
         assert math.copysign(1.0, reparam_slope) == math.copysign(1.0, fu.initial_slope("cayley"))

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import g0, g0_coefficients, tau_from_rho, tau_k_g0
 from rotgram import distributions as dist
 from rotgram import moments
 from rotgram.errors import DomainError, NoConvergence
@@ -36,6 +38,44 @@ def g0_direct_integral_oracle(k, x):
         0.0, 1.0, limit=200,
     )
     return 4.0 * SQRT2 * (1.0 - x) * val
+
+
+def tau_k_mpmath_oracle(spec, k):
+    """E[Z^k] at 60 digits from Z = 1 - 2 (1 - X)(1 - U^2), U uniform on
+    [0, 1] and independent of X, expanded in powers of (1 - X):
+    E[(1 - U^2)^m] = sqrt(pi) m! / (2 Gamma(m + 3/2)); E[(1 - X)^m] is a
+    Beta ratio for Haar and Cayley-LMR and a ratio of Kummer functions
+    1F1(3/2 + m; 2 + m; -4 kappa) for Fisher-von Mises."""
+    with mpmath.workdps(60):
+        if spec.family is dist.Family.FVM and spec.kappa > 0.0:
+            c = -4 * mpmath.mpf(spec.kappa)
+
+            def one_minus_x(m):
+                return (mpmath.beta(0.5, 1.5 + m) * mpmath.hyp1f1(1.5 + m, 2 + m, c)
+                        / (mpmath.beta(0.5, 1.5) * mpmath.hyp1f1(1.5, 2, c)))
+        else:
+            p = mpmath.mpf(spec.kappa) + mpmath.mpf(0.5)
+
+            def one_minus_x(m):
+                return mpmath.beta(p, 1.5 + m) / mpmath.beta(p, 1.5)
+        total = mpmath.fsum(
+            mpmath.binomial(k, m) * (-2) ** m * mpmath.sqrt(mpmath.pi) * mpmath.factorial(m)
+            / (2 * mpmath.gamma(m + 1.5)) * one_minus_x(m)
+            for m in range(k + 1))
+        return float(total)
+
+
+def cayley_zonal_oracle(kappa, k):
+    """E[Z^k] from the exact Cayley-LMR zonal law of ``fz_closed_cayley``:
+    Z = 2Y - 1 = 1 - 2(1 - Y) with Y ~ Beta(kappa + 1, 1), so
+    E[(1 - Y)^m] = m! / prod_{i=1}^{m} (kappa + 1 + i)."""
+    with mpmath.workdps(50):
+        kp = mpmath.mpf(kappa)
+        total = mpmath.fsum(
+            mpmath.binomial(k, m) * (-2) ** m * mpmath.factorial(m)
+            / mpmath.fprod(kp + 1 + i for i in range(1, m + 1))
+            for m in range(k + 1))
+        return float(total)
 
 
 class TestIntegrate:
@@ -102,66 +142,66 @@ class TestRhoMoment:
 
 class TestTauFromRho:
     def test_haar_values(self):
-        tau1, tau2 = moments.tau_from_rho(0.25, 0.125)
+        tau1, tau2 = tau_from_rho(0.25, 0.125)
         assert abs(tau1) < 1e-15
         assert abs(tau2 - 1.0 / 3.0) < 1e-15
 
     def test_cayley_one(self):
-        tau1, tau2 = moments.tau_from_rho(0.5, 5.0 / 16.0)
+        tau1, tau2 = tau_from_rho(0.5, 5.0 / 16.0)
         assert abs(tau1 - 1.0 / 3.0) < 1e-15
         assert abs(tau2 - 1.0 / 3.0) < 1e-15
 
     def test_cayley_two(self):
-        _, tau2 = moments.tau_from_rho(5.0 / 8.0, 7.0 / 16.0)
+        _, tau2 = tau_from_rho(5.0 / 8.0, 7.0 / 16.0)
         assert abs(tau2 - 0.4) < 1e-15
 
 
 class TestG0:
     def test_first_order_closed_form(self):
         for x in np.linspace(-1.0, 1.0, 21):
-            assert abs(moments.g0(1, x) - (4.0 * SQRT2 / 3.0) * (1.0 - x)) < 1e-14
+            assert abs(g0(1, x) - (4.0 * SQRT2 / 3.0) * (1.0 - x)) < 1e-14
 
     def test_second_order_at_zero(self):
-        assert abs(moments.g0(2, 0.0) - 4.0 * SQRT2 / 15.0) < 1e-14
+        assert abs(g0(2, 0.0) - 4.0 * SQRT2 / 15.0) < 1e-14
 
     def test_second_order_closed_form(self):
         for x in np.linspace(-1.0, 1.0, 21):
             expected = 4 * SQRT2 / 15 + (4 * SQRT2 / 5) * x - (16 * SQRT2 / 15) * x * x
-            assert abs(moments.g0(2, x) - expected) < 1e-13
+            assert abs(g0(2, x) - expected) < 1e-13
 
     def test_vanishes_at_one(self):
         for k in range(1, 6):
-            assert moments.g0(k, 1.0) == 0.0
+            assert g0(k, 1.0) == 0.0
 
     def test_against_direct_integral_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             k = int(rng.integers(1, 9))
             x = float(rng.uniform(-0.95, 0.95))
-            assert abs(moments.g0(k, x) - g0_direct_integral_oracle(k, x)) < 1e-10
+            assert abs(g0(k, x) - g0_direct_integral_oracle(k, x)) < 1e-10
 
     def test_against_double_sum_oracle(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
             k = int(rng.integers(1, 9))
             x = float(rng.uniform(-1.0, 1.0))
-            assert abs(moments.g0(k, x) - g0_double_sum_oracle(k, x)) < 1e-10
+            assert abs(g0(k, x) - g0_double_sum_oracle(k, x)) < 1e-10
 
     def test_leading_coefficient_identity(self):
         # coefficient of rho_k inside tau_k equals k! 2^{k-1} sqrt(pi) / Gamma(k + 3/2)
         for k in range(1, 7):
-            coeffs = moments.g0_coefficients(k)
+            coeffs = g0_coefficients(k)
             extracted = -(k / SQRT2) * coeffs[k]
             expected = math.factorial(k) * 2.0 ** (k - 1) * math.sqrt(math.pi) / math.gamma(k + 1.5)
             assert abs(extracted - expected) < 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            moments.g0(0, 0.5)
+            g0(0, 0.5)
         with pytest.raises(DomainError):
-            moments.g0(21, 0.5)
+            g0(21, 0.5)
         with pytest.raises(DomainError):
-            moments.g0(2, 1.5)
+            g0(2, 1.5)
 
 
 class TestTauK:
@@ -180,7 +220,7 @@ class TestTauK:
         spec = family(kappa)
         rho1 = moments.rho_moment(spec, 1)
         rho2 = moments.rho_moment(spec, 2)
-        tau1, tau2 = moments.tau_from_rho(rho1, rho2)
+        tau1, tau2 = tau_from_rho(rho1, rho2)
         assert abs(moments.tau_k(spec, 1) - tau1) < 1e-9
         assert abs(moments.tau_k(spec, 2) - tau2) < 1e-9
 
@@ -197,6 +237,35 @@ class TestTauK:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             moments.tau_k(dist.haar(), 0)
+        with pytest.raises(DomainError):
+            moments.tau_k(dist.haar(), 21)
+
+    @pytest.mark.parametrize("spec", [
+        dist.haar(),
+        *[dist.cayley(kappa) for kappa in (0.0, 0.5, 2.0, 50.0, 1e3, 1e6)],
+        *[dist.fisher_von_mises(kappa) for kappa in (0.5, 2.0, 20.0, 49.9)],
+    ], ids=lambda spec: "%s-%g" % (spec.family.value, spec.kappa))
+    def test_matches_mpmath_oracle(self, spec):
+        # exact Beta means for Haar and Cayley-LMR; one quadrature for fvm
+        tol = 1e-13 if spec.family is dist.Family.FVM else 1e-14
+        for k in range(1, 21):
+            assert abs(moments.tau_k(spec, k) - tau_k_mpmath_oracle(spec, k)) <= tol, k
+
+    def test_cayley_matches_exact_zonal_law_at_huge_kappa(self):
+        # the G0 route missed the f_X peak here: 4.0e-5 off at kappa = 1e6
+        for kappa in (1e6, 1e12, 1e300):
+            for k in range(1, 21):
+                exact = cayley_zonal_oracle(kappa, k)
+                assert abs(moments.tau_k(dist.cayley(kappa), k) - exact) <= 1e-14, (kappa, k)
+
+    @pytest.mark.parametrize("spec", [
+        dist.haar(),
+        *[family(kappa) for family in (dist.cayley, dist.fisher_von_mises)
+          for kappa in (0.0, 0.5, 2.0, 20.0)],
+    ], ids=lambda spec: "%s-%g" % (spec.family.value, spec.kappa))
+    def test_matches_g0_route(self, spec):
+        for k in range(1, 9):
+            assert abs(moments.tau_k(spec, k) - tau_k_g0(spec, k)) <= 1e-12, k
 
 
 class TestTau2:

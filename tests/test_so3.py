@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import from_axis_angle_batch, random_rotation
+from conftest import from_axis_angle_batch, planar_block, random_rotation
 from rotgram import so3
 from rotgram.errors import DegenerateRotation
 
@@ -195,14 +195,14 @@ class TestRotationAngleBetween:
 class TestPlanarBlock:
     def test_quarter_turn_layout(self):
         expected = np.array([[1, 1, 0], [-1, 1, 0], [0, 0, 0]], dtype=float)
-        np.testing.assert_allclose(so3.planar_block(math.pi / 2), expected, atol=1e-15)
+        np.testing.assert_allclose(planar_block(math.pi / 2), expected, atol=1e-15)
 
     def test_small_angle_limit(self):
-        assert np.max(np.abs(so3.planar_block(1e-9))) < 1e-8
+        assert np.max(np.abs(planar_block(1e-9))) < 1e-8
 
     def test_trace_value(self):
         # 2 (1 - cos 1)
-        assert abs(np.trace(so3.planar_block(1.0)) - 0.91939538826372045) < 1e-15
+        assert abs(np.trace(planar_block(1.0)) - 0.91939538826372045) < 1e-15
 
 
 class TestSampleUniformAxis:

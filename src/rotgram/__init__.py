@@ -4,7 +4,7 @@ Bayes classification accuracy, each backed by an independent Monte Carlo
 or quadrature cross-check in the test suite."""
 
 from . import classifier, distributions, fake_uniformity, moments, radon, so3
-from .errors import DegenerateRotation, DomainError, NoConvergence, OutOfRange
+from .errors import DegenerateRotation, DomainError, NoConvergence
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,5 @@ __all__ = [
     "DegenerateRotation",
     "DomainError",
     "NoConvergence",
-    "OutOfRange",
     "__version__",
 ]

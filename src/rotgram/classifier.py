@@ -4,12 +4,14 @@ Class i draws P = R M_i with a shared centred conjugation-invariant R
 and equal priors.  The Bayes rule assigns class 1 exactly when
 tr(P M1^T (I - M1 M2^T)) > 0, and its accuracy depends on the modal
 rotations only through their separation angle alpha (the rotation angle
-of M1 M2^T).  The accuracy has a closed integral form in
+of M1 M2^T).  The accuracy and its derivative are closed forms in the
+tail P(X > t) and the integrals H(a, b) over [a, b] of
 
     h(x) = sqrt(x / (1 - x)) f_X(x),
 
-which for the Cayley-LMR family with modal identity reduces to
-x^kappa / B(kappa + 1/2, 3/2).
+which is x^kappa / B(kappa + 1/2, 3/2) for Haar and Cayley-LMR and
+c e^(-4 kappa (1 - x)) for Fisher-von Mises, c the normaliser of f_X.
+Every finite kappa is supported.
 """
 
 from __future__ import annotations
@@ -20,17 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .distributions import DistributionSpec, fx_density_fn, sample_rotations
+from .distributions import (DistributionSpec, Family, fvm_log_norm, fx_density_fn, log_beta_cayley,
+                            sample_rotations)
 from .errors import DomainError
-from .moments import QuadratureSpec, integrate
+from .moments import fvm_expectation, integrate
 
 TIE_TOL = 1e-14
 MC_CHUNK = 1 << 17
-# f_X peaks within about 1/kappa of x = 1.  Up to this concentration the
-# adaptive quadrature of the h-form resolves that peak (to 1e-9 against an
-# incomplete-beta oracle); above it the first panels can miss the peak
-# and the integrals lose their mass.
-PSI_KAPPA_MAX = 1e5
+_LOG_TINY = -708.0  # e^x is a normal float above this
 
 
 @dataclass(frozen=True)
@@ -58,64 +57,85 @@ class ClassPair:
         object.__setattr__(self, "alpha", alpha)
 
 
-def make_h(spec: DistributionSpec):
-    """The weight h(x) = sqrt(x / (1 - x)) f_X(x) on (0, 1)."""
-    fx = fx_density_fn(spec)
+def _beta_tail(p: float, t: float, t_c: float) -> float:
+    """P(X > t) for X ~ Beta(p, 3/2), given t and t_c = 1 - t: the regularised
+    incomplete beta I_x(a, b) = x^a (1 - x)^b F(a + b, 1; a + 1; x) / (a B(a, b))
+    (DLMF 8.17(ii)) at x = min(t, t_c) <= 1/2, I_{t_c}(3/2, p) or 1 - I_t(p, 3/2).
+    Its terms are positive and shrink like (1/2)^n once n > p x, so nothing
+    cancels at any p (a Lentz continued fraction in t near 1 loses about
+    log10(1 / t_c) digits).  Where the prefactor underflows the tail is 0 or 1."""
+    upper = t_c <= 0.5
+    a, b, x = (1.5, p, t_c) if upper else (p, 1.5, t)
+    log_front = a * math.log(x) + b * math.log1p(-x) - math.log(a) - log_beta_cayley(p - 0.5)
+    if log_front < _LOG_TINY:
+        return 1.0 if not upper or b * x > a else 0.0
+    term = total = math.exp(log_front)
+    n = 0
+    while term > 1e-17 * total:
+        term *= (a + b + n) * x / (a + 1.0 + n)
+        total += term
+        n += 1
+    return total if upper else 1.0 - total
 
-    def h(x: float) -> float:
-        return math.sqrt(x / (1.0 - x)) * fx(x)
 
-    return h
+def _tail(spec: DistributionSpec, t: float, t_c: float) -> float:
+    """P(X > t), given t and t_c = 1 - t."""
+    if spec.family is not Family.FVM or spec.kappa == 0.0:
+        return _beta_tail(spec.kappa + 0.5, t, t_c)
+    if t_c <= 0.5:
+        return fvm_expectation(spec, lambda x, v: 1.0, t_c)
+    return 1.0 - integrate(fx_density_fn(spec), 0.0, t)
 
 
-def _h_integrals(spec: DistributionSpec, alpha: float, quad):
-    """The split points lo = (1 - w)/2 and hi = (1 + w)/2, w = cos(alpha/2),
-    and the integrals of h over [lo, hi] and [0, lo].  lo and hi are
-    computed as sin^2(alpha/4) and cos^2(alpha/4): 1 - w rounds to 0.0
-    for alpha below about 2e-8.  Raises DomainError above PSI_KAPPA_MAX."""
-    if spec.kappa > PSI_KAPPA_MAX:
-        raise DomainError("the closed-form accuracy supports kappa <= %g, got %g"
-                          % (PSI_KAPPA_MAX, spec.kappa))
+def _h_integrals(spec: DistributionSpec, alpha: float):
+    """lo = sin^2(alpha/4), hi = cos^2(alpha/4) = 1 - lo, w = cos(alpha/2)
+    = hi - lo, and the closed forms of H(lo, hi) and H(0, lo).  hi rounds
+    to 1.0 for alpha below about 4e-8, so every quantity near x = 1 is
+    formed from its complement lo."""
     lo = math.sin(0.25 * alpha) ** 2
     hi = math.cos(0.25 * alpha) ** 2
-    h = make_h(spec)
-    return lo, hi, integrate(h, lo, hi, quad), integrate(h, 0.0, lo, quad)
+    w = math.cos(0.5 * alpha)
+    k = spec.kappa
+    if spec.family is Family.FVM and k > 0.0:
+        log_c = fvm_log_norm(k)
+
+        def h_int(width, gap):  # H(1 - gap - width, 1 - gap)
+            u = 4.0 * (k * width)
+            return width * (-math.expm1(-u) / u if u > 0.0 else 1.0) * math.exp(log_c - 4.0 * (k * gap))
+
+        return lo, hi, w, h_int(w, lo), h_int(lo, hi)
+    log_norm = math.log1p(k) + log_beta_cayley(k)
+    log_lo, log_hi = math.log(lo), math.log1p(-lo)
+    h_mid = -math.exp((k + 1.0) * log_hi - log_norm) * math.expm1((k + 1.0) * (log_lo - log_hi))
+    return lo, hi, w, h_mid, math.exp((k + 1.0) * log_lo - log_norm)
 
 
-def psi_closed(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
-    """Probability of a correct assignment, via the four-integral h-form
-    with w = cos(alpha/2):
+def psi_closed(pair: ClassPair) -> float:
+    """Probability of a correct assignment, with lo = sin^2(alpha/4) and
+    hi = cos^2(alpha/4):
 
-        psi = int_{(1+w)/2}^{1} sqrt((1-x)/x) h
-              + (1/2) int_{(1-w)/2}^{(1+w)/2} sqrt((1-x)/x) h
-              + (tan(alpha/4)/2) int_{(1-w)/2}^{(1+w)/2} h
-              + (1/sin(alpha/2)) int_{0}^{(1-w)/2} h,
+        psi = (P(X > lo) + P(X > hi)) / 2 + (tan(alpha/4)/2) H(lo, hi)
+              + H(0, lo) / sin(alpha/2),
 
-    where sqrt((1-x)/x) h is f_X itself.
+    clamped to [0, 1] against rounding.
     """
     alpha = pair.alpha
-    spec = pair.common
-    lo, hi, h_mid, h_tail = _h_integrals(spec, alpha, quad)
-    fx = fx_density_fn(spec)
-    return (
-        integrate(fx, hi, 1.0, quad)
-        + 0.5 * integrate(fx, lo, hi, quad)
-        + 0.5 * math.tan(0.25 * alpha) * h_mid
-        + h_tail / math.sin(0.5 * alpha)
-    )
+    lo, hi, _, h_mid, h_low = _h_integrals(pair.common, alpha)
+    psi = (0.5 * (_tail(pair.common, lo, hi) + _tail(pair.common, hi, lo))
+           + 0.5 * math.tan(0.25 * alpha) * h_mid + h_low / math.sin(0.5 * alpha))
+    return min(max(psi, 0.0), 1.0)
 
 
-def psi_derivative(pair: ClassPair, quad: QuadratureSpec | None = None) -> float:
-    """d psi / d alpha as a weighted difference of two integral means of
-    h, with w = cos(alpha/2), lo = (1 - w)/2 and hi = (1 + w)/2:
+def psi_derivative(pair: ClassPair) -> float:
+    """d psi / d alpha in closed form, with w = cos(alpha/2), lo = (1 - w)/2
+    and hi = (1 + w)/2:
 
-        psi'(alpha) = (int_{lo}^{hi} h - (w / lo) int_{0}^{lo} h) / (4 (1 + w)).
+        psi'(alpha) = (H(lo, hi) - (w / lo) H(0, lo)) / (4 (1 + w)).
 
     Identically zero under the uniform law, where h is constant.
     """
-    w = math.cos(0.5 * pair.alpha)
-    lo, _, h_mid, h_tail = _h_integrals(pair.common, pair.alpha, quad)
-    return (h_mid - w * h_tail / lo) / (4.0 * (1.0 + w))
+    lo, _, w, h_mid, h_low = _h_integrals(pair.common, pair.alpha)
+    return (h_mid - w * h_low / lo) / (4.0 * (1.0 + w))
 
 
 def mc_accuracy(

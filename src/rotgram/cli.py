@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import classifier, distributions, fake_uniformity, moments, radon, so3
-from .errors import DomainError, NoConvergence, OutOfRange
+from .errors import DomainError, NoConvergence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,17 +64,18 @@ def _parse_modal(entries: str | None, axis: str | None, angle: float | None) -> 
         vec = np.array([float(v) for v in axis.split(",")], dtype=float)
         if vec.shape != (3,):
             raise DomainError("--modal-axis expects three comma-separated values")
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise DomainError("--modal-axis must be nonzero")
-        return so3.from_axis_angle(vec / norm, float(angle))
+        if not (np.all(np.isfinite(vec)) and np.any(vec != 0.0)):
+            raise DomainError("--modal-axis must be finite and nonzero")
+        # scaled exactly by a power of two, so that the norm cannot under- or overflow
+        vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
+        return so3.from_axis_angle(vec / np.linalg.norm(vec), float(angle))
     if entries is None:
         return np.eye(3)
     values = [float(v) for v in entries.split(",")]
     if len(values) != 9:
         raise DomainError("--modal expects nine comma-separated entries, row-major")
     M = np.array(values, dtype=float).reshape(3, 3)
-    if not so3.is_rotation(M, tol=MODAL_ORTHO_TOL):
+    if not (np.all(np.abs(M) <= 1.0 + MODAL_ORTHO_TOL) and so3.is_rotation(M, tol=MODAL_ORTHO_TOL)):
         raise DomainError("modal matrix is not orthonormal within %g" % MODAL_ORTHO_TOL)
     return _orthonormalise(M)
 
@@ -162,6 +163,9 @@ def _load_landmarks(path: str) -> np.ndarray:
         raise ValueError("landmark CSV must hold a 3 x k matrix (three rows)")
     if not np.all(np.isfinite(raw)):
         raise ValueError("landmark CSV contains non-finite entries")
+    with np.errstate(over="ignore"):  # every printed block is at most twice Gram(V) in size
+        if not np.all(np.isfinite(2.0 * radon.gram(raw))):
+            raise ValueError("landmark CSV entries are too large: Gram(V) overflows")
     return raw
 
 
@@ -181,12 +185,14 @@ def cmd_gram(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     closed = radon.expected_projected_gram(spec, V)
+    # MC on V 2^-e, |V| < 2^e, exactly: the fourth powers in its stderr stay finite
+    e = int(np.frexp(np.max(np.abs(V)))[1])
     counts, parts = _chunked_mc(
-        lambda n, rng: radon.mc_projected_gram(spec, V, n, rng, return_stderr=True),
+        lambda n, rng: radon.mc_projected_gram(spec, np.ldexp(V, -e), n, rng, return_stderr=True),
         args.n_mc, args.seed, args.threads,
     )
-    mc = _pooled_mean(counts, [mean for mean, _ in parts])
-    mc_se = _pooled_stderr(counts, [se for _, se in parts])
+    mc = np.ldexp(_pooled_mean(counts, [mean for mean, _ in parts]), 2 * e)
+    mc_se = np.ldexp(_pooled_stderr(counts, [se for _, se in parts]), 2 * e)
     deviation = mc - closed
     naive_bias = 1.5 * closed - radon.gram(V)
     _print_matrix("closed-form expected projected Gram:", closed)
@@ -332,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, OutOfRange, ValueError) as exc:
+    except (DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

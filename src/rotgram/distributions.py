@@ -11,7 +11,8 @@ case for every family):
 
 Shifted samples use the right-multiplication convention P = R M, where R
 is the centred (modal = I) conjugation-invariant rotation.  All samplers
-mutate only the caller-supplied numpy Generator.
+mutate only the caller-supplied numpy Generator.  Normalisers are taken
+on the log scale, so every finite kappa is supported.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from enum import Enum
 import numpy as np
 
 from . import so3
-from .errors import DomainError, OutOfRange
+from .errors import DomainError
 
-BESSEL_MAX_ARG = 100.0
-BESSEL_SERIES_CUTOFF = 15.0
+_LGAMMA_3_2 = math.lgamma(1.5)
 
 
 class Family(str, Enum):
@@ -75,73 +75,49 @@ def fisher_von_mises(kappa: float, modal=None) -> DistributionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel functions of the first kind, orders 0 to 3.
-# Power series below BESSEL_SERIES_CUTOFF, large-argument asymptotics above;
-# the cutoff is where both branches agree to 1e-12 (covered by tests).
+# Log-scale normalisers
 
 
-def _bessel_series(order: int, z: float) -> float:
-    if z == 0.0:
-        return 1.0 if order == 0 else 0.0
-    q = 0.25 * z * z
-    term = (0.5 * z) ** order / math.factorial(order)
-    total = term
-    m = 1
-    while True:
-        term *= q / (m * (m + order))
-        total += term
-        if term <= 1e-17 * total:  # <=: once the terms underflow, both sides are 0
-            return total
-        m += 1
-
-
-def _bessel_asymptotic(order: int, z: float) -> float:
-    # e^z series plus the e^{-z} reflection series, both truncated at
-    # their smallest term; the reflection sign is (-1)^order.
-    mu = 4.0 * order * order
-    main = 1.0
-    refl = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        ratio = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
-        term = term * (-ratio)
-        if abs(term) >= prev:
+def log_bessel_gap(n: int, kappa: float) -> float:
+    """L_n(kappa) = log(e^-z (I_n(z) - I_{n+1}(z))) at z = 2 kappa, n = 0 or 2,
+    kappa > 0 (or 0 for n = 0).  Below z = 20 the power series in kappa with
+    kappa^n factored out; above, the large-z expansions (DLMF 10.40.1) summed
+    term by term from their coefficient differences with 1/kappa factored
+    out, so nothing cancels or overflows.  Relative error below 1e-15."""
+    if kappa < 10.0:
+        term = total = 1.0 / math.factorial(n)
+        j = 0
+        while abs(term) > 1e-17 * total:  # also stops once the terms underflow
+            j += 1
+            term *= -kappa / (j // 2 if j % 2 == 0 else j // 2 + 1 + n)
+            total += term
+        return math.log(total) - 2.0 * kappa + (n * math.log(kappa) if n else 0.0)
+    u = total = (2.0 * n + 1.0) / 4.0
+    j = 1
+    while abs(u) > 1e-17 * total:
+        j += 1
+        step = (2 * n + 2 * j - 1) * (2 * j - 2 * n - 3) / (16.0 * (j - 1) * kappa)
+        if abs(step) >= 1.0:  # the divergent tail starts: stop at the smallest term
             break
-        main += term
-        refl += term if k % 2 == 0 else -term
-        if abs(term) < 1e-18 * abs(main):
-            break
-        prev = abs(term)
-    pref = 1.0 / math.sqrt(2.0 * math.pi * z)
-    sign = 1.0 if order % 2 == 0 else -1.0
-    return pref * (math.exp(z) * main + sign * math.exp(-z) * refl)
+        u *= step
+        total += u
+    return math.log(total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(kappa)
 
 
-def bessel_i(order: int, z: float) -> float:
-    """I_n(z) for n in 0..3 and z in [0, 100], relative error <= 1e-12."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0, 1, 2 or 3")
-    if not 0.0 <= z <= BESSEL_MAX_ARG:
-        raise OutOfRange("bessel_i supports 0 <= z <= %g" % BESSEL_MAX_ARG)
-    if z < BESSEL_SERIES_CUTOFF:
-        return _bessel_series(order, z)
-    return _bessel_asymptotic(order, z)
+def fvm_log_norm(kappa: float) -> float:
+    """log c for the Fisher-von Mises f_X = c sqrt((1-x)/x) e^(-4 kappa (1-x))."""
+    return math.log(2.0 / math.pi) - log_bessel_gap(0, kappa)
 
 
-# ---------------------------------------------------------------------------
-# Densities
-
-
-def _log_beta(p: float, q: float) -> float:
-    return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-
-
-def fvm_x_normaliser(kappa: float) -> float:
-    """The constant 2 exp(-2 kappa) / (pi (I0(2k) - I1(2k))) in the
-    Fisher-von Mises density of X."""
-    diff = bessel_i(0, 2.0 * kappa) - bessel_i(1, 2.0 * kappa)
-    return 2.0 * math.exp(-2.0 * kappa) / (math.pi * diff)
+def log_beta_cayley(kappa: float) -> float:
+    """log B(kappa + 1/2, 3/2).  Above kappa = 30 the large-kappa expansion
+    of log Gamma(kappa + 1/2) - log Gamma(kappa + 1), which a difference of
+    lgammas would cancel; it is exact to 1e-16 there."""
+    if kappa < 30.0:
+        return math.lgamma(kappa + 0.5) + _LGAMMA_3_2 - math.lgamma(kappa + 2.0)
+    t = 1.0 / kappa
+    return (_LGAMMA_3_2 - math.log1p(kappa) - 0.5 * math.log(kappa)
+            + t * (-1.0 / 8.0 + t * t * (1.0 / 192.0 + t * t * (-1.0 / 640.0 + 17.0 * t * t / 14336.0))))
 
 
 def fx_density_fn(spec: DistributionSpec):
@@ -152,10 +128,10 @@ def fx_density_fn(spec: DistributionSpec):
     if spec.family is Family.HAAR:
         return lambda x: (2.0 / math.pi) * math.sqrt((1.0 - x) / x)
     if spec.family is Family.CAYLEY:
-        log_beta = _log_beta(k + 0.5, 1.5)
+        log_beta = log_beta_cayley(k)
         return lambda x: math.exp((k - 0.5) * math.log(x) + 0.5 * math.log1p(-x) - log_beta)
-    norm = fvm_x_normaliser(k)
-    return lambda x: norm * math.sqrt((1.0 - x) / x) * math.exp(4.0 * k * x)
+    log_c = fvm_log_norm(k)
+    return lambda x: math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (k * (1.0 - x)))
 
 
 def fx_density(spec: DistributionSpec, x: float) -> float:
@@ -173,22 +149,12 @@ def rotation_density(spec: DistributionSpec, P) -> float:
     if spec.family is Family.HAAR:
         return 1.0
     t = float(np.trace(P @ spec.modal.T))
-    if spec.family is Family.CAYLEY:
-        if 1.0 + t <= 0.0:
-            return 0.0 if k > 0.0 else 1.0
-        log_pdf = (
-            0.5 * math.log(math.pi)
-            + math.lgamma(k + 2.0)
-            - 2.0 * k * math.log(2.0)
-            - math.lgamma(k + 0.5)
-            + k * math.log1p(t)
-        )
-        return math.exp(log_pdf)
-    # Fisher-von Mises; the normaliser e^kappa (I0(2k) - I1(2k)) follows
-    # from the closed form of its X-density and is quadrature-checked in
-    # the test suite rather than trusted.
-    diff = bessel_i(0, 2.0 * k) - bessel_i(1, 2.0 * k)
-    return math.exp(k * t - k) / diff
+    if spec.family is Family.FVM:
+        return math.exp(k * (t - 3.0) - log_bessel_gap(0, k))
+    # Cayley-LMR: the ratio of the X-densities at x = (1 + t)/4 to Haar's
+    if 1.0 + t <= 0.0:
+        return 0.0 if k > 0.0 else 1.0
+    return math.exp(k * math.log1p(0.25 * (t - 3.0)) + math.log(0.5 * math.pi) - log_beta_cayley(k))
 
 
 def fz_closed_cayley(kappa: float, s: float) -> float:

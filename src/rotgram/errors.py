@@ -6,10 +6,6 @@ class DegenerateRotation(ValueError):
     axis-angle chart to be well defined."""
 
 
-class OutOfRange(ValueError):
-    """Argument outside the supported evaluation range."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
 

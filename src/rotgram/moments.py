@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family, bessel_i, fx_density_fn
+from .distributions import DistributionSpec, Family, fvm_log_norm, fx_density_fn, log_bessel_gap
 from .errors import DomainError, NoConvergence
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,6 +75,7 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+_FLOOR_QUADRATURE = QuadratureSpec(abs_tol=_UFLOW)
 
 
 def _qk15(g, a: float, b: float):
@@ -193,18 +194,45 @@ class MomentVector:
         object.__setattr__(self, "tau", tau)
 
 
+def fvm_expectation(spec: DistributionSpec, g, s: float, quad: QuadratureSpec | None = None) -> float:
+    """E[g(X, 1 - X); 1 - X < s] under the Fisher-von Mises law at kappa > 0.
+
+    f_X peaks within about 1/kappa of x = 1, so where 1 - x < 1/2 the
+    integral runs in y = m (1 - x), m = max(kappa, 1): the peak lies within
+    O(1) of y = 0 at every kappa, 1 - X carries no cancellation, and y stops
+    at 745/4, where e^(-4y) underflows.  There f_X dx = sqrt(y / (1 - v))
+    e^(log c - 1.5 log m - 4 (kappa / m) y) dy, v = y / m.  The rest, with
+    the 1/sqrt(x) end x = 0, runs in x.  Without ``quad`` both run to the
+    roundoff floor.
+    """
+    k = spec.kappa
+    m = max(k, 1.0)
+    lead = fvm_log_norm(k) - 1.5 * math.log(m)
+    rate = 4.0 * (k / m)
+    quad = quad or _FLOOR_QUADRATURE
+
+    def integrand(y: float) -> float:
+        v = y / m
+        return math.exp(lead + 0.5 * math.log(y) - rate * y) / math.sqrt(1.0 - v) * g(1.0 - v, v)
+
+    total = integrate(integrand, 0.0, min(min(s, 0.5) * m, 745.0 / 4.0), quad)
+    if s > 0.5:
+        fx = fx_density_fn(spec)
+        total += integrate(lambda x: fx(x) * g(x, 1.0 - x), 1.0 - s, 0.5, quad)
+    return total
+
+
 def _bernstein_mean(spec: DistributionSpec, n: int, weights, quad) -> float:
     """sum_j weights[j] E[X^(n-j) (1-X)^j] over j = 0 .. len(weights) - 1.
 
     Haar and Cayley-LMR have X ~ Beta(p, 3/2) with p = kappa + 1/2, so
     each mean is a product of ratios, exact to rounding:
     E[X^a (1-X)^b] = prod_{i<a} (p+i)/(p+3/2+i) * prod_{i<b} (3/2+i)/(p+3/2+a+i).
-    Fisher-von Mises integrates f_X times the weighted sum, in one call.
+    Fisher-von Mises takes the weighted sum through ``fvm_expectation``.
     """
     if spec.family is Family.FVM and spec.kappa > 0.0:
-        fx = fx_density_fn(spec)
-        return integrate(lambda x: fx(x) * sum(w * x ** (n - j) * (1.0 - x) ** j
-                                               for j, w in enumerate(weights)), 0.0, 1.0, quad)
+        return fvm_expectation(spec, lambda x, v: sum(w * x ** (n - j) * v ** j
+                                                     for j, w in enumerate(weights)), 1.0, quad)
     p = spec.kappa + 0.5
     total = 0.0
     for b, w in enumerate(weights):
@@ -236,8 +264,9 @@ def tau2_excess(spec: DistributionSpec) -> float:
     tau2 = (2 + k + k^2) / (6 + 5k + k^2); 0 at k = 0 and at k = 1.
     Fisher-von Mises: (2/15) (I2 - I3) / (I0 - I1) at argument 2k, from
     the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1 and
-    I_{n-1} - I_{n+1} = (2n/z) I_n; no terms cancel as k -> 0, and the
-    value is positive for every k > 0.
+    I_{n-1} - I_{n+1} = (2n/z) I_n, taken as (2/15) exp(L_2 - L_0) from
+    ``log_bessel_gap``; no terms cancel as k -> 0 or overflow as k grows,
+    and the value is positive for every k > 0.
 
     k = 0 returns +0.0 (2 * 0 * (0 - 1) is -0.0).  Above
     CAYLEY_SCALED_KAPPA the Cayley-LMR form is divided through by k^2,
@@ -248,8 +277,7 @@ def tau2_excess(spec: DistributionSpec) -> float:
     if k == 0.0:
         return 0.0
     if spec.family is Family.FVM:
-        i0, i1, i2, i3 = (bessel_i(n, 2.0 * k) for n in range(4))
-        return (2.0 / 15.0) * (i2 - i3) / (i0 - i1)
+        return (2.0 / 15.0) * math.exp(log_bessel_gap(2, k) - log_bessel_gap(0, k))
     if k > CAYLEY_SCALED_KAPPA:
         return 2.0 * (1.0 - 1.0 / k) / (3.0 * (1.0 + 2.0 / k) * (1.0 + 3.0 / k))
     return 2.0 * k * (k - 1.0) / (3.0 * (k + 2.0) * (k + 3.0))

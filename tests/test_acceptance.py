@@ -179,15 +179,14 @@ def test_criterion_07_classifier_closed_form_vs_mc():
 
 
 def test_criterion_08_derivative_consistency():
-    quad = moments.QuadratureSpec(abs_tol=1e-12)
     step = 1e-4
     worst_fd = 0.0
     for kappa, alpha, pair in _classifier_grid():
         common = pair.common
-        up = cls.psi_closed(cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, alpha + step), common), quad)
-        dn = cls.psi_closed(cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, alpha - step), common), quad)
+        up = cls.psi_closed(cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, alpha + step), common))
+        dn = cls.psi_closed(cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, alpha - step), common))
         fd = (up - dn) / (2.0 * step)
-        worst_fd = max(worst_fd, abs(cls.psi_derivative(pair, quad) - fd))
+        worst_fd = max(worst_fd, abs(cls.psi_derivative(pair) - fd))
     worst_haar = 0.0
     for alpha in (0.5, 1.0, 2.0):
         pair = cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, alpha), dist.haar())

@@ -110,28 +110,56 @@ class TestClassPair:
             cls.ClassPair(np.eye(3), np.diag([-1.0, -1.0, 1.0]), dist.haar())
 
 
+def closed_parts(spec, alpha):
+    """(lo, w, P(X > lo), P(X > hi), H(lo, hi), H(0, lo)) of ``psi_closed``."""
+    lo, hi, w, h_mid, h_low = cls._h_integrals(spec, alpha)
+    return lo, w, cls._tail(spec, lo, hi), cls._tail(spec, hi, lo), h_mid, h_low
+
+
 class TestHFunction:
+    """The tails P(X > t) and the integrals H(a, b) of h = sqrt(x/(1-x)) f_X."""
+
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
     def test_normalisation_invariant(self, kappa):
-        h = cls.make_h(dist.cayley(kappa))
-        total = moments.integrate(lambda x: math.sqrt((1.0 - x) / x) * h(x), 0.0, 1.0)
-        assert abs(total - 1.0) < 1e-7
+        # P(X > lo) + integral_0^lo f_X = 1 and P(X > hi) = integral_hi^1 f_X
+        spec = dist.cayley(kappa)
+        fx = dist.fx_density_fn(spec)
+        quad = moments.QuadratureSpec(abs_tol=1e-14)
+        for alpha in (1e-3, 0.5, 2.0, 3.0):
+            lo, _, tail_lo, tail_hi, _, _ = closed_parts(spec, alpha)
+            hi = math.cos(0.25 * alpha) ** 2
+            assert abs(tail_lo + moments.integrate(fx, 0.0, lo, quad) - 1.0) < 1e-13
+            assert abs(tail_hi - moments.integrate(fx, hi, 1.0, quad)) < 1e-13
 
     def test_cayley_closed_form(self):
         kappa = 2.0
-        h = cls.make_h(dist.cayley(kappa))
         B = math.gamma(kappa + 0.5) * math.gamma(1.5) / math.gamma(kappa + 2.0)
-        for x in np.linspace(0.05, 0.95, 9):
-            assert abs(h(x) - x ** kappa / B) < 1e-12
+        for alpha in np.linspace(0.05, 3.0, 9):
+            lo, _, _, _, h_mid, h_low = closed_parts(dist.cayley(kappa), alpha)
+            hi = math.cos(0.25 * alpha) ** 2
+            assert abs(h_mid - (hi ** 3 - lo ** 3) / (3.0 * B)) < 1e-12
+            assert abs(h_low - lo ** 3 / (3.0 * B)) < 1e-12
 
     def test_haar_is_constant(self):
-        h = cls.make_h(dist.haar())
-        for x in (0.1, 0.5, 0.9):
-            assert abs(h(x) - 2.0 / math.pi) < 1e-14
+        # h = 2/pi, so H is 2/pi times the interval length, and w = hi - lo
+        for alpha in (0.1, 1.0, 2.5):
+            lo, w, _, _, h_mid, h_low = closed_parts(dist.haar(), alpha)
+            assert abs(h_mid - 2.0 / math.pi * w) < 1e-14
+            assert abs(h_low - 2.0 / math.pi * lo) < 1e-14
 
     def test_nonnegative(self):
-        h = cls.make_h(dist.fisher_von_mises(1.5))
-        assert all(h(x) >= 0.0 for x in np.linspace(0.01, 0.99, 20))
+        # and H equals the quadrature of h = c e^(-4 kappa (1 - x)) for fvm
+        spec = dist.fisher_von_mises(1.5)
+        fx = dist.fx_density_fn(spec)
+
+        def h(x):
+            return math.sqrt(x / (1.0 - x)) * fx(x)
+
+        for alpha in np.linspace(0.05, 3.0, 20):
+            lo, w, tail_lo, tail_hi, h_mid, h_low = closed_parts(spec, alpha)
+            assert min(tail_lo, tail_hi, h_mid, h_low) >= 0.0
+            assert abs(h_mid - moments.integrate(h, lo, lo + w)) < 1e-12
+            assert abs(h_low - moments.integrate(h, 0.0, lo)) < 1e-12
 
 
 class TestBayesAssign:
@@ -244,6 +272,21 @@ class TestPsiClosed:
                 b = psi_theta_form(pair)
                 assert abs(a - b) < 1e-8, (kappa, alpha)
 
+    @pytest.mark.parametrize("family, kappas", [
+        ("cayley", [0.0, 0.5, 2.0, 29.9, 30.0, 37.0, 1e3, 1e5]),
+        ("fvm", [0.5, 2.0, 20.0, 49.9, 50.0, 1e3, 1e5, 1e8]),
+    ])
+    def test_matches_mpmath_oracle_on_grid(self, family, kappas):
+        # the quadrature h-form was off by 1.6e-7 (Haar, alpha = 1e-6) and
+        # printed psi > 1 at Cayley-LMR kappa = 1e5
+        for kappa in kappas:
+            common = dist.haar() if kappa == 0.0 else dist.DistributionSpec(family, kappa=kappa)
+            for alpha in (1e-6, 1e-3, 0.1, 1.0, 3.0):
+                pair = z_pair(alpha, common)
+                psi, dpsi = psi_quadrature_oracle(family, kappa, alpha)
+                assert abs(cls.psi_closed(pair) - psi) < 1e-13, (kappa, alpha)
+                assert abs(cls.psi_derivative(pair) - dpsi) < 1e-13 * max(1.0, dpsi), (kappa, alpha)
+
     def test_increasing_in_concentration(self):
         values = [cls.psi_closed(z_pair(1.0, dist.cayley(k))) for k in (0.5, 1.0, 2.0, 5.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -268,10 +311,44 @@ def psi_cayley_oracle(kappa, alpha):
                      + h_int(0, lo) / mpmath.sin(a / 2))
 
 
+def psi_quadrature_oracle(family, kappa, alpha):
+    """(psi, psi') at 40 digits from the h-form with every H in closed form
+    and the tails P(X > t) = P(V < 1 - t), V = 1 - X, by mpmath
+    quadrature of the unnormalised density of V, split where its mass
+    concentrates within 1/kappa of v = 0."""
+    with mpmath.workdps(40):
+        k, a = mpmath.mpf(kappa), mpmath.mpf(alpha)
+        lo, hi, w = mpmath.sin(a / 4) ** 2, mpmath.cos(a / 4) ** 2, mpmath.cos(a / 2)
+        if family == "fvm":
+            def dens(v):
+                return mpmath.sqrt(v / (1 - v)) * mpmath.exp(-4 * k * v)
+        else:
+            def dens(v):
+                return mpmath.sqrt(v) * (1 - v) ** (k - mpmath.mpf(1) / 2)
+        scale = max(k, 1)
+
+        def mass(s):
+            cuts = [c / scale for c in (mpmath.mpf(1) / 64, mpmath.mpf(1) / 8, 1, 10, 100, 1000)]
+            return mpmath.quad(dens, [0] + [c for c in cuts if c < s] + [s])
+
+        total = mass(1)
+        if family == "fvm":
+            def H(x1, x2):
+                return (mpmath.exp(-4 * k * (1 - x2)) - mpmath.exp(-4 * k * (1 - x1))) / (4 * k * total)
+        else:
+            def H(x1, x2):
+                return (x2 ** (k + 1) - x1 ** (k + 1)) / ((k + 1) * total)
+        psi = ((mass(hi) + mass(lo)) / (2 * total) + mpmath.tan(a / 4) / 2 * H(lo, hi)
+               + H(0, lo) / mpmath.sin(a / 2))
+        return float(psi), float((H(lo, hi) - w / lo * H(0, lo)) / (4 * (1 + w)))
+
+
 class TestPsiKappaRange:
+    """psi at concentrations where the quadrature h-form used to stop."""
+
     @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.01, 0.03, 0.1])
     def test_largest_supported_kappa_against_oracle(self, alpha):
-        kappa = cls.PSI_KAPPA_MAX
+        kappa = 1e5
         psi = cls.psi_closed(z_pair(alpha, dist.cayley(kappa)))
         assert abs(psi - psi_cayley_oracle(kappa, alpha)) < 1e-9
 
@@ -279,31 +356,41 @@ class TestPsiKappaRange:
     def test_largest_supported_kappa_is_certain(self, alpha):
         # P(X < cos^2(alpha/4)) is below 1e-2000 here, so psi is 1 in
         # double precision
-        assert abs(cls.psi_closed(z_pair(alpha, dist.cayley(cls.PSI_KAPPA_MAX))) - 1.0) < 1e-9
+        assert abs(cls.psi_closed(z_pair(alpha, dist.cayley(1e5))) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("kappa", [2.0 * cls.PSI_KAPPA_MAX, 1e8, 1e308])
-    def test_above_the_maximum_is_rejected(self, kappa):
-        pair = z_pair(1.0, dist.cayley(kappa))
-        with pytest.raises(DomainError):
-            cls.psi_closed(pair)
-        with pytest.raises(DomainError):
-            cls.psi_derivative(pair)
+    @pytest.mark.parametrize("kappa", [2e5, 1e8, 1e16, 1e308])
+    def test_huge_kappa_against_oracle(self, kappa):
+        # where 1 - hi = lo is about 1/kappa psi is neither 1/2 nor 1; at
+        # kappa = 1e308 the smallest separation already gives psi = 1
+        for family in ("cayley", "fvm"):
+            spec = dist.DistributionSpec(family, kappa=kappa)
+            for scaled in (0.1, 1.0, 10.0):
+                alpha = max(4.0 * math.asin(math.sqrt(scaled / kappa)), 1.0001e-12)
+                pair = z_pair(alpha, spec)
+                psi, dpsi = cls.psi_closed(pair), cls.psi_derivative(pair)
+                if kappa > 1e100:
+                    assert psi == 1.0 and math.isfinite(dpsi) and dpsi >= 0.0
+                    continue
+                ref_psi, ref_dpsi = psi_quadrature_oracle(family, kappa, alpha)
+                assert abs(psi - ref_psi) < 1e-13, (family, scaled)
+                assert abs(dpsi - ref_dpsi) < 1e-13 * ref_dpsi, (family, scaled)
 
-    def test_fvm_normaliser_is_computed_once_per_integrand(self, monkeypatch):
+    def test_bessel_gap_calls_per_psi(self, monkeypatch):
         calls = []
-        bessel_i = dist.bessel_i
+        kernel = dist.log_bessel_gap
 
-        def counting(order, z):
-            calls.append(order)
-            return bessel_i(order, z)
+        def counting(n, kappa):
+            calls.append(n)
+            return kernel(n, kappa)
 
-        monkeypatch.setattr(dist, "bessel_i", counting)
+        for module in (dist, moments):
+            monkeypatch.setattr(module, "log_bessel_gap", counting)
         pair = z_pair(1.0, dist.fisher_von_mises(2.0))
         cls.psi_closed(pair)
-        cls.psi_derivative(pair)
-        # one I0 and one I1 for each of the three density closures: h in
-        # psi_closed and psi_derivative, f_X in psi_closed
-        assert calls == [0, 1] * 3
+        # L_0 once each for h, the x-space lower tail and the upper tail
+        assert calls == [0] * 3
+        cls.psi_derivative(pair)  # h alone, without quadrature
+        assert calls == [0] * 4
 
 
 class TestPsiDerivative:
@@ -316,14 +403,13 @@ class TestPsiDerivative:
 
     @pytest.mark.parametrize("alpha", [0.4, 1.2, 2.4])
     def test_finite_difference_agreement(self, alpha):
-        quad = moments.QuadratureSpec(abs_tol=1e-12)
         common = dist.cayley(2.0)
         step = 1e-4
         fd = (
-            cls.psi_closed(z_pair(alpha + step, common), quad)
-            - cls.psi_closed(z_pair(alpha - step, common), quad)
+            cls.psi_closed(z_pair(alpha + step, common))
+            - cls.psi_closed(z_pair(alpha - step, common))
         ) / (2.0 * step)
-        assert abs(cls.psi_derivative(z_pair(alpha, common), quad) - fd) < 1e-6
+        assert abs(cls.psi_derivative(z_pair(alpha, common)) - fd) < 1e-6
 
     @pytest.mark.parametrize("alpha", [1e-11, 1e-10, 2e-9, 1e-8])
     def test_tiny_separation_limit(self, alpha):

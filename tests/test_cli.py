@@ -231,6 +231,35 @@ class TestGram:
             assert G.shape == (4, 4) and np.all(np.isfinite(G)), label
         assert "nan" not in text and "inf" not in text
 
+    def test_large_landmarks_have_finite_stderr(self, tmp_path, capsys):
+        # the fourth powers in the stderr overflowed to nan at 1e80
+        V = tmp_path / "V.csv"
+        V.write_text("1e80,0,3e79\n0,1e80,-2e79\n5e79,2.5e79,1e80\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gram", "--family", "cayley", "--kappa", "2", "--landmarks", str(V),
+                        "--n-mc", "1000", "--seed", "4"]) == 0
+        text = capsys.readouterr().out
+        for label, G in self._blocks(text).items():
+            assert np.all(np.isfinite(G)), label
+        # powers of two are exact: the same report as for V / 2^266
+        V.write_text("".join(",".join(repr(math.ldexp(v, -266)) for v in row) + "\n"
+                             for row in np.loadtxt(V, delimiter=",")), encoding="utf-8")
+        assert run(["gram", "--family", "cayley", "--kappa", "2", "--landmarks", str(V),
+                    "--n-mc", "1000", "--seed", "4"]) == 0
+        scaled = self._blocks(capsys.readouterr().out)
+        np.testing.assert_array_equal(np.ldexp(scaled["entrywise MC standard error"], 532),
+                                      self._blocks(text)["entrywise MC standard error"])
+
+    def test_overflowing_gram_exits_3(self, tmp_path, capsys):
+        V = tmp_path / "V.csv"
+        V.write_text("1e200,0,3e199\n0,1e200,-2e199\n5e199,2.5e199,1e200\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gram", "--landmarks", str(V), "--n-mc", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Gram(V) overflows" in captured.err
+
     def test_missing_file_exits_3(self, tmp_path):
         assert run(["gram", "--landmarks", str(tmp_path / "absent.csv")]) == 3
 
@@ -294,13 +323,13 @@ class TestClassify:
 
 
     @pytest.mark.parametrize("kappa", ["1e308", "1e8"])
-    def test_cayley_kappa_above_closed_form_range_exits_2(self, kappa, capsys):
-        # 1e308 overflowed in lgamma; 1e8 printed psi_closed = 5e-116
+    def test_cayley_kappa_beyond_the_old_range(self, kappa, capsys):
+        # exited 2 while the accuracy stopped at kappa = 1e5; here
+        # P(X < cos^2(1/4)) is below 1e-100000, so psi is 1
         assert run(["classify", "--family", "cayley", "--kappa", kappa,
-                    "--modal2-axis", "0,0,1", "--modal2-angle", "1", "--n-mc", "100"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "kappa <= 100000" in captured.err
+                    "--modal2-axis", "0,0,1", "--modal2-angle", "1", "--n-mc", "100"]) == 0
+        text = capsys.readouterr().out
+        assert "psi_closed = 1\n" in text and "psi_derivative = 0\n" in text
 
 
 class TestFakeuni:
@@ -384,6 +413,58 @@ def test_nan_concentration_exits_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("axis", ["1e-170,0,0", "3e-200,4e-200,0", "1e155,1e155,0"])
+def test_modal_axis_of_any_finite_scale(axis, tmp_path, capsys):
+    # the first two were rejected as zero, the third as not a rotation
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sample", "--family", "cayley", "--kappa", "1e8", "--n", "3",
+                    "--modal-axis", axis, "--modal-angle", "0.7", "--out", str(out)]) == 0
+    vec = np.array([float(v) for v in axis.split(",")])
+    unit = vec / np.max(vec)
+    expected = so3.from_axis_angle(unit / np.linalg.norm(unit), 0.7)
+    _, rows = read_csv(out)
+    for row in rows:  # kappa = 1e8 puts every draw within about 1e-4 of the modal
+        assert np.max(np.abs(np.array(row[:9], dtype=float).reshape(3, 3) - expected)) < 1e-3
+
+
+@pytest.mark.parametrize("axis", ["0,0,0", "inf,0,0", "nan,1,1"])
+def test_modal_axis_zero_or_nonfinite_exits_2(axis, capsys):
+    assert run(["sample", "--n", "2", "--modal-axis", axis, "--modal-angle", "1"]) == 2
+    assert "--modal-axis must be finite and nonzero" in capsys.readouterr().err
+
+
+FINITE_KAPPAS = ["0.5", "50", "51", "1e5", "2e5", "1e8", "1e300", "1.7976931348623157e308"]
+
+
+@pytest.mark.parametrize("kappa", FINITE_KAPPAS)
+def test_every_command_accepts_every_finite_kappa(kappa, tmp_path, capsys):
+    """The old range table: fvm stopped at kappa = 50 and Cayley-LMR
+    classify at 1e5.  Each command exits 0 with finite numbers only."""
+    V = tmp_path / "V.csv"
+    V.write_text("1,0,0.5\n0,1,0.25\n0,0,1\n", encoding="utf-8")
+    out = str(tmp_path / "o.csv")
+    runs = [["figure1", "--kappa-max", kappa, "--n-points", "5", "--out", out]]
+    for family in ("cayley", "fvm"):
+        runs += [["sample", "--family", family, "--kappa", kappa, "--n", "20", "--out", out],
+                 ["gram", "--family", family, "--kappa", kappa, "--landmarks", str(V),
+                  "--n-mc", "200", "--out", out],
+                 ["classify", "--family", family, "--kappa", kappa,
+                  "--modal2-axis", "0,0,1", "--modal2-angle", "0.01", "--n-mc", "200"],
+                 ["fakeuni", "--family", family, "--kappa-max", kappa, "--n-points", "5",
+                  "--out", out]]
+    for argv in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0, argv
+        text = capsys.readouterr().out + pathlib.Path(out).read_text(encoding="utf-8")
+        assert not any(word in text.lower() for word in ("nan", "inf")), argv
+        if argv[0] == "classify":
+            psi = float(text.split("psi_closed = ")[1].split()[0])
+            assert 0.0 <= psi <= 1.0
 
 
 class TestDeterminism:

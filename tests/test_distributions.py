@@ -12,7 +12,7 @@ from conftest import (fvm_x_beta_rejection, ks_critical, ks_statistic, random_ro
                       tau_from_rho)
 from rotgram import distributions as dist
 from rotgram import moments, so3
-from rotgram.errors import DomainError, OutOfRange
+from rotgram.errors import DomainError
 
 mpmath.mp.dps = 40
 
@@ -29,50 +29,70 @@ def bessel_series_oracle(order, z, tol=1e-16):
         m += 1
 
 
+def log_bessel_gap_oracle(n, kappa):
+    """log(e^-z (I_n(z) - I_{n+1}(z))) at z = 2 kappa from mpmath, with
+    enough digits that the difference keeps 40 of them."""
+    with mpmath.workdps(40 + max(0, int(math.log10(kappa)))):
+        z = 2 * mpmath.mpf(kappa)
+        return float(mpmath.log(mpmath.exp(-z) * (mpmath.besseli(n, z) - mpmath.besseli(n + 1, z))))
+
+
+KAPPA_GRID = ([1e-107, 1e-30, 1e-8, 0.01, 0.3, 1.0, 3.7, 7.5, 9.5, 9.99, 10.0, 10.01, 11.0,
+               15.0, 25.0, 50.0, 51.0]
+              + [10.0 ** e for e in range(2, 309, 17)] + [1.7976931348623157e308])
+
+
 class TestBessel:
+    """L_n(kappa) = log(e^-2k (I_n - I_{n+1})(2k)), the only Bessel kernel."""
+
     def test_at_zero(self):
-        assert dist.bessel_i(0, 0.0) == 1.0
-        assert dist.bessel_i(1, 0.0) == 0.0
+        assert dist.log_bessel_gap(0, 0.0) == 0.0
+        # L_2 ~ 2 log kappa - log 2 once the kappa^3 term is below rounding
+        assert abs(dist.log_bessel_gap(2, 1e-20) - (2.0 * math.log(1e-20) - math.log(2.0))) < 1e-15
 
     def test_i0_at_one_vs_series_oracle(self):
-        assert abs(dist.bessel_i(0, 1.0) - bessel_series_oracle(0, 1.0)) < 1e-14
-        assert abs(dist.bessel_i(0, 1.0) - 1.2660658777520084) < 1e-14
+        # z = 1: I0(1) = 1.2660658777520084
+        gap = bessel_series_oracle(0, 1.0) - bessel_series_oracle(1, 1.0)
+        assert abs(dist.log_bessel_gap(0, 0.5) - (math.log(gap) - 1.0)) < 1e-14
+        assert abs(bessel_series_oracle(0, 1.0) - 1.2660658777520084) < 1e-14
 
     def test_relative_error_against_mpmath(self):
-        for z in np.linspace(0.01, 100.0, 81):
-            for order in (0, 1, 2, 3):
-                ref = float(mpmath.besseli(order, z))
-                rel = abs(dist.bessel_i(order, z) - ref) / abs(ref)
-                assert rel < 1e-12, (order, z, rel)
+        for kappa in KAPPA_GRID:
+            for n in (0, 2):
+                ref = log_bessel_gap_oracle(n, kappa)
+                err = abs(dist.log_bessel_gap(n, kappa) - ref) / max(1.0, abs(ref))
+                assert err < 1e-13, (n, kappa, err)
 
     def test_relative_error_against_scipy(self):
-        for z in [0.3, 2.0, 7.7, 14.5, 15.5, 42.0, 99.0]:
-            for order in (0, 1, 2, 3):
-                ref = scipy.special.iv(order, z)
-                assert abs(dist.bessel_i(order, z) - ref) < 1e-12 * abs(ref) + 1e-15
+        # scipy's exponentially scaled ive; its difference loses about
+        # log10(4z) digits, so z stays moderate here
+        for z in [0.3, 2.0, 7.7, 14.5, 15.5, 19.9, 20.1, 42.0, 99.0, 150.0]:
+            for n in (0, 2):
+                ref = math.log(scipy.special.ive(n, z) - scipy.special.ive(n + 1, z))
+                assert abs(dist.log_bessel_gap(n, 0.5 * z) - ref) < 1e-12, (n, z)
 
     @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-107])
     def test_underflowing_series_terminates(self, z):
         # once the series terms underflow to 0 the stopping test must still hold
-        for order in (0, 1, 2, 3):
-            value = dist.bessel_i(order, z)
-            ref = float(mpmath.besseli(order, z))
-            assert math.isfinite(value) and abs(value - ref) <= 1e-12 * ref + 1e-320, order
+        for n in (0, 2):
+            value = dist.log_bessel_gap(n, z)
+            ref = log_bessel_gap_oracle(n, mpmath.mpf(z))
+            assert math.isfinite(value) and abs(value - ref) <= 1e-13 * abs(ref) + 1e-15, n
 
     def test_branch_agreement_at_cutoff(self):
-        from rotgram.distributions import _bessel_asymptotic, _bessel_series
-        for order in (0, 1, 2, 3):
-            s = _bessel_series(order, 15.0)
-            a = _bessel_asymptotic(order, 15.0)
-            assert abs(s - a) < 1e-12 * abs(s)
+        # the power series runs below kappa = 10, the asymptotic sum from it
+        below = math.nextafter(10.0, 0.0)
+        for n in (0, 2):
+            assert abs(dist.log_bessel_gap(n, below) - dist.log_bessel_gap(n, 10.0)) < 1e-14
 
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            dist.bessel_i(0, -0.1)
-        with pytest.raises(OutOfRange):
-            dist.bessel_i(1, 100.5)
-        with pytest.raises(ValueError):
-            dist.bessel_i(4, 1.0)
+    def test_finite_at_every_kappa(self):
+        # I_n itself overflows from z ~ 713 on; the scaled gap never does, and
+        # (I2 - I3) / (I0 - I1) tends to 5 (tau2 - 1/3 to 2/3), up to the
+        # rounding of L_n ~ -1066 there
+        for kappa in (5e-324, 1e-300, 1e154, 4.5e307, 1.7976931348623157e308):
+            assert all(math.isfinite(dist.log_bessel_gap(n, kappa)) for n in (0, 2))
+        top = 1.7976931348623157e308
+        assert abs(math.exp(dist.log_bessel_gap(2, top) - dist.log_bessel_gap(0, top)) - 5.0) < 1e-12
 
 
 class TestSpecValidation:
@@ -119,6 +139,24 @@ class TestFxDensity:
         total = moments.integrate(lambda x: dist.fx_density(spec, x), 0.0, 1.0)
         assert abs(total - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("kappa", [1e6, 1e8, 1e10, 1e12])
+    def test_cayley_near_the_mode_at_huge_kappa(self, kappa):
+        # a difference of lgammas for log B(kappa + 1/2, 3/2) was off by 1e-9
+        # relative at kappa = 1e6 and 9e-4 at 1e12
+        x = 1.0 - 1.5 / kappa
+        with mpmath.workdps(60):
+            k, xm = mpmath.mpf(kappa), mpmath.mpf(x)
+            ref = xm ** (k - 0.5) * mpmath.sqrt(1 - xm) / mpmath.beta(k + 0.5, 1.5)
+        assert abs(dist.fx_density(dist.cayley(kappa), x) / float(ref) - 1.0) < 1e-13
+
+    def test_log_beta_against_mpmath(self):
+        # lgammas below kappa = 30, the large-kappa expansion from there
+        for kappa in (0.0, 0.5, 2.0, 29.9, math.nextafter(30.0, 0.0), 30.0, 37.0, 1e3, 1e6,
+                      1e12, 1e100, 1e300, 1.7976931348623157e308):
+            with mpmath.workdps(40 + max(0, int(math.log10(max(kappa, 1.0))))):
+                ref = float(mpmath.log(mpmath.beta(mpmath.mpf(kappa) + 0.5, 1.5)))
+            assert abs(dist.log_beta_cayley(kappa) - ref) <= 1e-15 * max(1.0, abs(ref)), kappa
+
     def test_domain_errors(self):
         spec = dist.haar()
         for x in (0.0, 1.0, -0.2, 1.4):
@@ -152,7 +190,7 @@ class TestRotationDensity:
             lambda x: math.exp(kappa * (4.0 * x - 1.0)) * dist.fx_density(haar, x),
             0.0, 1.0,
         )
-        rhs = math.exp(kappa) * (dist.bessel_i(0, 2.0 * kappa) - dist.bessel_i(1, 2.0 * kappa))
+        rhs = math.exp(3.0 * kappa + dist.log_bessel_gap(0, kappa))
         assert abs(lhs - rhs) < 1e-9 * rhs
 
     @pytest.mark.parametrize("family", [dist.cayley, dist.fisher_von_mises])

@@ -135,6 +135,22 @@ class TestRhoMoment:
         ref, _ = scipy.integrate.quad(lambda x: x * dist.fx_density(spec, x), 0.0, 1.0)
         assert abs(mine - ref) < 1e-9
 
+    @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e12])
+    def test_fvm_at_huge_kappa_against_mpmath(self, kappa):
+        # an x-space quadrature missed the peak within 1/kappa of x = 1:
+        # rho_1 read 8.5e-75 at kappa = 1e6
+        with mpmath.workdps(60):
+            c = -4 * mpmath.mpf(kappa)
+
+            def one_minus_x(m):
+                return (mpmath.beta(0.5, 1.5 + m) * mpmath.hyp1f1(1.5 + m, 2 + m, c)
+                        / (mpmath.beta(0.5, 1.5) * mpmath.hyp1f1(1.5, 2, c)))
+
+            for r in (1, 2, 5):
+                ref = mpmath.fsum(mpmath.binomial(r, m) * (-1) ** m * one_minus_x(m)
+                                  for m in range(r + 1))
+                assert abs(moments.rho_moment(dist.fisher_von_mises(kappa), r) - float(ref)) < 1e-13
+
     def test_order_cap(self):
         with pytest.raises(DomainError):
             moments.rho_moment(dist.haar(), 21)
@@ -243,7 +259,7 @@ class TestTauK:
     @pytest.mark.parametrize("spec", [
         dist.haar(),
         *[dist.cayley(kappa) for kappa in (0.0, 0.5, 2.0, 50.0, 1e3, 1e6)],
-        *[dist.fisher_von_mises(kappa) for kappa in (0.5, 2.0, 20.0, 49.9)],
+        *[dist.fisher_von_mises(kappa) for kappa in (0.5, 2.0, 20.0, 49.9, 1e3, 1e6, 1e12)],
     ], ids=lambda spec: "%s-%g" % (spec.family.value, spec.kappa))
     def test_matches_mpmath_oracle(self, spec):
         # exact Beta means for Haar and Cayley-LMR; one quadrature for fvm

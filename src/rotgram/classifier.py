@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .distributions import (DistributionSpec, Family, fvm_log_norm, fx_density_fn, log_beta_cayley,
+from .distributions import (DistributionSpec, Family, fvm_log_norm, log_beta_cayley, mc_sum,
                             sample_rotations)
 from .errors import DomainError
-from .moments import fvm_expectation, integrate
+from .moments import fvm_expectation
 
 TIE_TOL = 1e-14
 MC_CHUNK = 1 << 17
@@ -82,9 +82,7 @@ def _tail(spec: DistributionSpec, t: float, t_c: float) -> float:
     """P(X > t), given t and t_c = 1 - t."""
     if spec.family is not Family.FVM or spec.kappa == 0.0:
         return _beta_tail(spec.kappa + 0.5, t, t_c)
-    if t_c <= 0.5:
-        return fvm_expectation(spec, lambda x, v: 1.0, t_c)
-    return 1.0 - integrate(fx_density_fn(spec), 0.0, t)
+    return fvm_expectation(spec, lambda x, v: 1.0, t, t_c)
 
 
 def _h_integrals(spec: DistributionSpec, alpha: float):
@@ -143,6 +141,7 @@ def mc_accuracy(
     n: int,
     rng: np.random.Generator,
     return_by_class: bool = False,
+    threads: int = 1,
 ):
     """Monte Carlo estimate of the classification accuracy.
 
@@ -150,34 +149,27 @@ def mc_accuracy(
     P = R M_label from the common centred law, applies the Bayes rule,
     and returns the fraction of correct assignments.  The draws come in
     chunks of MC_CHUNK, each drawing its labels first and its rotations
-    second, so memory does not grow with n.  The rule's statistic is
-    tr(R S_label), with S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1; per
-    chunk both come from one (m, 9) @ (9, 2) matrix product.  With
-    ``return_by_class`` the tuple (overall, class1 accuracy, class2
-    accuracy) is returned.
+    second; ``distributions.mc_sum`` seeds the chunks and runs up to
+    ``threads`` of them at once, and the result is the same bitwise for
+    every ``threads``.  The rule's statistic is tr(R S_label), with
+    S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1; per chunk both come from one
+    (m, 9) @ (9, 2) matrix product.  With ``return_by_class`` the tuple
+    (overall, class1 accuracy, class2 accuracy) is returned.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
     stat1 = contrast  # P M1^T = R for class-1 draws
     stat2 = pair.m2 @ pair.m1.T @ contrast
     # tr(R S) = <vec(R), vec(S^T)>
     W = np.column_stack((stat1.T.reshape(9), stat2.T.reshape(9)))
-    correct = 0
-    correct1 = 0
-    n1 = 0
-    done = 0
-    while done < n:
-        m = min(MC_CHUNK, n - done)
-        is1 = rng.integers(1, 3, size=m) == 1
-        S = sample_rotations(pair.common, m, rng).reshape(m, 9) @ W
+
+    def kernel(m, chunk_rng):
+        is1 = chunk_rng.integers(1, 3, size=m) == 1
+        S = sample_rotations(pair.common, m, chunk_rng).reshape(m, 9) @ W
         stat = np.where(is1, S[:, 0], S[:, 1])
-        assign1 = (stat > 0.0) | (np.abs(stat) < TIE_TOL)
-        hit = assign1 == is1
-        correct += int(np.count_nonzero(hit))
-        correct1 += int(np.count_nonzero(hit & is1))
-        n1 += int(np.count_nonzero(is1))
-        done += m
+        hit = ((stat > 0.0) | (np.abs(stat) < TIE_TOL)) == is1
+        return np.count_nonzero(hit), np.count_nonzero(hit & is1), np.count_nonzero(is1)
+
+    correct, correct1, n1 = mc_sum(kernel, n, MC_CHUNK, rng, threads)
     overall = correct / n
     if not return_by_class:
         return overall

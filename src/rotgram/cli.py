@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -85,42 +83,6 @@ def _spec(args) -> distributions.DistributionSpec:
     return distributions.DistributionSpec(args.family, modal=modal, kappa=args.kappa)
 
 
-def _chunked_mc(fn, n: int, seed: int, threads: int):
-    """Split an MC task of n >= 1 draws into min(threads, n) streams and
-    return the draw counts and the results of fn(count, rng), one per
-    stream.  One stream keeps the single-stream bitwise contract; more
-    streams spawn child generators (still deterministic, but a different
-    stream than one thread).  The worker count is capped at the CPU count
-    and does not change any stream's draws."""
-    if threads < 1:
-        raise DomainError("--threads must be >= 1")
-    streams = min(threads, n)
-    if streams == 1:
-        return [n], [fn(n, np.random.default_rng(seed))]
-    seqs = np.random.SeedSequence(seed).spawn(streams)
-    counts = [n // streams] * streams
-    counts[0] += n - sum(counts)
-    with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(lambda sc: fn(sc[0], np.random.default_rng(sc[1])), zip(counts, seqs)))
-    return counts, parts
-
-
-def _pooled_mean(counts, means):
-    """Draw-weighted mean of per-stream means; one stream's mean as is."""
-    if len(means) == 1:
-        return means[0]
-    return sum(c * m for c, m in zip(counts, means)) / sum(counts)
-
-
-def _pooled_stderr(counts, stderrs):
-    """Standard error of ``_pooled_mean`` over independent streams:
-    sqrt(sum((c_i / n)^2 se_i^2))."""
-    if len(stderrs) == 1:
-        return stderrs[0]
-    n = sum(counts)
-    return np.sqrt(sum((c / n) ** 2 * se * se for c, se in zip(counts, stderrs)))
-
-
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
@@ -185,14 +147,8 @@ def cmd_gram(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     closed = radon.expected_projected_gram(spec, V)
-    # MC on V 2^-e, |V| < 2^e, exactly: the fourth powers in its stderr stay finite
-    e = int(np.frexp(np.max(np.abs(V)))[1])
-    counts, parts = _chunked_mc(
-        lambda n, rng: radon.mc_projected_gram(spec, np.ldexp(V, -e), n, rng, return_stderr=True),
-        args.n_mc, args.seed, args.threads,
-    )
-    mc = np.ldexp(_pooled_mean(counts, [mean for mean, _ in parts]), 2 * e)
-    mc_se = np.ldexp(_pooled_stderr(counts, [se for _, se in parts]), 2 * e)
+    mc, mc_se = radon.mc_projected_gram(spec, V, args.n_mc, np.random.default_rng(args.seed),
+                                        return_stderr=True, threads=args.threads)
     deviation = mc - closed
     naive_bias = 1.5 * closed - radon.gram(V)
     _print_matrix("closed-form expected projected Gram:", closed)
@@ -230,10 +186,8 @@ def cmd_classify(args) -> int:
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
     dpsi = classifier.psi_derivative(pair)
-    acc = _pooled_mean(*_chunked_mc(
-        lambda n, rng: classifier.mc_accuracy(pair, n, rng),
-        args.n_mc, args.seed, args.threads,
-    ))
+    acc = classifier.mc_accuracy(pair, args.n_mc, np.random.default_rng(args.seed),
+                                 threads=args.threads)
     if 0.0 < acc < 1.0:
         stderr = _fmt(math.sqrt(acc * (1.0 - acc) / args.n_mc))
     else:
@@ -280,7 +234,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_threads(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1,
-                        help="MC worker streams (>= 1); 1 (default) is the bitwise-reproducible mode")
+                        help="MC chunks run at once (>= 1, default 1); output does not depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:

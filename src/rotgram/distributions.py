@@ -12,12 +12,17 @@ case for every family):
 Shifted samples use the right-multiplication convention P = R M, where R
 is the centred (modal = I) conjugation-invariant rotation.  All samplers
 mutate only the caller-supplied numpy Generator.  Normalisers are taken
-on the log scale, so every finite kappa is supported.
+on the log scale, so every finite kappa is supported.  ``mc_sum`` is the
+seeded, chunked Monte Carlo driver behind the Gram and classifier
+estimates.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -150,11 +155,15 @@ def rotation_density(spec: DistributionSpec, P) -> float:
         return 1.0
     t = float(np.trace(P @ spec.modal.T))
     if spec.family is Family.FVM:
-        return math.exp(k * (t - 3.0) - log_bessel_gap(0, k))
-    # Cayley-LMR: the ratio of the X-densities at x = (1 + t)/4 to Haar's
-    if 1.0 + t <= 0.0:
+        log_density = k * (t - 3.0) - log_bessel_gap(0, k)
+    elif 1.0 + t <= 0.0:
         return 0.0 if k > 0.0 else 1.0
-    return math.exp(k * math.log1p(0.25 * (t - 3.0)) + math.log(0.5 * math.pi) - log_beta_cayley(k))
+    else:  # Cayley-LMR: the ratio of the X-densities at x = (1 + t)/4 to Haar's
+        log_density = k * math.log1p(0.25 * (t - 3.0)) + math.log(0.5 * math.pi) - log_beta_cayley(k)
+    try:
+        return math.exp(log_density)
+    except OverflowError:  # beyond the float range near the mode, from kappa ~ 1e205
+        return math.inf
 
 
 def fz_closed_cayley(kappa: float, s: float) -> float:
@@ -264,3 +273,34 @@ def sample_rotations(
         angles = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
         return P, axes, angles, x
     return P
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo driver
+
+
+def mc_sum(kernel, n: int, chunk: int, rng: np.random.Generator, threads: int = 1):
+    """Elementwise sum of the tuples kernel(m, chunk_rng) over n >= 1 draws.
+
+    The draws are cut into chunks of ``chunk`` (the last may be shorter),
+    and chunk i draws from the i-th child of ``rng.spawn``, whichever
+    worker runs it.  At most min(threads, CPU count) chunks run at once,
+    one batch of children is spawned per round (children are numbered
+    consecutively, so batches give the same children as one spawn), and
+    the results are added in chunk order.  The sum is therefore the same
+    bitwise for every ``threads``, and memory holds at most one round of
+    chunks, whatever n is.
+    """
+    if threads < 1:
+        raise DomainError("threads must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    count = -(-n // chunk)
+    workers = min(threads, os.cpu_count() or 1, count)
+    total = None
+    with concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for first in range(0, count, workers):
+            sizes = [min(chunk, n - i * chunk) for i in range(first, min(first + workers, count))]
+            for part in (pool.map if pool else map)(kernel, sizes, rng.spawn(len(sizes))):
+                total = part if total is None else tuple(a + b for a, b in zip(total, part))
+    return total

@@ -194,20 +194,23 @@ class MomentVector:
         object.__setattr__(self, "tau", tau)
 
 
-def fvm_expectation(spec: DistributionSpec, g, s: float, quad: QuadratureSpec | None = None) -> float:
-    """E[g(X, 1 - X); 1 - X < s] under the Fisher-von Mises law at kappa > 0.
+def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float,
+                    quad: QuadratureSpec | None = None) -> float:
+    """E[g(X, 1 - X); X > t] under the Fisher-von Mises law at kappa > 0,
+    given t and t_c = 1 - t, so that neither is formed from the other.
 
     f_X peaks within about 1/kappa of x = 1, so where 1 - x < 1/2 the
     integral runs in y = m (1 - x), m = max(kappa, 1): the peak lies within
     O(1) of y = 0 at every kappa, 1 - X carries no cancellation, and y stops
     at 745/4, where e^(-4y) underflows.  There f_X dx = sqrt(y / (1 - v))
     e^(log c - 1.5 log m - 4 (kappa / m) y) dy, v = y / m.  The rest, with
-    the 1/sqrt(x) end x = 0, runs in x.  Without ``quad`` both run to the
-    roundoff floor.
+    the 1/sqrt(x) end x = 0, runs in x from t.  Without ``quad`` both run
+    to the roundoff floor.
     """
     k = spec.kappa
     m = max(k, 1.0)
-    lead = fvm_log_norm(k) - 1.5 * math.log(m)
+    log_c = fvm_log_norm(k)
+    lead = log_c - 1.5 * math.log(m)
     rate = 4.0 * (k / m)
     quad = quad or _FLOOR_QUADRATURE
 
@@ -215,10 +218,12 @@ def fvm_expectation(spec: DistributionSpec, g, s: float, quad: QuadratureSpec | 
         v = y / m
         return math.exp(lead + 0.5 * math.log(y) - rate * y) / math.sqrt(1.0 - v) * g(1.0 - v, v)
 
-    total = integrate(integrand, 0.0, min(min(s, 0.5) * m, 745.0 / 4.0), quad)
-    if s > 0.5:
-        fx = fx_density_fn(spec)
-        total += integrate(lambda x: fx(x) * g(x, 1.0 - x), 1.0 - s, 0.5, quad)
+    def x_integrand(x: float) -> float:  # f_X as in ``fx_density_fn``, with log c reused
+        return math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (k * (1.0 - x))) * g(x, 1.0 - x)
+
+    total = integrate(integrand, 0.0, min(min(t_c, 0.5) * m, 745.0 / 4.0), quad)
+    if t_c > 0.5:
+        total += integrate(x_integrand, t, 0.5, quad)
     return total
 
 
@@ -232,7 +237,7 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights, quad) -> float:
     """
     if spec.family is Family.FVM and spec.kappa > 0.0:
         return fvm_expectation(spec, lambda x, v: sum(w * x ** (n - j) * v ** j
-                                                     for j, w in enumerate(weights)), 1.0, quad)
+                                                     for j, w in enumerate(weights)), 0.0, 1.0, quad)
     p = spec.kappa + 0.5
     total = 0.0
     for b, w in enumerate(weights):

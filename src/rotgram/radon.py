@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import moments
-from .distributions import DistributionSpec, sample_rotations
+from .distributions import DistributionSpec, mc_sum, sample_rotations
 from .errors import DomainError
 
 _H = np.diag([1.0, 1.0, 0.0])
@@ -76,39 +76,38 @@ def mc_projected_gram(
     n: int,
     rng: np.random.Generator,
     return_stderr: bool = False,
+    threads: int = 1,
 ):
     """Monte Carlo mean of Gram(H A V) over n rotation draws.
 
     Gram(H A V) = Gram(V) - g g^T with g the third row of A V, so a draw
     enters only through g.  Each chunk of MC_CHUNK draws adds g^T g and,
-    for the standard error, (g*g)^T (g*g) as two matrix products.  The
-    chunk order is fixed, so the result is reproducible bitwise for a
-    given seeded generator, and memory does not grow with n.  With
-    ``return_stderr`` the entrywise standard error of the mean is
-    returned as a second array.
+    for the standard error, (g*g)^T (g*g) as two matrix products;
+    ``distributions.mc_sum`` seeds the chunks and runs up to ``threads``
+    of them at once, and the result is the same bitwise for every
+    ``threads``.  The sums are formed on V 2^-e, |V| < 2^e, and scaled
+    back exactly, so that the fourth powers stay finite for every finite
+    V.  With ``return_stderr`` the entrywise standard error of the mean
+    is returned as a second array.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     V = np.asarray(V, dtype=float)
-    k = V.shape[1]
-    total = np.zeros((k, k))
-    total_sq = np.zeros((k, k))
-    done = 0
-    while done < n:
-        m = min(MC_CHUNK, n - done)
-        g = sample_rotations(spec, m, rng)[:, 2, :] @ V
-        total += g.T @ g
+    e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
+    U = np.ldexp(V, -e)
+
+    def kernel(m, chunk_rng):
+        g = sample_rotations(spec, m, chunk_rng)[:, 2, :] @ U
         gg = g * g
-        total_sq += gg.T @ gg
-        done += m
+        return g.T @ g, gg.T @ gg
+
+    total, total_sq = mc_sum(kernel, n, MC_CHUNK, rng, threads)
     outer = total / n
-    mean = gram(V) - outer
+    mean = np.ldexp(gram(U) - outer, 2 * e)
     if not return_stderr:
         return mean
     var = np.maximum(total_sq / n - outer * outer, 0.0)
     if n > 1:
         var *= n / (n - 1.0)
-    return mean, np.sqrt(var / n)
+    return mean, np.ldexp(np.sqrt(var / n), 2 * e)
 
 
 def recover_gram(E, tau2: float, w) -> np.ndarray:

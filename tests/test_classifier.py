@@ -41,16 +41,17 @@ def bayes_assign(P, pair):
 
 def two_einsum_accuracy(pair, n, rng):
     """Oracle for ``mc_accuracy``: the same labels and rotation draws,
-    chunk by chunk, with the class-1 and class-2 statistics tr(R S_i)
-    from one einsum each.  Returns (overall, class 1, class 2)
-    accuracies."""
+    chunk by chunk, chunk i from the i-th spawned child of ``rng``, with
+    the class-1 and class-2 statistics tr(R S_i) from one einsum each.
+    Returns (overall, class 1, class 2) accuracies."""
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
     stat2 = pair.m2 @ pair.m1.T @ contrast
     labels, hits = [], []
-    for start in range(0, n, cls.MC_CHUNK):
+    starts = range(0, n, cls.MC_CHUNK)
+    for start, child in zip(starts, rng.spawn(len(starts))):
         m = min(cls.MC_CHUNK, n - start)
-        lab = rng.integers(1, 3, size=m)
-        R = dist.sample_rotations(pair.common, m, rng)
+        lab = child.integers(1, 3, size=m)
+        R = dist.sample_rotations(pair.common, m, child)
         s1 = np.einsum("nij,ji->n", R, contrast)
         s2 = np.einsum("nij,ji->n", R, stat2)
         stat = np.where(lab == 1, s1, s2)

@@ -207,20 +207,6 @@ class TestGram:
         assert abs(float(lines[-1].split(" = ")[1]) - z.max()) <= 1e-12 * z.max()
         assert z.max() < 6.0
 
-    def test_threaded_stderr_pools_the_streams(self, tmp_path, capsys):
-        text, spec, V = self._report(tmp_path, capsys, "--n-mc", "30001", "--threads", "2")
-        counts = [15001, 15000]
-        seqs = np.random.SeedSequence(5).spawn(2)
-        ses = [radon.mc_projected_gram(spec, V, c, np.random.default_rng(q), return_stderr=True)[1]
-               for c, q in zip(counts, seqs)]
-        pooled = np.sqrt(sum((c / 30001) ** 2 * se * se for c, se in zip(counts, ses)))
-        got = self._blocks(text)["entrywise MC standard error"]
-        np.testing.assert_allclose(got, pooled, rtol=1e-15, atol=0.0)
-        # about the single-stream stderr at the same n
-        _, single = radon.mc_projected_gram(spec, V, 30001, np.random.default_rng(5),
-                                            return_stderr=True)
-        assert np.all(np.abs(got / single - 1.0) < 0.1)
-
     def test_single_draw_has_undefined_z(self, tmp_path, capsys):
         text, _, _ = self._report(tmp_path, capsys, "--n-mc", "1")
         assert text.splitlines()[-1] == "max |z| = undefined (zero standard error)"
@@ -501,6 +487,23 @@ class TestDeterminism:
             assert run(["gram", "--family", "haar", "--landmarks", str(V),
                         "--n-mc", "100", "--threads", threads]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("family", ["cayley", "fvm"])
+    @pytest.mark.parametrize("n_mc", ["1", "2", "65537", "300001"])
+    def test_threads_do_not_change_the_output(self, family, n_mc, tmp_path, capsys):
+        V = tmp_path / "V.csv"
+        V.write_text("1,0,0.5,-1\n0,1,0.25,2\n0,0,1,0.5\n", encoding="utf-8")
+        out = tmp_path / "gram.csv"
+        common = ["--family", family, "--kappa", "2", "--n-mc", n_mc, "--seed", "11"]
+        reports = []
+        for threads in ("1", "2", "3", "8"):
+            assert run(["gram", *common, "--modal-axis", "1,2,3", "--modal-angle", "0.4",
+                        "--landmarks", str(V), "--out", str(out), "--threads", threads]) == 0
+            gram = capsys.readouterr().out, out.read_bytes()
+            assert run(["classify", *common, "--modal2-axis", "0,0,1", "--modal2-angle", "1.0",
+                        "--threads", threads]) == 0
+            reports.append((gram, capsys.readouterr().out))
+        assert all(report == reports[0] for report in reports[1:])
 
     def test_more_threads_than_draws(self, tmp_path, capsys):
         V = tmp_path / "V.csv"

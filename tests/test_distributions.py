@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 
 import mpmath
@@ -209,6 +210,20 @@ class TestRotationDensity:
         assert abs(total - 1.0) < 1e-9
 
 
+    @pytest.mark.parametrize("family", [dist.cayley, dist.fisher_von_mises])
+    @pytest.mark.parametrize("kappa", [1e206, 1e300])
+    def test_beyond_the_float_range_is_inf(self, family, kappa):
+        # both raised OverflowError ("math range error") at the mode
+        spec = family(kappa)
+        assert dist.rotation_density(spec, np.eye(3)) == math.inf
+        off_mode = so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.5 * math.pi)
+        assert dist.rotation_density(spec, off_mode) == 0.0
+
+    def test_largest_finite_values_keep_their_bits(self):
+        assert dist.rotation_density(dist.cayley(1e200), np.eye(3)) == 1.772453850905588e+300
+        assert dist.rotation_density(dist.fisher_von_mises(1e200), np.eye(3)) == 1.4179630807245589e+301
+
+
 class TestFzClosedCayley:
     def test_uniform_case(self):
         for s in (-1.0, -0.3, 0.0, 0.8, 1.0):
@@ -408,3 +423,54 @@ class TestConjugationInvariance:
         oa, ob = Ra[:, 0, 2], np.transpose(Rb, (0, 2, 1))[:, 0, 2]
         se = math.hypot(oa.std(ddof=1), ob.std(ddof=1)) / math.sqrt(n)
         assert abs(oa.mean() - ob.mean()) < 4.0 * se
+
+
+class SpawnLog:
+    """A numpy Generator proxy that records the size of every ``spawn``."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.sizes = []
+
+    def spawn(self, n_children):
+        self.sizes.append(n_children)
+        return self._rng.spawn(n_children)
+
+
+def uniform_sums(m, rng):
+    x = rng.uniform(size=m)
+    return m, x.sum(), x @ x
+
+
+class TestMcSum:
+    def test_chunk_i_draws_from_child_i(self):
+        children = np.random.default_rng(5).spawn(4)
+        parts = [uniform_sums(m, child) for m, child in zip((3, 3, 3, 1), children)]
+        want = parts[0]
+        for part in parts[1:]:
+            want = tuple(a + b for a, b in zip(want, part))
+        assert dist.mc_sum(uniform_sums, 10, 3, np.random.default_rng(5)) == want
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_same_bits_for_every_thread_count(self, threads):
+        one = dist.mc_sum(uniform_sums, 100003, 1000, np.random.default_rng(6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a lost or reordered chunk would change the sums
+        try:
+            many = dist.mc_sum(uniform_sums, 100003, 1000, np.random.default_rng(6), threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == one
+
+    def test_spawn_batches_are_bounded(self):
+        rng = SpawnLog(np.random.default_rng(7))
+        total = dist.mc_sum(uniform_sums, 95, 10, rng, threads=3)
+        assert total[0] == 95
+        assert sum(rng.sizes) == 10
+        assert all(size <= min(3, os.cpu_count() or 1) for size in rng.sizes), rng.sizes
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            dist.mc_sum(uniform_sums, 10, 3, np.random.default_rng(0), threads=0)
+        with pytest.raises(ValueError):
+            dist.mc_sum(uniform_sums, 0, 3, np.random.default_rng(0))

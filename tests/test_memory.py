@@ -1,5 +1,6 @@
 """Peak memory of the Monte Carlo kernels does not grow with the number
-of draws: both work in fixed-size chunks and keep nothing per draw."""
+of draws: both work in fixed-size chunks, keep nothing per draw, and
+hold at most one chunk per thread at once."""
 
 import tracemalloc
 
@@ -25,22 +26,34 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def chunk_peaks(run, chunk):
+    return [peak_bytes(lambda n, c=c: run(n or c * chunk)) for c in CHUNK_COUNTS]
+
+
 def assert_flat(run, chunk):
-    peaks = [peak_bytes(lambda n, c=c: run(n or c * chunk)) for c in CHUNK_COUNTS]
+    peaks = chunk_peaks(lambda n: run(n, 1), chunk)
     # five chunks of draws may not cost more than two, give or take 1%
     assert max(peaks) <= 1.01 * min(peaks), peaks
+    # Two threads draw up to two chunks at once, whatever n is.  How far
+    # the two chunks' temporaries overlap varies from run to run, so their
+    # peak lies anywhere from one to two chunks' worth.
+    threaded = chunk_peaks(lambda n: run(n, 2), chunk)
+    assert max(threaded) <= 2.02 * min(peaks), (peaks, threaded)
 
 
 def test_mc_accuracy_peak_is_flat():
     pair = cls.ClassPair(np.eye(3), so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.0),
                          dist.cayley(2.0))
-    assert_flat(lambda n: cls.mc_accuracy(pair, n, np.random.default_rng(1)), cls.MC_CHUNK)
+    assert_flat(lambda n, threads: cls.mc_accuracy(pair, n, np.random.default_rng(1),
+                                                   threads=threads),
+                cls.MC_CHUNK)
 
 
 @pytest.mark.parametrize("return_stderr", [False, True])
 def test_mc_projected_gram_peak_is_flat(return_stderr):
     V = np.random.default_rng(2).normal(size=(3, 4))
     spec = dist.cayley(2.0)
-    assert_flat(lambda n: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
-                                                  return_stderr=return_stderr),
+    assert_flat(lambda n, threads: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
+                                                           return_stderr=return_stderr,
+                                                           threads=threads),
                 radon.MC_CHUNK)

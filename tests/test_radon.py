@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,21 +117,38 @@ class TestMcProjectedGram:
 
     @pytest.mark.parametrize("n", [1000, radon.MC_CHUNK, 2 * radon.MC_CHUNK + 12345])
     def test_matches_per_draw_oracle(self, n):
-        # the same chunked draws, reduced draw by draw as Gram(H A V)
+        # the same chunked draws, chunk i from the i-th spawned child,
+        # reduced draw by draw as Gram(H A V)
         rng = np.random.default_rng(13)
         V = rng.normal(size=(3, 4))
         spec = dist.cayley(2.0, modal=random_rotation(rng))
         mean, se = radon.mc_projected_gram(spec, V, n, np.random.default_rng(14),
                                            return_stderr=True)
-        oracle_rng = np.random.default_rng(14)
+        starts = range(0, n, radon.MC_CHUNK)
+        children = np.random.default_rng(14).spawn(len(starts))
         grams = []
-        for start in range(0, n, radon.MC_CHUNK):
-            A = dist.sample_rotations(spec, min(radon.MC_CHUNK, n - start), oracle_rng)
+        for start, child in zip(starts, children):
+            A = dist.sample_rotations(spec, min(radon.MC_CHUNK, n - start), child)
             B = A[:, :2, :] @ V
             grams.append(np.einsum("ndj,ndl->njl", B, B))
         G = np.concatenate(grams)
         np.testing.assert_allclose(mean, G.mean(axis=0), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(se, G.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12, atol=0.0)
+
+    def test_large_landmarks_scale_exactly(self):
+        # the fourth powers in the stderr overflowed to nan at 1e80
+        V = np.array([[1e80, 0.0, 3e79], [0.0, 1e80, -2e79], [5e79, 2.5e79, 1e80]])
+        spec = dist.cayley(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = radon.mc_projected_gram(spec, V, 1000, np.random.default_rng(4),
+                                               return_stderr=True)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
+        # powers of two are exact: the same sums as for V / 2^266
+        small_mean, small_se = radon.mc_projected_gram(spec, np.ldexp(V, -266), 1000,
+                                                       np.random.default_rng(4), return_stderr=True)
+        np.testing.assert_array_equal(se, np.ldexp(small_se, 532))
+        np.testing.assert_array_equal(mean, np.ldexp(small_mean, 532))
 
     def test_mean_is_symmetric(self):
         V = np.random.default_rng(15).normal(size=(3, 5))

@@ -17,7 +17,7 @@ Every finite kappa is supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class ClassPair:
     m1: np.ndarray
     m2: np.ndarray
     common: DistributionSpec
-    alpha: float = None
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         m1 = so3.require_rotation(self.m1)
@@ -140,21 +140,21 @@ def mc_accuracy(
     pair: ClassPair,
     n: int,
     rng: np.random.Generator,
-    return_by_class: bool = False,
     threads: int = 1,
 ):
     """Monte Carlo estimate of the classification accuracy.
 
     Draws class labels uniformly, samples each observation as
     P = R M_label from the common centred law, applies the Bayes rule,
-    and returns the fraction of correct assignments.  The draws come in
-    chunks of MC_CHUNK, each drawing its labels first and its rotations
-    second; ``distributions.mc_sum`` seeds the chunks and runs up to
+    and returns the fractions of correct assignments as the tuple
+    (overall, class-1 accuracy, class-2 accuracy); a class that drew no
+    labels has accuracy nan.  The draws come in chunks of MC_CHUNK, each
+    drawing its labels first and its rotations second;
+    ``distributions.mc_sum`` seeds the chunks and runs up to
     ``threads`` of them at once, and the result is the same bitwise for
     every ``threads``.  The rule's statistic is tr(R S_label), with
     S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1; per chunk both come from one
-    (m, 9) @ (9, 2) matrix product.  With ``return_by_class`` the tuple
-    (overall, class1 accuracy, class2 accuracy) is returned.
+    (m, 9) @ (9, 2) matrix product.
     """
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
     stat1 = contrast  # P M1^T = R for class-1 draws
@@ -171,8 +171,6 @@ def mc_accuracy(
 
     correct, correct1, n1 = mc_sum(kernel, n, MC_CHUNK, rng, threads)
     overall = correct / n
-    if not return_by_class:
-        return overall
     acc1 = correct1 / n1 if n1 else math.nan
     n2 = n - n1
     acc2 = (correct - correct1) / n2 if n2 else math.nan

@@ -148,7 +148,7 @@ def cmd_gram(args) -> int:
         return EXIT_DATA
     closed = radon.expected_projected_gram(spec, V)
     mc, mc_se = radon.mc_projected_gram(spec, V, args.n_mc, np.random.default_rng(args.seed),
-                                        return_stderr=True, threads=args.threads)
+                                        threads=args.threads)
     deviation = mc - closed
     naive_bias = 1.5 * closed - radon.gram(V)
     _print_matrix("closed-form expected projected Gram:", closed)
@@ -186,8 +186,8 @@ def cmd_classify(args) -> int:
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
     dpsi = classifier.psi_derivative(pair)
-    acc = classifier.mc_accuracy(pair, args.n_mc, np.random.default_rng(args.seed),
-                                 threads=args.threads)
+    acc, _, _ = classifier.mc_accuracy(pair, args.n_mc, np.random.default_rng(args.seed),
+                                       threads=args.threads)
     if 0.0 < acc < 1.0:
         stderr = _fmt(math.sqrt(acc * (1.0 - acc) / args.n_mc))
     else:

@@ -168,15 +168,17 @@ def rotation_density(spec: DistributionSpec, P) -> float:
 
 def fz_closed_cayley(kappa: float, s: float) -> float:
     """Closed-form zonal density of Z = (R e3)_3 for the Cayley-LMR
-    family: 2^-kappa (kappa + 1) (1 + s)^kappa on [-1, 1].
+    family: (kappa + 1) ((1 + s) / 2)^kappa on [-1, 1].
 
-    Normalised so that (1/2) * integral over [-1, 1] equals 1.
+    Normalised so that (1/2) * integral over [-1, 1] equals 1.  The base
+    (1 + s) / 2 is at most 1, so the power cannot overflow at any finite
+    kappa.
     """
-    if kappa < 0.0:
-        raise DomainError("kappa must be >= 0")
+    if not 0.0 <= kappa < math.inf:
+        raise DomainError("concentration kappa must be finite and >= 0")
     if not -1.0 <= s <= 1.0:
         raise DomainError("s must lie in [-1, 1]")
-    return 2.0 ** (-kappa) * (kappa + 1.0) * (1.0 + s) ** kappa
+    return (kappa + 1.0) * (0.5 * (1.0 + s)) ** kappa
 
 
 # ---------------------------------------------------------------------------

@@ -12,4 +12,5 @@ class DomainError(ValueError):
 
 class NoConvergence(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget before
-    reaching the requested tolerance."""
+    reaching the requested tolerance; the message names the interval,
+    the panel count and the depth reached."""

@@ -8,6 +8,11 @@ moment bridge: tau_k is the mean of a Bernstein polynomial in X with
 nonnegative weights, exact for the Beta laws of Haar and Cayley-LMR and
 one quadrature for Fisher-von Mises.
 
+``integrate`` has one setting, a float absolute tolerance (default
+1e-10).  The Fisher-von Mises tail ``fvm_expectation`` always runs to
+the roundoff floor, and ``fx_from_fz`` to 1e-9, the floor of its
+derivative stencil.
+
 The zonal density f_Z is normalised so that (1/2) * integral_{-1}^{1}
 f_Z(s) ds = 1, matching the sphere-density convention of the closed
 Cayley-LMR form (Haar gives f_Z identically 1).
@@ -59,25 +64,6 @@ _UFLOW = np.finfo(float).tiny
 CAYLEY_SCALED_KAPPA = 1e150
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive-quadrature budget: absolute tolerance and maximum number
-    of panel bisections."""
-
-    abs_tol: float = 1e-10
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-_FLOOR_QUADRATURE = QuadratureSpec(abs_tol=_UFLOW)
-
-
 def _qk15(g, a: float, b: float):
     """One Gauss-Kronrod 15/7 panel; returns (integral, error estimate)."""
     centre = 0.5 * (a + b)
@@ -110,7 +96,7 @@ def _qk15(g, a: float, b: float):
     return integral, err, resabs
 
 
-def integrate(f, a: float, b: float, quad: QuadratureSpec | None = None) -> float:
+def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     The substitution x = a + (b - a) sin^2(t) is applied first, which
@@ -120,9 +106,12 @@ def integrate(f, a: float, b: float, quad: QuadratureSpec | None = None) -> floa
     50 eps * integral(|f|), whichever is larger (an absolute tolerance
     finer than that floor is unreachable in double precision).
 
-    Raises NoConvergence when the bisection budget is exhausted.
+    Raises ValueError unless abs_tol > 0, and NoConvergence, naming
+    [a, b], the panel count and the depth reached, when the bisection
+    budget (4000 panels, depth 60) is exhausted.
     """
-    quad = quad or DEFAULT_QUADRATURE
+    if not abs_tol > 0.0:
+        raise ValueError("abs_tol must be positive")
     a = float(a)
     b = float(b)
     if a == b:
@@ -145,7 +134,8 @@ def integrate(f, a: float, b: float, quad: QuadratureSpec | None = None) -> floa
     total_err = err
     total_resabs = resabs
     max_panels = 4000
-    while total_err > max(quad.abs_tol, 50.0 * _EPS * total_resabs):
+    max_depth = 60
+    while total_err > max(abs_tol, 50.0 * _EPS * total_resabs):
         neg_err, depth, lo, hi, val, err, resabs = heapq.heappop(heap)
         if err <= 55.0 * _EPS * resabs:
             # The worst panel is already at its roundoff floor; splitting
@@ -153,10 +143,11 @@ def integrate(f, a: float, b: float, quad: QuadratureSpec | None = None) -> floa
             # machine precision even though abs_tol was not reachable.
             heapq.heappush(heap, (neg_err, depth, lo, hi, val, err, resabs))
             break
-        if depth >= quad.max_depth or len(heap) + 2 > max_panels:
+        if depth >= max_depth or len(heap) + 2 > max_panels:
+            deepest = max([depth] + [item[1] for item in heap])
             raise NoConvergence(
-                "quadrature stalled at error %.3e (target %.3e)"
-                % (total_err, quad.abs_tol)
+                "quadrature on [%.17g, %.17g] stalled at error %.3e (target %.3e) "
+                "after %d panels, depth %d" % (a, b, total_err, abs_tol, len(heap) + 1, deepest)
             )
         mid = 0.5 * (lo + hi)
         v1, e1, r1 = _qk15(transformed, lo, mid)
@@ -194,8 +185,7 @@ class MomentVector:
         object.__setattr__(self, "tau", tau)
 
 
-def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float,
-                    quad: QuadratureSpec | None = None) -> float:
+def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float) -> float:
     """E[g(X, 1 - X); X > t] under the Fisher-von Mises law at kappa > 0,
     given t and t_c = 1 - t, so that neither is formed from the other.
 
@@ -204,15 +194,14 @@ def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float,
     O(1) of y = 0 at every kappa, 1 - X carries no cancellation, and y stops
     at 745/4, where e^(-4y) underflows.  There f_X dx = sqrt(y / (1 - v))
     e^(log c - 1.5 log m - 4 (kappa / m) y) dy, v = y / m.  The rest, with
-    the 1/sqrt(x) end x = 0, runs in x from t.  Without ``quad`` both run
-    to the roundoff floor.
+    the 1/sqrt(x) end x = 0, runs in x from t.  Both run to the roundoff
+    floor: the tolerance is the smallest normal float.
     """
     k = spec.kappa
     m = max(k, 1.0)
     log_c = fvm_log_norm(k)
     lead = log_c - 1.5 * math.log(m)
     rate = 4.0 * (k / m)
-    quad = quad or _FLOOR_QUADRATURE
 
     def integrand(y: float) -> float:
         v = y / m
@@ -221,13 +210,13 @@ def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float,
     def x_integrand(x: float) -> float:  # f_X as in ``fx_density_fn``, with log c reused
         return math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (k * (1.0 - x))) * g(x, 1.0 - x)
 
-    total = integrate(integrand, 0.0, min(min(t_c, 0.5) * m, 745.0 / 4.0), quad)
+    total = integrate(integrand, 0.0, min(min(t_c, 0.5) * m, 745.0 / 4.0), _UFLOW)
     if t_c > 0.5:
-        total += integrate(x_integrand, t, 0.5, quad)
+        total += integrate(x_integrand, t, 0.5, _UFLOW)
     return total
 
 
-def _bernstein_mean(spec: DistributionSpec, n: int, weights, quad) -> float:
+def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
     """sum_j weights[j] E[X^(n-j) (1-X)^j] over j = 0 .. len(weights) - 1.
 
     Haar and Cayley-LMR have X ~ Beta(p, 3/2) with p = kappa + 1/2, so
@@ -237,7 +226,7 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights, quad) -> float:
     """
     if spec.family is Family.FVM and spec.kappa > 0.0:
         return fvm_expectation(spec, lambda x, v: sum(w * x ** (n - j) * v ** j
-                                                     for j, w in enumerate(weights)), 0.0, 1.0, quad)
+                                                     for j, w in enumerate(weights)), 0.0, 1.0)
     p = spec.kappa + 0.5
     total = 0.0
     for b, w in enumerate(weights):
@@ -251,14 +240,14 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights, quad) -> float:
     return total
 
 
-def rho_moment(spec: DistributionSpec, r: int, quad: QuadratureSpec | None = None) -> float:
+def rho_moment(spec: DistributionSpec, r: int) -> float:
     """E[X^r].  Haar and Cayley-LMR use the Beta-moment Pochhammer ratio
     with p = kappa + 1/2, q = 3/2; Fisher-von Mises integrates x^r f_X."""
     if not 0 <= r <= 20:
         raise DomainError("moment order must lie in 0..20")
     if r == 0:
         return 1.0
-    return _bernstein_mean(spec, r, (1.0,), quad)
+    return _bernstein_mean(spec, r, (1.0,))
 
 
 def tau2_excess(spec: DistributionSpec) -> float:
@@ -293,7 +282,7 @@ def tau2(spec: DistributionSpec) -> float:
     return 1.0 / 3.0 + tau2_excess(spec)
 
 
-def tau_k(spec: DistributionSpec, k: int, quad: QuadratureSpec | None = None) -> float:
+def tau_k(spec: DistributionSpec, k: int) -> float:
     """E[Z^k], the mean of a Bernstein polynomial in X with nonnegative
     weights.  Rodrigues' formula gives Z = X + (1 - X) W, with W = 2 U^2 - 1
     for the uniform axis component U independent of X, so
@@ -307,13 +296,13 @@ def tau_k(spec: DistributionSpec, k: int, quad: QuadratureSpec | None = None) ->
     for j in range(1, k + 1):
         d = 2.0 * j * (2.0 - d) / (2.0 * j + 1.0)
         weights.append(math.comb(k, j) * d)
-    return 1.0 - _bernstein_mean(spec, k, weights, quad)
+    return 1.0 - _bernstein_mean(spec, k, weights)
 
 
-def moment_vector(spec: DistributionSpec, order: int, quad: QuadratureSpec | None = None) -> MomentVector:
+def moment_vector(spec: DistributionSpec, order: int) -> MomentVector:
     """rho and tau up to ``order`` (tau via the Bernstein kernel of ``tau_k``)."""
-    rho = [rho_moment(spec, r, quad) for r in range(order + 1)]
-    tau = [1.0] + [tau_k(spec, j, quad) for j in range(1, order + 1)]
+    rho = [rho_moment(spec, r) for r in range(order + 1)]
+    tau = [1.0] + [tau_k(spec, j) for j in range(1, order + 1)]
     return MomentVector(rho=tuple(rho), tau=tuple(tau))
 
 
@@ -321,7 +310,7 @@ def moment_vector(spec: DistributionSpec, order: int, quad: QuadratureSpec | Non
 # Density transforms
 
 
-def fz_from_fx(spec: DistributionSpec, s: float, quad: QuadratureSpec | None = None) -> float:
+def fz_from_fx(spec: DistributionSpec, s: float) -> float:
     """Zonal density of Z at s in (-1, 1), from the angle density:
 
         f_Z(s) = (1/sqrt2) * integral_0^{(1+s)/2}
@@ -339,11 +328,11 @@ def fz_from_fx(spec: DistributionSpec, s: float, quad: QuadratureSpec | None = N
     def integrand(x: float) -> float:
         return fx(x) / math.sqrt((1.0 + s - 2.0 * x) * (1.0 - x))
 
-    value = integrate(integrand, 0.0, upper, quad) / _SQRT2
+    value = integrate(integrand, 0.0, upper) / _SQRT2
     return max(value, 0.0)
 
 
-def fx_from_fz(fz, s: float, quad: QuadratureSpec | None = None, step: float = 1e-3) -> float:
+def fx_from_fz(fz, s: float) -> float:
     """Recover the angle density at s in (0, 1) from a zonal density.
 
     Inverting the forward half-integral relation (an Abel equation in
@@ -356,23 +345,21 @@ def fx_from_fz(fz, s: float, quad: QuadratureSpec | None = None, step: float = 1
     which reproduces the closed Cayley-LMR pairs exactly.  ``fz`` may be
     any callable on the open interval (-1, 1) in the zonal normalisation;
     its derivative is taken by a five-point central stencil of width
-    ``step`` (shrunk near the interval ends), and the boundary value
+    1e-3 (shrunk near the interval ends), and the boundary value
     f_Z(-1) is read just inside the endpoint.
 
-    The default tolerance is looser than ``integrate``'s because the
-    stencil noise floor, roughly eval-error / step, is what limits the
-    achievable accuracy; pass a tighter ``quad`` only together with a
-    correspondingly accurate ``fz``.
+    The quadrature runs to abs_tol 1e-9, looser than ``integrate``'s
+    default, because the stencil noise floor, roughly eval-error / 1e-3,
+    limits the achievable accuracy.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (0, 1)")
-    quad = quad or QuadratureSpec(abs_tol=1e-9)
 
     def dfz(y: float) -> float:
-        h = max(min(step, 0.2 * (1.0 + y), 0.2 * (1.0 - y)), 1e-13)
+        h = max(min(1e-3, 0.2 * (1.0 + y), 0.2 * (1.0 - y)), 1e-13)
         return (-fz(y + 2.0 * h) + 8.0 * fz(y + h) - 8.0 * fz(y - h) + fz(y - 2.0 * h)) / (12.0 * h)
 
     boundary = fz(-1.0 + 1e-12)
     head = (2.0 / math.pi) * math.sqrt((1.0 - s) / s) * boundary
-    tail = integrate(lambda u: dfz(2.0 * s - 1.0 - u * u), 0.0, math.sqrt(2.0 * s), quad)
+    tail = integrate(lambda u: dfz(2.0 * s - 1.0 - u * u), 0.0, math.sqrt(2.0 * s), 1e-9)
     return head + (4.0 * _SQRT2 / math.pi) * math.sqrt(1.0 - s) * tail

@@ -41,13 +41,13 @@ def project(A, V) -> np.ndarray:
     return _H @ A @ V
 
 
-def is_gram(G, tol: float = 1e-12) -> bool:
-    """Symmetric within ``tol`` and positive semidefinite up to
+def is_gram(G) -> bool:
+    """Symmetric within 1e-12 and positive semidefinite up to
     -1e-10 * ||G|| on the smallest eigenvalue."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         return False
-    if not np.all(np.abs(G - G.T) <= tol):
+    if not np.all(np.abs(G - G.T) <= 1e-12):
         return False
     scale = np.linalg.norm(G, ord=2) if G.size else 0.0
     if scale == 0.0:
@@ -75,10 +75,10 @@ def mc_projected_gram(
     V,
     n: int,
     rng: np.random.Generator,
-    return_stderr: bool = False,
     threads: int = 1,
 ):
-    """Monte Carlo mean of Gram(H A V) over n rotation draws.
+    """Monte Carlo mean of Gram(H A V) over n rotation draws, and its
+    entrywise standard error, as the pair (mean, stderr).
 
     Gram(H A V) = Gram(V) - g g^T with g the third row of A V, so a draw
     enters only through g.  Each chunk of MC_CHUNK draws adds g^T g and,
@@ -87,8 +87,7 @@ def mc_projected_gram(
     of them at once, and the result is the same bitwise for every
     ``threads``.  The sums are formed on V 2^-e, |V| < 2^e, and scaled
     back exactly, so that the fourth powers stay finite for every finite
-    V.  With ``return_stderr`` the entrywise standard error of the mean
-    is returned as a second array.
+    V.
     """
     V = np.asarray(V, dtype=float)
     e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
@@ -102,8 +101,6 @@ def mc_projected_gram(
     total, total_sq = mc_sum(kernel, n, MC_CHUNK, rng, threads)
     outer = total / n
     mean = np.ldexp(gram(U) - outer, 2 * e)
-    if not return_stderr:
-        return mean
     var = np.maximum(total_sq / n - outer * outer, 0.0)
     if n > 1:
         var *= n / (n - 1.0)

@@ -69,10 +69,10 @@ def is_rotation(R, tol: float = ROTATION_TOL) -> bool:
     return abs(np.linalg.det(R) - 1.0) <= tol
 
 
-def require_rotation(R, tol: float = ROTATION_TOL) -> np.ndarray:
+def require_rotation(R) -> np.ndarray:
     R = np.asarray(R, dtype=float)
-    if not is_rotation(R, tol):
-        raise ValueError("matrix is not a rotation within tolerance %g" % tol)
+    if not is_rotation(R):
+        raise ValueError("matrix is not a rotation within tolerance %g" % ROTATION_TOL)
     return R
 
 

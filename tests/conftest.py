@@ -132,11 +132,11 @@ def g0(k, x):
     return out
 
 
-def tau_k_g0(spec, k, quad=None):
+def tau_k_g0(spec, k):
     """Oracle for ``moments.tau_k`` through the G0 recursion:
     tau_k = 1 - (k / sqrt2) * integral_0^1 f_X(x) G0_k(x) dx."""
     fx = dist.fx_density_fn(spec)
-    value = moments.integrate(lambda x: fx(x) * g0(k, x), 0.0, 1.0, quad)
+    value = moments.integrate(lambda x: fx(x) * g0(k, x), 0.0, 1.0)
     return 1.0 - (k / SQRT2) * value
 
 

@@ -62,7 +62,7 @@ def two_einsum_accuracy(pair, n, rng):
     return hit.mean(), hit[labels == 1].mean(), hit[labels == 2].mean()
 
 
-def psi_theta_form(pair, quad=None):
+def psi_theta_form(pair):
     """Oracle for ``psi_closed``: the same accuracy through the
     rotation-angle law, as region probabilities of Theta plus
     cot(Theta/2) partial expectations, integrated in the angle variable."""
@@ -80,10 +80,10 @@ def psi_theta_form(pair, quad=None):
     def cot_weighted(theta):
         return f_theta(theta) / math.tan(0.5 * theta)
 
-    p_low = moments.integrate(f_theta, 0.0, 0.5 * alpha, quad)
-    p_mid = moments.integrate(f_theta, 0.5 * alpha, math.pi - 0.5 * alpha, quad)
-    e_mid = moments.integrate(cot_weighted, 0.5 * alpha, math.pi - 0.5 * alpha, quad)
-    e_tail = moments.integrate(cot_weighted, math.pi - 0.5 * alpha, math.pi, quad)
+    p_low = moments.integrate(f_theta, 0.0, 0.5 * alpha)
+    p_mid = moments.integrate(f_theta, 0.5 * alpha, math.pi - 0.5 * alpha)
+    e_mid = moments.integrate(cot_weighted, 0.5 * alpha, math.pi - 0.5 * alpha)
+    e_tail = moments.integrate(cot_weighted, math.pi - 0.5 * alpha, math.pi)
     return (
         p_low
         + 0.5 * p_mid
@@ -96,6 +96,13 @@ class TestClassPair:
     def test_alpha_is_recomputed(self):
         pair = z_pair(1.0, dist.haar())
         assert abs(pair.alpha - 1.0) < 1e-12
+
+    def test_alpha_is_not_an_argument(self):
+        # alpha is derived from m1 and m2, never taken as input
+        with pytest.raises(TypeError):
+            cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, 1.0), dist.haar(), 0.3)
+        with pytest.raises(TypeError):
+            cls.ClassPair(np.eye(3), so3.from_axis_angle(E3, 1.0), dist.haar(), alpha=0.3)
 
     def test_rejects_offcentre_common_law(self):
         M = so3.from_axis_angle(E3, 0.4)
@@ -125,12 +132,11 @@ class TestHFunction:
         # P(X > lo) + integral_0^lo f_X = 1 and P(X > hi) = integral_hi^1 f_X
         spec = dist.cayley(kappa)
         fx = dist.fx_density_fn(spec)
-        quad = moments.QuadratureSpec(abs_tol=1e-14)
         for alpha in (1e-3, 0.5, 2.0, 3.0):
             lo, _, tail_lo, tail_hi, _, _ = closed_parts(spec, alpha)
             hi = math.cos(0.25 * alpha) ** 2
-            assert abs(tail_lo + moments.integrate(fx, 0.0, lo, quad) - 1.0) < 1e-13
-            assert abs(tail_hi - moments.integrate(fx, hi, 1.0, quad)) < 1e-13
+            assert abs(tail_lo + moments.integrate(fx, 0.0, lo, 1e-14) - 1.0) < 1e-13
+            assert abs(tail_hi - moments.integrate(fx, hi, 1.0, 1e-14)) < 1e-13
 
     def test_cayley_closed_form(self):
         kappa = 2.0
@@ -432,18 +438,18 @@ class TestPsiDerivative:
 class TestMcAccuracy:
     def test_haar_is_half(self):
         pair = z_pair(1.0, dist.haar())
-        acc = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(3))
+        acc, _, _ = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(3))
         assert abs(acc - 0.5) < 4.0 * math.sqrt(0.25 / (2 * 10 ** 5))
 
     def test_highly_concentrated_is_almost_perfect(self):
         pair = z_pair(math.pi / 2, dist.cayley(200.0))
-        acc = cls.mc_accuracy(pair, 10 ** 5, np.random.default_rng(4))
+        acc, _, _ = cls.mc_accuracy(pair, 10 ** 5, np.random.default_rng(4))
         assert acc >= 0.99
 
     def test_matches_closed_form(self):
         pair = z_pair(1.0, dist.cayley(1.0))
         psi = cls.psi_closed(pair)
-        acc = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(5))
+        acc, _, _ = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(5))
         assert abs(acc - psi) < 4.0 * math.sqrt(psi * (1.0 - psi) / (2 * 10 ** 5))
 
     def test_class_conditional_symmetry(self):
@@ -451,7 +457,7 @@ class TestMcAccuracy:
         # sampling noise, by the swap symmetry of the rule
         pair = z_pair(1.0, dist.cayley(2.0))
         n = 4 * 10 ** 5
-        overall, acc1, acc2 = cls.mc_accuracy(pair, n, np.random.default_rng(6), return_by_class=True)
+        overall, acc1, acc2 = cls.mc_accuracy(pair, n, np.random.default_rng(6))
         se = 2.0 / math.sqrt(n)  # generous bound on the binomial se scale
         assert abs(acc1 - acc2) < 4.0 * se
         assert abs(overall - cls.psi_closed(pair)) < 4.0 * se
@@ -476,7 +482,7 @@ class TestMcAccuracy:
         rng = np.random.default_rng(17)
         m1 = random_rotation(rng)
         pair = cls.ClassPair(m1, so3.from_axis_angle(E3, 0.8) @ m1, dist.cayley(1.5))
-        got = cls.mc_accuracy(pair, n, np.random.default_rng(18), return_by_class=True)
+        got = cls.mc_accuracy(pair, n, np.random.default_rng(18))
         assert got == two_einsum_accuracy(pair, n, np.random.default_rng(18))
 
 

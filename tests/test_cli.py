@@ -198,8 +198,7 @@ class TestGram:
         assert lines[-1].startswith("max |z| = ")
         assert [label for label in self._blocks(text) if label.startswith("monte-carlo")] == [
             "monte-carlo estimate (n=20000)"]
-        mean, se = radon.mc_projected_gram(spec, V, 20000, np.random.default_rng(5),
-                                           return_stderr=True)
+        mean, se = radon.mc_projected_gram(spec, V, 20000, np.random.default_rng(5))
         blocks = self._blocks(text)
         np.testing.assert_array_equal(blocks["entrywise MC standard error"], se)
         np.testing.assert_array_equal(blocks["monte-carlo estimate (n=20000)"], mean)

@@ -233,8 +233,7 @@ class TestFzClosedCayley:
         assert abs(dist.fz_closed_cayley(2.0, 0.0) - 0.75) < 1e-15
 
     def test_zonal_normalisation(self):
-        quad = moments.QuadratureSpec(abs_tol=1e-13)
-        total = 0.5 * moments.integrate(lambda s: dist.fz_closed_cayley(3.0, s), -1.0, 1.0, quad)
+        total = 0.5 * moments.integrate(lambda s: dist.fz_closed_cayley(3.0, s), -1.0, 1.0, 1e-13)
         assert abs(total - 1.0) < 1e-12
 
     def test_domain_error(self):
@@ -242,6 +241,18 @@ class TestFzClosedCayley:
             dist.fz_closed_cayley(1.0, 1.5)
         with pytest.raises(DomainError):
             dist.fz_closed_cayley(-1.0, 0.0)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rejects_non_finite_kappa(self, kappa):
+        with pytest.raises(DomainError):
+            dist.fz_closed_cayley(kappa, 0.5)
+
+    def test_large_kappa_does_not_overflow(self):
+        # finite densities where (1 + s)^kappa alone overflows
+        assert dist.fz_closed_cayley(1e6, 1.0) == 1e6 + 1.0
+        ref = mpmath.mpf(1801) * mpmath.mpf(0.75) ** 1800
+        assert abs(dist.fz_closed_cayley(1800.0, 0.5) / ref - 1) < 1e-12
+        assert dist.fz_closed_cayley(1e300, 0.0) == 0.0
 
 
 class TestSampleX:

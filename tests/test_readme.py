@@ -1,8 +1,11 @@
 """README drift: every ``rotgram ...`` command in the README's CLI code
-block is accepted by the current argument parser.  Commands are parsed
-only, never run."""
+block is accepted by the current argument parser, and every backticked
+``rotgram.<module>[.<name>]`` resolves.  Commands are parsed only, never
+run."""
 
+import importlib
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -27,3 +30,20 @@ def test_every_subcommand_has_an_example():
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
 def test_example_parses(argv):
     cli.build_parser().parse_args(argv)
+
+
+def readme_names():
+    text = README.read_text(encoding="utf-8")
+    return sorted(set(re.findall(r"`(rotgram\.[A-Za-z_][\w.]*)`", text)))
+
+
+def test_readme_names_some_library_objects():
+    assert len(readme_names()) >= 10
+
+
+@pytest.mark.parametrize("dotted", readme_names())
+def test_readme_name_resolves(dotted):
+    parts = dotted.split(".")  # rotgram.<module>[.<name>...]
+    obj = importlib.import_module(".".join(parts[:2]))
+    for attr in parts[2:]:
+        obj = getattr(obj, attr)

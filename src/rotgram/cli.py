@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -25,8 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NOCONV = 4
-
-MODAL_ORTHO_TOL = 1e-8
 
 
 def _fmt(value: float) -> str:
@@ -43,43 +42,25 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _orthonormalise(M: np.ndarray) -> np.ndarray:
-    # Polar factor via SVD, with the determinant forced positive.
-    U, _, Vt = np.linalg.svd(M)
-    R = U @ Vt
-    if np.linalg.det(R) < 0.0:
-        U[:, -1] *= -1.0
-        R = U @ Vt
-    return R
-
-
-def _parse_modal(entries: str | None, axis: str | None, angle: float | None) -> np.ndarray:
-    """Modal rotation from either an axis-angle pair (preferred) or nine
-    row-major entries re-orthonormalised by polar decomposition."""
-    if axis is not None or angle is not None:
-        if axis is None or angle is None:
-            raise DomainError("axis-angle input needs both --modal-axis and --modal-angle")
-        vec = np.array([float(v) for v in axis.split(",")], dtype=float)
-        if vec.shape != (3,):
-            raise DomainError("--modal-axis expects three comma-separated values")
-        if not (np.all(np.isfinite(vec)) and np.any(vec != 0.0)):
-            raise DomainError("--modal-axis must be finite and nonzero")
-        # scaled exactly by a power of two, so that the norm cannot under- or overflow
-        vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
-        return so3.from_axis_angle(vec / np.linalg.norm(vec), float(angle))
-    if entries is None:
+def _parse_modal(axis: str | None, angle: float | None) -> np.ndarray:
+    """Modal rotation about ``axis`` ('x,y,z', any nonzero finite length)
+    by ``angle`` radians; the identity when neither is given."""
+    if axis is None and angle is None:
         return np.eye(3)
-    values = [float(v) for v in entries.split(",")]
-    if len(values) != 9:
-        raise DomainError("--modal expects nine comma-separated entries, row-major")
-    M = np.array(values, dtype=float).reshape(3, 3)
-    if not (np.all(np.abs(M) <= 1.0 + MODAL_ORTHO_TOL) and so3.is_rotation(M, tol=MODAL_ORTHO_TOL)):
-        raise DomainError("modal matrix is not orthonormal within %g" % MODAL_ORTHO_TOL)
-    return _orthonormalise(M)
+    if axis is None or angle is None:
+        raise DomainError("axis-angle input needs both --modal-axis and --modal-angle")
+    vec = np.array([float(v) for v in axis.split(",")], dtype=float)
+    if vec.shape != (3,):
+        raise DomainError("--modal-axis expects three comma-separated values")
+    if not (np.all(np.isfinite(vec)) and np.any(vec != 0.0)):
+        raise DomainError("--modal-axis must be finite and nonzero")
+    # scaled exactly by a power of two, so that the norm cannot under- or overflow
+    vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
+    return so3.from_axis_angle(vec / np.linalg.norm(vec), float(angle))
 
 
 def _spec(args) -> distributions.DistributionSpec:
-    modal = _parse_modal(args.modal, args.modal_axis, args.modal_angle)
+    modal = _parse_modal(args.modal_axis, args.modal_angle)
     return distributions.DistributionSpec(args.family, modal=modal, kappa=args.kappa)
 
 
@@ -118,7 +99,9 @@ def _load_landmarks(path: str) -> np.ndarray:
     """The 3 x k landmark matrix, stored row-major and headerless: three
     CSV rows, one landmark per column."""
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError("could not parse landmark CSV: %s" % exc) from exc
     if raw.ndim != 2 or raw.shape[0] != 3 or raw.shape[1] < 1:
@@ -180,8 +163,8 @@ def cmd_gram(args) -> int:
 def cmd_classify(args) -> int:
     if args.n_mc < 1:
         raise DomainError("--n-mc must be >= 1")
-    m1 = _parse_modal(args.modal, args.modal_axis, args.modal_angle)
-    m2 = _parse_modal(args.modal2, args.modal2_axis, args.modal2_angle)
+    m1 = _parse_modal(args.modal_axis, args.modal_angle)
+    m2 = _parse_modal(args.modal2_axis, args.modal2_angle)
     common = distributions.DistributionSpec(args.family, kappa=args.kappa)
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
@@ -207,8 +190,9 @@ def cmd_classify(args) -> int:
 def cmd_fakeuni(args) -> int:
     family = args.family
     slope = fake_uniformity.initial_slope(family)
-    points = fake_uniformity.scan_curve(family, args.kappa_max, args.n_points)
     root = fake_uniformity.find_fake_uniformity(family, 0.0, args.kappa_max)
+    if args.out:
+        points = fake_uniformity.scan_curve(family, args.kappa_max, args.n_points)
     print("family = %s" % family)
     print("initial_slope = %s" % _fmt(slope))
     if root is not None:
@@ -227,8 +211,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="PCG64 seed (default 0)")
     parser.add_argument("--family", choices=["haar", "cayley", "fvm"], default="haar")
     parser.add_argument("--kappa", type=float, default=0.0, help="concentration (>= 0)")
-    parser.add_argument("--modal", help="nine row-major rotation entries, comma-separated")
-    parser.add_argument("--modal-axis", help="modal rotation axis 'x,y,z' (preferred input)")
+    parser.add_argument("--modal-axis", help="modal rotation axis 'x,y,z' (default: identity modal)")
     parser.add_argument("--modal-angle", type=float, help="modal rotation angle in radians")
 
 
@@ -271,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="closed-form and MC accuracy for two modal rotations")
     _add_common(p)
     _add_threads(p)
-    p.add_argument("--modal2", help="second modal rotation, nine entries")
     p.add_argument("--modal2-axis", help="second modal rotation axis 'x,y,z'")
     p.add_argument("--modal2-angle", type=float, help="second modal rotation angle")
     p.add_argument("--n-mc", type=int, default=100000)
@@ -280,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fakeuni", help="initial slope and fake-uniformity roots of tau2(kappa)")
     p.add_argument("--family", choices=["cayley", "fvm"], default="cayley")
     p.add_argument("--kappa-max", type=float, required=True)
-    p.add_argument("--n-points", type=int, default=129)
+    p.add_argument("--n-points", type=int, default=129,
+                   help="grid points of the --out curve (>= 2, default 129); unused without --out")
     p.add_argument("--out", help="optional CSV path for the curve")
     p.set_defaults(func=cmd_fakeuni)
 
@@ -292,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -59,14 +59,14 @@ def vee(W) -> np.ndarray:
     return np.array([W[2, 1], W[0, 2], W[1, 0]])
 
 
-def is_rotation(R, tol: float = ROTATION_TOL) -> bool:
-    """True when R^T R = I entrywise and det R = 1 within ``tol``."""
+def is_rotation(R) -> bool:
+    """True when R^T R = I entrywise and det R = 1 within ``ROTATION_TOL``."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         return False
-    if not np.all(np.abs(R.T @ R - _EYE3) <= tol):
+    if not np.all(np.abs(R.T @ R - _EYE3) <= ROTATION_TOL):
         return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
+    return abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL
 
 
 def require_rotation(R) -> np.ndarray:

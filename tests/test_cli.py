@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rotgram import cli, radon, so3
+from rotgram import cli, fake_uniformity, radon, so3
 from rotgram import distributions as dist
 
 
@@ -34,7 +34,7 @@ class TestSample:
         assert len(rows) == 3
         for row in rows:
             R = np.array([float(v) for v in row[:9]]).reshape(3, 3)
-            assert so3.is_rotation(R, tol=1e-10)
+            assert so3.is_rotation(R)
             theta, u1, u2, u3, x = (float(v) for v in row[9:])
             assert abs(math.cos(theta) - (2.0 * x - 1.0)) < 1e-12
             assert abs(u1 * u1 + u2 * u2 + u3 * u3 - 1.0) < 1e-12
@@ -85,13 +85,30 @@ class TestSample:
         assert run(["sample", "--family", "cayley", "--kappa", "-1", "--n", "5"]) == 2
         assert run(["sample", "--family", "haar", "--n", "0"]) == 2
         assert run(["sample", "--family", "haar", "--kappa", "2", "--n", "5"]) == 2
-        assert run(["sample", "--family", "haar", "--n", "5",
-                    "--modal", "1,2,3"]) == 2
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run(["sample", "--family", "nosuch", "--n", "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "5", "--modal", "1,0,0,0,1,0,0,0,1"],
+        ["sample", "--n", "1", "--modal", "garbage", "--modal-axis", "0,0,1",
+         "--modal-angle", "0.5"],
+        ["classify", "--modal2", "1,0,0,0,1,0,0,0,1", "--n-mc", "10"],
+    ])
+    def test_nine_entry_modal_flags_are_gone(self, argv):
+        # axis-angle is the only way to name a modal rotation
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+
+    def test_unallocatable_n_exits_2(self, capsys):
+        # numpy refuses the request for 711 PiB up front, before touching memory
+        assert run(["sample", "--n", "100000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--tol", "--threads"])
     def test_no_tol_or_threads_flag(self, flag):
@@ -255,6 +272,17 @@ class TestGram:
         bad.write_text("a,b,c\nd,e,f\ng,h,i\n", encoding="utf-8")
         assert run(["gram", "--landmarks", str(bad)]) == 3
 
+    @pytest.mark.parametrize("text", ["", "\n\n\n"])
+    def test_empty_file_exits_3_with_one_line(self, text, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gram", "--landmarks", str(empty)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: landmark CSV must hold a 3 x k matrix (three rows)\n"
+
 
 class TestClassify:
     def test_haar_report(self, capsys):
@@ -340,6 +368,30 @@ class TestFakeuni:
     def test_zero_kappa_max_exits_2(self):
         assert run(["fakeuni", "--family", "cayley", "--kappa-max", "0"]) == 2
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_infinite_kappa_max_exits_2(self, out, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        argv = ["fakeuni", "--family", "cayley", "--kappa-max", "inf"]
+        assert run(argv + (["--out", str(path)] if out else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "[0.0, inf]" in captured.err and not path.exists()
+
+    @pytest.mark.parametrize("family", ["cayley", "fvm"])
+    def test_curve_only_with_out(self, family, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = fake_uniformity.tau2_excess
+
+        def counting(spec):
+            calls.append(spec.kappa)
+            return real(spec)
+
+        monkeypatch.setattr(fake_uniformity, "tau2_excess", counting)
+        argv = ["fakeuni", "--family", family, "--kappa-max", "5", "--n-points", "7"]
+        assert run(argv) == 0
+        assert calls == []
+        assert run(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
+        assert len(calls) == 7
+
     def test_nonpositive_tol_exits_2(self):
         for tol in ("0", "-1"):
             with pytest.raises(SystemExit) as info:
@@ -376,7 +428,7 @@ class TestFakeuni:
         src = pathlib.Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "rotgram.cli", "fakeuni", "--family", "fvm",
-             "--kappa-max", "1e-107", "--n-points", "3"],
+             "--kappa-max", "1e-107", "--n-points", "3", "--out", "curve.csv"],
             capture_output=True, text=True, timeout=60, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr

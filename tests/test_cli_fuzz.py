@@ -126,11 +126,13 @@ def run_cli(argv, landmarks=None):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
-@example(["fakeuni", "--family", "fvm", "--kappa-max", "1e-107", "--n-points", "3"])
+@example(["fakeuni", "--family", "fvm", "--kappa-max", "1e-107", "--n-points", "3",
+          "--out", "{tmp}/fakeuni.csv"])
 @example(["figure1", "--kappa-max", "1e-107", "--n-points", "3", "--out", "{tmp}/figure1.csv"])
 @example(["gram", "--family", "fvm", "--kappa", "1e-300", "--n-mc", "10",
           "--landmarks", "{tmp}/landmarks.csv"])
-@example(["fakeuni", "--family", "fvm", "--kappa-max", "1e-300", "--n-points", "3"])
+@example(["fakeuni", "--family", "fvm", "--kappa-max", "1e-300", "--n-points", "3",
+          "--out", "{tmp}/fakeuni.csv"])
 @example(["fakeuni", "--family", "cayley", "--kappa-max", "1e308", "--n-points", "3",
           "--out", "{tmp}/fakeuni.csv"])
 def test_numeric_flags_exit_cleanly(argv):
@@ -144,17 +146,13 @@ def string_argvs(draw):
             "--kappa", draw(st.sampled_from(["0", "2", "1e8"]))]
     if draw(st.booleans()):
         argv += ["--modal-axis", draw(modal_strings()), "--modal-angle", "0.5"]
-    elif draw(st.booleans()):
-        argv += ["--modal", draw(modal_strings())]
     if command == "sample":
         return argv + ["--n", "3", "--out", "{tmp}/sample.csv"], None
     argv += ["--n-mc", "50"]
     if command == "gram":
         return argv + ["--landmarks", "{tmp}/landmarks.csv", "--out", "{tmp}/gram.csv"], \
             draw(landmark_files())
-    if draw(st.booleans()):
-        return argv + ["--modal2-axis", draw(modal_strings()), "--modal2-angle", "1"], None
-    return argv + ["--modal2", draw(modal_strings())], None
+    return argv + ["--modal2-axis", draw(modal_strings()), "--modal2-angle", "1"], None
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

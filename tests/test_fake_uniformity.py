@@ -116,7 +116,8 @@ class TestFindFakeUniformity:
     def test_domain(self):
         assert fu.find_fake_uniformity("cayley", 0.0, 1.0) == 1.0
         assert fu.find_fake_uniformity("cayley", 1.0, 1.5) == 1.0
-        for lo, hi in ((-1.0, 2.0), (1.0, 1.0), (math.nan, 2.0), (0.5, math.nan)):
+        for lo, hi in ((-1.0, 2.0), (1.0, 1.0), (math.nan, 2.0), (0.5, math.nan),
+                       (0.0, math.inf)):
             with pytest.raises(DomainError):
                 fu.find_fake_uniformity("cayley", lo, hi)
         with pytest.raises(DomainError):

@@ -1,8 +1,10 @@
 """README drift: every ``rotgram ...`` command in the README's CLI code
-block is accepted by the current argument parser, and every backticked
+block is accepted by the current argument parser, every ``--flag`` named
+in the CLI section is an option of some subcommand, and every backticked
 ``rotgram.<module>[.<name>]`` resolves.  Commands are parsed only, never
 run."""
 
+import argparse
 import importlib
 import pathlib
 import re
@@ -15,9 +17,13 @@ from rotgram import cli
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_commands():
+def cli_section():
     text = README.read_text(encoding="utf-8")
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    block = cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("rotgram ")]
 
@@ -30,6 +36,26 @@ def test_every_subcommand_has_an_example():
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
 def test_example_parses(argv):
     cli.build_parser().parse_args(argv)
+
+
+def parser_flags():
+    """Every option string of every subcommand of the parser."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+
+
+def readme_flags():
+    return sorted(set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cli_section())))
+
+
+def test_readme_names_some_flags():
+    assert len(readme_flags()) >= 10
+
+
+@pytest.mark.parametrize("flag", readme_flags())
+def test_readme_flag_exists(flag):
+    assert flag in parser_flags()
 
 
 def readme_names():

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .distributions import (DistributionSpec, Family, fvm_log_norm, log_beta_cayley, mc_sum,
-                            sample_rotations)
+from .distributions import (DistributionSpec, Family, _sample_quaternions, fvm_log_norm,
+                            log_beta_cayley, mc_sum)
 from .errors import DomainError
 from .moments import fvm_expectation
 
@@ -136,6 +136,24 @@ def psi_derivative(pair: ClassPair) -> float:
     return (h_mid - w * h_low / lo) / (4.0 * (1.0 + w))
 
 
+def _davenport_k(S: np.ndarray) -> np.ndarray:
+    """Davenport's K-matrix of the q-method for Wahba's problem (Markley
+    and Crassidis, Fundamentals of Spacecraft Attitude Determination and
+    Control, 2014, section 5.5): the symmetric 4 x 4 matrix
+
+        K = [[tr S, z^T], [z, S + S^T - tr S I]],
+        z = (S_23 - S_32, S_31 - S_13, S_12 - S_21),
+
+    for which tr(R S) = q^T K q, R the rotation of the unit quaternion
+    q = (w, v) in ``so3.from_quaternion_batch``."""
+    t = np.trace(S)
+    K = np.empty((4, 4))
+    K[0, 0] = t
+    K[0, 1:] = K[1:, 0] = (S[1, 2] - S[2, 1], S[2, 0] - S[0, 2], S[0, 1] - S[1, 0])
+    K[1:, 1:] = S + S.T - t * np.eye(3)
+    return K
+
+
 def mc_accuracy(
     pair: ClassPair,
     n: int,
@@ -153,19 +171,20 @@ def mc_accuracy(
     ``distributions.mc_sum`` seeds the chunks and runs up to
     ``threads`` of them at once, and the result is the same bitwise for
     every ``threads``.  The rule's statistic is tr(R S_label), with
-    S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1; per chunk both come from one
-    (m, 9) @ (9, 2) matrix product.
+    S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1.  It is linear in R, so it
+    is the quadratic form q^T K(S_label) q in the unit quaternion q of R
+    (``_davenport_k``): per chunk both statistics come from one
+    (8, 4) @ (4, m) matrix product and no rotation matrix is formed.
     """
-    contrast = np.eye(3) - pair.m1 @ pair.m2.T
-    stat1 = contrast  # P M1^T = R for class-1 draws
-    stat2 = pair.m2 @ pair.m1.T @ contrast
-    # tr(R S) = <vec(R), vec(S^T)>
-    W = np.column_stack((stat1.T.reshape(9), stat2.T.reshape(9)))
+    stat1 = np.eye(3) - pair.m1 @ pair.m2.T  # P M1^T = R for class-1 draws
+    stat2 = pair.m2 @ pair.m1.T @ stat1
+    K = np.vstack((_davenport_k(stat1), _davenport_k(stat2)))
 
     def kernel(m, chunk_rng):
         is1 = chunk_rng.integers(1, 3, size=m) == 1
-        S = sample_rotations(pair.common, m, chunk_rng).reshape(m, 9) @ W
-        stat = np.where(is1, S[:, 0], S[:, 1])
+        q = _sample_quaternions(pair.common, m, chunk_rng)[0]
+        both = np.einsum("kin,in->kn", (K @ q).reshape(2, 4, m), q)
+        stat = np.where(is1, both[0], both[1])
         hit = ((stat > 0.0) | (np.abs(stat) < TIE_TOL)) == is1
         return np.count_nonzero(hit), np.count_nonzero(hit & is1), np.count_nonzero(is1)
 

@@ -4,7 +4,8 @@ Subcommands: sample, figure1, gram, classify, fakeuni.  Every command is
 deterministic given --seed and its flags; the generator is numpy's
 PCG64, so a seed reproduces output byte for byte.  CSV output uses a
 header row, '.' as the decimal separator, 17 significant digits, LF
-line endings, and UTF-8.
+line endings, and UTF-8.  Flags are spelled in full; argparse's prefix
+matching is off.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numerical non-convergence.
@@ -223,25 +224,29 @@ def _add_threads(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotgram",
+        allow_abbrev=False,
         description="Random-rotation shape transforms: sampling, fake-uniformity "
                     "curves, projected-Gram experiments, and the two-class Bayes "
                     "accuracy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw rotations and emit one CSV row per draw")
+    p = sub.add_parser("sample", allow_abbrev=False,
+                       help="draw rotations and emit one CSV row per draw")
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="number of draws")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("figure1", help="tau2(kappa) - 1/3 curves for both families")
+    p = sub.add_parser("figure1", allow_abbrev=False,
+                       help="tau2(kappa) - 1/3 curves for both families")
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--n-points", type=int, default=101)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("gram", help="closed-form vs MC projected Gram on a landmark file")
+    p = sub.add_parser("gram", allow_abbrev=False,
+                       help="closed-form vs MC projected Gram on a landmark file")
     _add_common(p)
     _add_threads(p)
     p.add_argument("--landmarks", required=True,
@@ -251,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional CSV path for the closed/mc/bias blocks")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("classify", help="closed-form and MC accuracy for two modal rotations")
+    p = sub.add_parser("classify", allow_abbrev=False,
+                       help="closed-form and MC accuracy for two modal rotations")
     _add_common(p)
     _add_threads(p)
     p.add_argument("--modal2-axis", help="second modal rotation axis 'x,y,z'")
@@ -259,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-mc", type=int, default=100000)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("fakeuni", help="initial slope and fake-uniformity roots of tau2(kappa)")
+    p = sub.add_parser("fakeuni", allow_abbrev=False,
+                       help="initial slope and fake-uniformity roots of tau2(kappa)")
     p.add_argument("--family", choices=["cayley", "fvm"], default="cayley")
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--n-points", type=int, default=129,

@@ -147,40 +147,6 @@ def fx_density(spec: DistributionSpec, x: float) -> float:
     return fx_density_fn(spec)(x)
 
 
-def rotation_density(spec: DistributionSpec, P) -> float:
-    """Density of P with respect to Haar probability measure on SO(3)."""
-    P = np.asarray(P, dtype=float)
-    k = spec.kappa
-    if spec.family is Family.HAAR:
-        return 1.0
-    t = float(np.trace(P @ spec.modal.T))
-    if spec.family is Family.FVM:
-        log_density = k * (t - 3.0) - log_bessel_gap(0, k)
-    elif 1.0 + t <= 0.0:
-        return 0.0 if k > 0.0 else 1.0
-    else:  # Cayley-LMR: the ratio of the X-densities at x = (1 + t)/4 to Haar's
-        log_density = k * math.log1p(0.25 * (t - 3.0)) + math.log(0.5 * math.pi) - log_beta_cayley(k)
-    try:
-        return math.exp(log_density)
-    except OverflowError:  # beyond the float range near the mode, from kappa ~ 1e205
-        return math.inf
-
-
-def fz_closed_cayley(kappa: float, s: float) -> float:
-    """Closed-form zonal density of Z = (R e3)_3 for the Cayley-LMR
-    family: (kappa + 1) ((1 + s) / 2)^kappa on [-1, 1].
-
-    Normalised so that (1/2) * integral over [-1, 1] equals 1.  The base
-    (1 + s) / 2 is at most 1, so the power cannot overflow at any finite
-    kappa.
-    """
-    if not 0.0 <= kappa < math.inf:
-        raise DomainError("concentration kappa must be finite and >= 0")
-    if not -1.0 <= s <= 1.0:
-        raise DomainError("s must lie in [-1, 1]")
-    return (kappa + 1.0) * (0.5 * (1.0 + s)) ** kappa
-
-
 # ---------------------------------------------------------------------------
 # Samplers
 
@@ -252,6 +218,22 @@ def sample_x_values(spec: DistributionSpec, n: int, rng: np.random.Generator) ->
     return out
 
 
+def _sample_quaternions(spec: DistributionSpec, n: int, rng: np.random.Generator):
+    """n centred draws as unit quaternions, returned as (q, x, axes).
+
+    X is drawn first and the axes u second (the draw order is part of
+    the seeded-reproducibility contract).  Column i of the (4, n) array q
+    is the quaternion (w, v) of draw i: its first row is w = sqrt(X), its
+    other three v = sqrt(1 - X) u.
+    """
+    x = sample_x_values(spec, n, rng)
+    axes = so3.sample_uniform_axes(n, rng)
+    q = np.empty((4, n))
+    np.sqrt(x, out=q[0])
+    np.multiply(np.sqrt(1.0 - x), axes.T, out=q[1:])
+    return q, x, axes
+
+
 def sample_rotations(
     spec: DistributionSpec,
     n: int,
@@ -261,16 +243,13 @@ def sample_rotations(
     """n rotation draws as an (n, 3, 3) array.
 
     Each sample is built as P = R M, with R the rotation of the unit
-    quaternion w = sqrt(X), v = sqrt(1 - X) u, which is the axis-angle
-    rotation about u by theta = arccos(2 X - 1).  X is drawn first and
-    the axes u second (the draw order is part of the seeded-reproducibility
-    contract).  With ``return_parts`` the tuple (P, axes, angles, x) is
-    returned; the angles are only computed then.
+    quaternion (w, v) of ``_sample_quaternions``, which is the axis-angle
+    rotation about u by theta = arccos(2 X - 1).  With ``return_parts``
+    the tuple (P, axes, angles, x) is returned; the angles are only
+    computed then.
     """
-    x = sample_x_values(spec, n, rng)
-    axes = so3.sample_uniform_axes(n, rng)
-    R = so3.from_quaternion_batch(np.sqrt(x), np.sqrt(1.0 - x)[:, None] * axes)
-    P = R @ spec.modal
+    q, x, axes = _sample_quaternions(spec, n, rng)
+    P = so3.from_quaternion_batch(q[0], q[1:].T) @ spec.modal
     if return_parts:
         angles = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
         return P, axes, angles, x

@@ -20,10 +20,9 @@ import math
 import numpy as np
 
 from . import moments
-from .distributions import DistributionSpec, mc_sum, sample_rotations
+from .distributions import DistributionSpec, _sample_quaternions, mc_sum
 from .errors import DomainError
 
-_H = np.diag([1.0, 1.0, 0.0])
 MC_CHUNK = 1 << 16
 
 
@@ -31,28 +30,6 @@ def gram(V) -> np.ndarray:
     """Gram(V) = V^T V, invariant under left rotation of the landmarks."""
     V = np.asarray(V, dtype=float)
     return V.T @ V
-
-
-def project(A, V) -> np.ndarray:
-    """Planar projection H A V of the rotated landmarks; the third row is
-    exactly zero."""
-    A = np.asarray(A, dtype=float)
-    V = np.asarray(V, dtype=float)
-    return _H @ A @ V
-
-
-def is_gram(G) -> bool:
-    """Symmetric within 1e-12 and positive semidefinite up to
-    -1e-10 * ||G|| on the smallest eigenvalue."""
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        return False
-    if not np.all(np.abs(G - G.T) <= 1e-12):
-        return False
-    scale = np.linalg.norm(G, ord=2) if G.size else 0.0
-    if scale == 0.0:
-        return True
-    return float(np.linalg.eigvalsh(G)[0]) >= -1e-10 * scale
 
 
 def shape_dispersion_matrix(spec: DistributionSpec) -> np.ndarray:
@@ -70,6 +47,19 @@ def expected_projected_gram(spec: DistributionSpec, V) -> np.ndarray:
     return gram(V) - gram(D @ spec.modal @ V)
 
 
+def _third_rows(q: np.ndarray) -> np.ndarray:
+    """Third rows of the rotations of the unit quaternions in the columns
+    of the (4, m) array q, as a (3, m) array: the entries R_31, R_32, R_33
+    of ``so3.from_quaternion_batch``, by its formulas."""
+    w, v1, v2, v3 = q
+    w2 = 2.0 * w
+    rows = np.empty((3, q.shape[1]))
+    rows[0] = 2.0 * v1 * v3 - w2 * v2
+    rows[1] = 2.0 * v2 * v3 + w2 * v1
+    rows[2] = (w2 * w - 1.0) + 2.0 * v3 * v3
+    return rows
+
+
 def mc_projected_gram(
     spec: DistributionSpec,
     V,
@@ -80,23 +70,26 @@ def mc_projected_gram(
     """Monte Carlo mean of Gram(H A V) over n rotation draws, and its
     entrywise standard error, as the pair (mean, stderr).
 
-    Gram(H A V) = Gram(V) - g g^T with g the third row of A V, so a draw
-    enters only through g.  Each chunk of MC_CHUNK draws adds g^T g and,
-    for the standard error, (g*g)^T (g*g) as two matrix products;
-    ``distributions.mc_sum`` seeds the chunks and runs up to ``threads``
-    of them at once, and the result is the same bitwise for every
-    ``threads``.  The sums are formed on V 2^-e, |V| < 2^e, and scaled
-    back exactly, so that the fourth powers stay finite for every finite
-    V.
+    Gram(H A V) = Gram(V) - g g^T with g the third row of A V.  For a
+    draw A = R M that row is r M V, with r the third row of R, and r is
+    quadratic in the unit quaternion of R, so a draw enters only through
+    the three numbers r: no rotation matrix is formed.  Each chunk of
+    MC_CHUNK draws adds g^T g and, for the standard error,
+    (g*g)^T (g*g) as two matrix products; ``distributions.mc_sum`` seeds
+    the chunks and runs up to ``threads`` of them at once, and the
+    result is the same bitwise for every ``threads``.  The sums are
+    formed on V 2^-e, |V| < 2^e, and scaled back exactly, so that the
+    fourth powers stay finite for every finite V.
     """
     V = np.asarray(V, dtype=float)
     e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
     U = np.ldexp(V, -e)
+    MU_T = (spec.modal @ U).T
 
     def kernel(m, chunk_rng):
-        g = sample_rotations(spec, m, chunk_rng)[:, 2, :] @ U
+        g = MU_T @ _third_rows(_sample_quaternions(spec, m, chunk_rng)[0])
         gg = g * g
-        return g.T @ g, gg.T @ gg
+        return g @ g.T, gg @ gg.T
 
     total, total_sq = mc_sum(kernel, n, MC_CHUNK, rng, threads)
     outer = total / n
@@ -123,17 +116,3 @@ def recover_gram(E, tau2: float, w) -> np.ndarray:
     E = np.asarray(E, dtype=float)
     w = np.asarray(w, dtype=float)
     return (2.0 / (1.0 + tau2)) * (E - 0.5 * (1.0 - 3.0 * tau2) * np.outer(w, w))
-
-
-def limit_gram_kappa_infinity(M, V) -> np.ndarray:
-    """kappa -> infinity limit of the expected projected Gram.
-
-    As the law concentrates at M, D^2 -> diag(0, 0, 1) and the
-    expectation tends to Gram((I - p p^T) V) with p = M^T e3 (the third
-    row of M): only the projection orthogonal to that direction
-    survives.
-    """
-    M = np.asarray(M, dtype=float)
-    V = np.asarray(V, dtype=float)
-    p = M.T @ np.array([0.0, 0.0, 1.0])
-    return gram((np.eye(3) - np.outer(p, p)) @ V)

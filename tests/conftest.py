@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from rotgram import distributions as dist
-from rotgram import moments, so3
+from rotgram import moments, radon, so3
 from rotgram.errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
@@ -174,3 +174,73 @@ def planar_block(alpha):
         [-s, 1.0 - c, 0.0],
         [0.0, 0.0, 0.0],
     ])
+
+
+def rotation_density(spec, P):
+    """Density of P with respect to Haar probability measure on SO(3)."""
+    P = np.asarray(P, dtype=float)
+    k = spec.kappa
+    if spec.family is dist.Family.HAAR:
+        return 1.0
+    t = float(np.trace(P @ spec.modal.T))
+    if spec.family is dist.Family.FVM:
+        log_density = k * (t - 3.0) - dist.log_bessel_gap(0, k)
+    elif 1.0 + t <= 0.0:
+        return 0.0 if k > 0.0 else 1.0
+    else:  # Cayley-LMR: the ratio of the X-densities at x = (1 + t)/4 to Haar's
+        log_density = k * math.log1p(0.25 * (t - 3.0)) + math.log(0.5 * math.pi) - dist.log_beta_cayley(k)
+    try:
+        return math.exp(log_density)
+    except OverflowError:  # beyond the float range near the mode, from kappa ~ 1e205
+        return math.inf
+
+
+def fz_closed_cayley(kappa, s):
+    """Closed-form zonal density of Z = (R e3)_3 for the Cayley-LMR
+    family: (kappa + 1) ((1 + s) / 2)^kappa on [-1, 1].
+
+    Normalised so that (1/2) * integral over [-1, 1] equals 1.  The base
+    (1 + s) / 2 is at most 1, so the power cannot overflow at any finite
+    kappa.
+    """
+    if not 0.0 <= kappa < math.inf:
+        raise DomainError("concentration kappa must be finite and >= 0")
+    if not -1.0 <= s <= 1.0:
+        raise DomainError("s must lie in [-1, 1]")
+    return (kappa + 1.0) * (0.5 * (1.0 + s)) ** kappa
+
+
+def project(A, V):
+    """Planar projection H A V of the rotated landmarks, H = diag(1, 1, 0);
+    the third row is exactly zero."""
+    A = np.asarray(A, dtype=float)
+    V = np.asarray(V, dtype=float)
+    return np.diag([1.0, 1.0, 0.0]) @ A @ V
+
+
+def is_gram(G):
+    """Symmetric within 1e-12 and positive semidefinite up to
+    -1e-10 * ||G|| on the smallest eigenvalue."""
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        return False
+    if not np.all(np.abs(G - G.T) <= 1e-12):
+        return False
+    scale = np.linalg.norm(G, ord=2) if G.size else 0.0
+    if scale == 0.0:
+        return True
+    return float(np.linalg.eigvalsh(G)[0]) >= -1e-10 * scale
+
+
+def limit_gram_kappa_infinity(M, V):
+    """kappa -> infinity limit of the expected projected Gram.
+
+    As the law concentrates at M, D^2 -> diag(0, 0, 1) and the
+    expectation tends to Gram((I - p p^T) V) with p = M^T e3 (the third
+    row of M): only the projection orthogonal to that direction
+    survives.
+    """
+    M = np.asarray(M, dtype=float)
+    V = np.asarray(V, dtype=float)
+    p = M.T @ np.array([0.0, 0.0, 1.0])
+    return radon.gram((np.eye(3) - np.outer(p, p)) @ V)

@@ -6,7 +6,8 @@ import time
 
 import numpy as np
 
-from conftest import rotation_with_third_row, tau2_of_kappa, tau_from_rho
+from conftest import (fz_closed_cayley, limit_gram_kappa_infinity, rotation_with_third_row,
+                      tau2_of_kappa, tau_from_rho)
 from rotgram import classifier as cls
 from rotgram import cli
 from rotgram import distributions as dist
@@ -117,7 +118,7 @@ def test_criterion_05_transform_pair_fidelity():
     for kappa in (0.0, 1.0, 2.0, 3.0):
         spec = dist.cayley(kappa)
         for s in (-0.9, -0.5, 0.0, 0.5, 0.9):
-            gap = abs(moments.fz_from_fx(spec, s) - dist.fz_closed_cayley(kappa, s))
+            gap = abs(moments.fz_from_fx(spec, s) - fz_closed_cayley(kappa, s))
             worst_closed = max(worst_closed, gap)
     worst_round = 0.0
     for kappa in (0.0, 1.0, 2.0, 3.0):
@@ -211,7 +212,7 @@ def test_criterion_10_kappa_infinity_limit():
     M = generic_modal()
     V = np.column_stack([np.eye(3), np.ones(3) / math.sqrt(3.0)])
     E = radon.expected_projected_gram(dist.cayley(500.0, modal=M), V)
-    limit = radon.limit_gram_kappa_infinity(M, V)
+    limit = limit_gram_kappa_infinity(M, V)
     gap = float(np.max(np.abs(E - limit)))
     ok = gap <= 5e-3
     report(10, "kappa to infinity limit", ok, "entrywise gap=%.2e" % gap)

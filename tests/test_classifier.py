@@ -486,6 +486,25 @@ class TestMcAccuracy:
         assert got == two_einsum_accuracy(pair, n, np.random.default_rng(18))
 
 
+class TestDavenportK:
+    def test_quadratic_form_is_the_trace(self):
+        # pins the sign convention of z against the rotation of the same
+        # quaternion: tr(R(q) S) = q^T K(S) q
+        rng = np.random.default_rng(21)
+        q = rng.normal(size=(4, 1000))
+        q /= np.linalg.norm(q, axis=0)
+        R = so3.from_quaternion_batch(q[0], q[1:].T)
+        for _ in range(5):
+            S = rng.normal(size=(3, 3))
+            form = np.einsum("in,in->n", cls._davenport_k(S) @ q, q)
+            trace = np.einsum("nij,ji->n", R, S)
+            assert np.max(np.abs(form - trace)) <= 1e-15 * np.linalg.norm(S)
+
+    def test_is_symmetric(self):
+        K = cls._davenport_k(np.random.default_rng(22).normal(size=(3, 3)))
+        np.testing.assert_array_equal(K, K.T)
+
+
 class TestGramIsNotAClassificationFeature:
     def test_equal_projected_shapes_yet_separable(self):
         # modal rotations differing by a z-rotation share the projected

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -102,6 +103,18 @@ class TestSample:
         with pytest.raises(SystemExit) as info:
             run(argv)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--family", "cayley", "--kappa", "1"],
+         "c7a68ab5416de0d667db313e29c9d68cb3c5d3d71818c5ba7020d5d6ac371d41"),
+        (["--family", "fvm", "--kappa", "20", "--modal-axis", "1,2,3", "--modal-angle", "0.4"],
+         "2ba2cc06ef60cf62d6ecf82a1e96386bb9f1382d66df96f9618d6d5319de5915"),
+    ], ids=["cayley", "fvm"])
+    def test_pinned_bytes(self, argv, sha256, capsys):
+        # 1000 draws at seed 3, byte for byte: the draw streams and the CSV
+        # format are part of the reproducibility contract
+        assert run(["sample", *argv, "--n", "1000", "--seed", "3"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
 
     def test_unallocatable_n_exits_2(self, capsys):
         # numpy refuses the request for 711 PiB up front, before touching memory
@@ -502,6 +515,24 @@ def test_every_command_accepts_every_finite_kappa(kappa, tmp_path, capsys):
         if argv[0] == "classify":
             psi = float(text.split("psi_closed = ")[1].split()[0])
             assert 0.0 <= psi <= 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--n", "5"],
+    ["fakeuni", "--kappa-m", "5"],
+    ["fakeuni", "--kappa-max", "5", "--n-p", "1"],
+    ["sample", "--n", "1", "--fam", "cayley"],
+], ids=["gram --n", "fakeuni --kappa-m", "fakeuni --n-p", "sample --fam"])
+def test_flag_prefixes_exit_2(argv, tmp_path, capsys):
+    # only the listed flags parse: a unique prefix is not taken for the flag
+    V = tmp_path / "V.csv"
+    V.write_text("1\n0\n0\n", encoding="utf-8")
+    if argv[0] == "gram":
+        argv = argv + ["--landmarks", str(V)]
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -9,8 +9,8 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fvm_x_beta_rejection, ks_critical, ks_statistic, random_rotation,
-                      tau_from_rho)
+from conftest import (fvm_x_beta_rejection, fz_closed_cayley, ks_critical, ks_statistic,
+                      random_rotation, rotation_density, tau_from_rho)
 from rotgram import distributions as dist
 from rotgram import moments, so3
 from rotgram.errors import DomainError
@@ -168,17 +168,17 @@ class TestFxDensity:
 class TestRotationDensity:
     def test_haar_is_one(self):
         rng = np.random.default_rng(0)
-        assert dist.rotation_density(dist.haar(), random_rotation(rng)) == 1.0
+        assert rotation_density(dist.haar(), random_rotation(rng)) == 1.0
 
     def test_cayley_zero_constant_one(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            value = dist.rotation_density(dist.cayley(0.0), random_rotation(rng))
+            value = rotation_density(dist.cayley(0.0), random_rotation(rng))
             assert abs(value - 1.0) < 1e-12
 
     def test_cayley_one_at_mode(self):
         M = so3.from_axis_angle(np.array([0.0, 1.0, 0.0]), 1.2)
-        value = dist.rotation_density(dist.cayley(1.0, modal=M), M)
+        value = rotation_density(dist.cayley(1.0, modal=M), M)
         assert abs(value - 4.0) < 1e-12
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0, 20.0])
@@ -202,7 +202,7 @@ class TestRotationDensity:
 
         def by_trace(x):
             R = so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), math.acos(2.0 * x - 1.0))
-            return dist.rotation_density(spec, R) * dist.fx_density(haar, x)
+            return rotation_density(spec, R) * dist.fx_density(haar, x)
 
         # rotation_density depends on P only through tr(P M^T); with
         # modal = I and the z-axis rotation the trace is 4x - 1.
@@ -215,44 +215,44 @@ class TestRotationDensity:
     def test_beyond_the_float_range_is_inf(self, family, kappa):
         # both raised OverflowError ("math range error") at the mode
         spec = family(kappa)
-        assert dist.rotation_density(spec, np.eye(3)) == math.inf
+        assert rotation_density(spec, np.eye(3)) == math.inf
         off_mode = so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.5 * math.pi)
-        assert dist.rotation_density(spec, off_mode) == 0.0
+        assert rotation_density(spec, off_mode) == 0.0
 
     def test_largest_finite_values_keep_their_bits(self):
-        assert dist.rotation_density(dist.cayley(1e200), np.eye(3)) == 1.772453850905588e+300
-        assert dist.rotation_density(dist.fisher_von_mises(1e200), np.eye(3)) == 1.4179630807245589e+301
+        assert rotation_density(dist.cayley(1e200), np.eye(3)) == 1.772453850905588e+300
+        assert rotation_density(dist.fisher_von_mises(1e200), np.eye(3)) == 1.4179630807245589e+301
 
 
 class TestFzClosedCayley:
     def test_uniform_case(self):
         for s in (-1.0, -0.3, 0.0, 0.8, 1.0):
-            assert dist.fz_closed_cayley(0.0, s) == 1.0
+            assert fz_closed_cayley(0.0, s) == 1.0
 
     def test_value_at_zero(self):
-        assert abs(dist.fz_closed_cayley(2.0, 0.0) - 0.75) < 1e-15
+        assert abs(fz_closed_cayley(2.0, 0.0) - 0.75) < 1e-15
 
     def test_zonal_normalisation(self):
-        total = 0.5 * moments.integrate(lambda s: dist.fz_closed_cayley(3.0, s), -1.0, 1.0, 1e-13)
+        total = 0.5 * moments.integrate(lambda s: fz_closed_cayley(3.0, s), -1.0, 1.0, 1e-13)
         assert abs(total - 1.0) < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            dist.fz_closed_cayley(1.0, 1.5)
+            fz_closed_cayley(1.0, 1.5)
         with pytest.raises(DomainError):
-            dist.fz_closed_cayley(-1.0, 0.0)
+            fz_closed_cayley(-1.0, 0.0)
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_rejects_non_finite_kappa(self, kappa):
         with pytest.raises(DomainError):
-            dist.fz_closed_cayley(kappa, 0.5)
+            fz_closed_cayley(kappa, 0.5)
 
     def test_large_kappa_does_not_overflow(self):
         # finite densities where (1 + s)^kappa alone overflows
-        assert dist.fz_closed_cayley(1e6, 1.0) == 1e6 + 1.0
+        assert fz_closed_cayley(1e6, 1.0) == 1e6 + 1.0
         ref = mpmath.mpf(1801) * mpmath.mpf(0.75) ** 1800
-        assert abs(dist.fz_closed_cayley(1800.0, 0.5) / ref - 1) < 1e-12
-        assert dist.fz_closed_cayley(1e300, 0.0) == 0.0
+        assert abs(fz_closed_cayley(1800.0, 0.5) / ref - 1) < 1e-12
+        assert fz_closed_cayley(1e300, 0.0) == 0.0
 
 
 class TestSampleX:

@@ -1,6 +1,7 @@
 """Peak memory of the Monte Carlo kernels does not grow with the number
 of draws: both work in fixed-size chunks, keep nothing per draw, and
-hold at most one chunk per thread at once."""
+hold at most one chunk per thread at once.  Within a chunk they work on
+the unit quaternions of the draws and never form a rotation matrix."""
 
 import tracemalloc
 
@@ -55,3 +56,38 @@ def test_mc_projected_gram_peak_is_flat():
     assert_flat(lambda n, threads: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
                                                            threads=threads),
                 radon.MC_CHUNK)
+
+
+# A chunk's (m, 3, 3) rotations alone take 9 floats per draw, and the
+# rotations shifted by the modal matrix 9 more.
+FLOATS_PER_DRAW = 18
+
+
+def gram_run(n):
+    V = np.random.default_rng(2).normal(size=(3, 4))
+    return radon.mc_projected_gram(dist.cayley(2.0), V, n or radon.MC_CHUNK,
+                                   np.random.default_rng(3))
+
+
+def accuracy_run(n):
+    pair = cls.ClassPair(np.eye(3), so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.0),
+                         dist.cayley(2.0))
+    return cls.mc_accuracy(pair, n or cls.MC_CHUNK, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("run, chunk", [(gram_run, radon.MC_CHUNK),
+                                        (accuracy_run, cls.MC_CHUNK)],
+                         ids=["mc_projected_gram", "mc_accuracy"])
+def test_one_chunk_peak_per_draw(run, chunk):
+    assert peak_bytes(run) < FLOATS_PER_DRAW * 8 * chunk
+
+
+@pytest.mark.parametrize("run", [gram_run, accuracy_run],
+                         ids=["mc_projected_gram", "mc_accuracy"])
+def test_kernels_form_no_rotation_matrix(run, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rotation matrix was formed")
+
+    monkeypatch.setattr(so3, "from_quaternion_batch", refuse)
+    monkeypatch.setattr(dist, "sample_rotations", refuse)
+    run(3000)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import g0, g0_coefficients, tau_from_rho, tau_k_g0
+from conftest import fz_closed_cayley, g0, g0_coefficients, tau_from_rho, tau_k_g0
 from rotgram import distributions as dist
 from rotgram import moments
 from rotgram.errors import DomainError, NoConvergence
@@ -347,7 +347,7 @@ class TestFzFromFx:
         for kappa in (0.0, 1.0, 2.0, 3.0):
             spec = dist.cayley(kappa)
             for s in (-0.9, -0.5, 0.0, 0.5, 0.9):
-                closed = dist.fz_closed_cayley(kappa, s)
+                closed = fz_closed_cayley(kappa, s)
                 assert abs(moments.fz_from_fx(spec, s) - closed) < 1e-8
 
     def test_fvm_zonal_normalisation(self):
@@ -380,7 +380,7 @@ class TestFxFromFz:
         for kappa in (1.0, 2.0, 3.0):
             spec = dist.cayley(kappa)
             for s in (0.2, 0.5, 0.8):
-                value = moments.fx_from_fz(lambda t, k=kappa: dist.fz_closed_cayley(k, t), s)
+                value = moments.fx_from_fz(lambda t, k=kappa: fz_closed_cayley(k, t), s)
                 assert abs(value - dist.fx_density(spec, s)) < 1e-9
 
     def test_round_trip_through_numeric_fz(self):

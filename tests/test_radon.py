@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ks_statistic, random_rotation, rotation_with_third_row
+from conftest import (is_gram, ks_statistic, limit_gram_kappa_infinity, project, random_rotation,
+                      rotation_with_third_row)
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
 from rotgram.errors import DomainError
@@ -28,27 +29,27 @@ class TestGram:
             assert np.max(np.abs(radon.gram(A @ V) - radon.gram(V))) < 1e-12
 
     def test_is_gram(self):
-        assert radon.is_gram(np.eye(2))
-        assert radon.is_gram(np.zeros((3, 3)))
-        assert not radon.is_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
-        assert not radon.is_gram(np.array([[1.0, 0.1], [0.0, 1.0]]))  # asymmetric
+        assert is_gram(np.eye(2))
+        assert is_gram(np.zeros((3, 3)))
+        assert not is_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
+        assert not is_gram(np.array([[1.0, 0.1], [0.0, 1.0]]))  # asymmetric
 
 
 class TestProject:
     def test_annihilates_e3(self):
         V = E3.reshape(3, 1)
-        np.testing.assert_array_equal(radon.project(np.eye(3), V), np.zeros((3, 1)))
+        np.testing.assert_array_equal(project(np.eye(3), V), np.zeros((3, 1)))
 
     def test_keeps_e1(self):
         V = np.array([1.0, 0.0, 0.0]).reshape(3, 1)
-        np.testing.assert_array_equal(radon.project(np.eye(3), V), V)
+        np.testing.assert_array_equal(project(np.eye(3), V), V)
 
     def test_loewner_contraction(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             V = rng.normal(size=(3, 3))
             A = random_rotation(rng)
-            gap = radon.gram(V) - radon.gram(radon.project(A, V))
+            gap = radon.gram(V) - radon.gram(project(A, V))
             assert np.linalg.eigvalsh(gap)[0] >= -1e-10
 
 
@@ -103,7 +104,7 @@ class TestMcProjectedGram:
     def test_single_draw_is_psd(self):
         rng = np.random.default_rng(5)
         G, _ = radon.mc_projected_gram(dist.haar(), np.eye(3), 1, rng)
-        assert radon.is_gram(G)
+        assert is_gram(G)
 
     def test_seeded_reproducibility(self):
         V = np.eye(3)
@@ -133,6 +134,18 @@ class TestMcProjectedGram:
         G = np.concatenate(grams)
         np.testing.assert_allclose(mean, G.mean(axis=0), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(se, G.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [dist.cayley(2.0, modal=so3.from_axis_angle(E3, 0.7)),
+                                      dist.fisher_von_mises(20.0, modal=random_rotation(
+                                          np.random.default_rng(19)))])
+    def test_kernel_rows_are_third_rows_of_the_draws(self, spec):
+        # the same child stream gives the kernel's rows and the full draws
+        m = 5000
+        q = dist._sample_quaternions(spec, m, np.random.default_rng(20).spawn(1)[0])[0]
+        rows = radon._third_rows(q)
+        np.testing.assert_array_equal(rows.T, so3.from_quaternion_batch(q[0], q[1:].T)[:, 2, :])
+        P = dist.sample_rotations(spec, m, np.random.default_rng(20).spawn(1)[0])
+        np.testing.assert_allclose(rows.T @ spec.modal, P[:, 2, :], rtol=0.0, atol=1e-15)
 
     def test_large_landmarks_scale_exactly(self):
         # the fourth powers in the stderr overflowed to nan at 1e80
@@ -197,11 +210,11 @@ class TestRecoverGram:
 class TestKappaInfinityLimit:
     def test_identity_configuration(self):
         np.testing.assert_array_equal(
-            radon.limit_gram_kappa_infinity(np.eye(3), np.eye(3)), np.diag([1.0, 1.0, 0.0])
+            limit_gram_kappa_infinity(np.eye(3), np.eye(3)), np.diag([1.0, 1.0, 0.0])
         )
 
     def test_e3_landmark_vanishes(self):
-        limit = radon.limit_gram_kappa_infinity(np.eye(3), E3.reshape(3, 1))
+        limit = limit_gram_kappa_infinity(np.eye(3), E3.reshape(3, 1))
         np.testing.assert_allclose(limit, np.zeros((1, 1)), atol=1e-15)
 
     def test_consistent_with_recover_algebra(self):
@@ -211,7 +224,7 @@ class TestKappaInfinityLimit:
         M = random_rotation(rng)
         w = (M @ V)[2, :]
         np.testing.assert_allclose(
-            radon.limit_gram_kappa_infinity(M, V),
+            limit_gram_kappa_infinity(M, V),
             radon.gram(V) - np.outer(w, w), atol=1e-12,
         )
 
@@ -219,7 +232,7 @@ class TestKappaInfinityLimit:
         # deviation from the limit shrinks like 1/kappa
         M = rotation_with_third_row([0.6, -0.6, math.sqrt(1.0 - 0.72)])
         V = np.column_stack([np.eye(3), np.ones(3) / math.sqrt(3.0)])
-        lim = radon.limit_gram_kappa_infinity(M, V)
+        lim = limit_gram_kappa_infinity(M, V)
         devs = []
         for kappa in (250.0, 500.0, 1000.0):
             E = radon.expected_projected_gram(dist.cayley(kappa, modal=M), V)

@@ -2,10 +2,11 @@
 
 Subcommands: sample, figure1, gram, classify, fakeuni.  Every command is
 deterministic given --seed and its flags; the generator is numpy's
-PCG64, so a seed reproduces output byte for byte.  CSV output uses a
-header row, '.' as the decimal separator, 17 significant digits, LF
-line endings, and UTF-8.  Flags are spelled in full; argparse's prefix
-matching is off.
+PCG64, so a seed reproduces output byte for byte.  Every number printed
+or written is formatted '%.17g', which round-trips every float64; a CSV
+is a header row and float columns, written in row blocks by
+``_write_csv`` with LF line endings in UTF-8.  Flags are spelled in
+full; argparse's prefix matching is off.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numerical non-convergence.
@@ -14,6 +15,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -27,41 +29,46 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NOCONV = 4
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _write_csv(stream, header, rows):
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+ROW_BLOCK = 256  # rows per block of ``_write_csv``: one block's Python floats stay small
 
 
 def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _parse_modal(axis: str | None, angle: float | None) -> np.ndarray:
-    """Modal rotation about ``axis`` ('x,y,z', any nonzero finite length)
-    by ``angle`` radians; the identity when neither is given."""
+def _write_csv(path, header, columns):
+    """Write ``header`` and the float ``columns`` (1-D or 2-D arrays of
+    equal length, side by side) to ``path``, or to stdout with no path,
+    every value as '%.17g', in blocks of ROW_BLOCK rows."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with contextlib.nullcontext(sys.stdout) if path is None else _open_out(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), ROW_BLOCK):
+            block = np.column_stack([c[start:start + ROW_BLOCK] for c in columns]).tolist()
+            fh.write("".join([row % tuple(values) for values in block]))
+
+
+def _parse_modal(stem: str, axis: str | None, angle: float | None) -> np.ndarray:
+    """Modal rotation from the flags ``stem``-axis ('x,y,z', any nonzero finite
+    length) and ``stem``-angle (radians); the identity when neither is given."""
     if axis is None and angle is None:
         return np.eye(3)
     if axis is None or angle is None:
-        raise DomainError("axis-angle input needs both --modal-axis and --modal-angle")
+        raise DomainError("axis-angle input needs both %s-axis and %s-angle" % (stem, stem))
+    if not math.isfinite(angle):
+        raise DomainError("%s-angle must be finite" % stem)
     vec = np.array([float(v) for v in axis.split(",")], dtype=float)
     if vec.shape != (3,):
-        raise DomainError("--modal-axis expects three comma-separated values")
+        raise DomainError("%s-axis expects three comma-separated values" % stem)
     if not (np.all(np.isfinite(vec)) and np.any(vec != 0.0)):
-        raise DomainError("--modal-axis must be finite and nonzero")
+        raise DomainError("%s-axis must be finite and nonzero" % stem)
     # scaled exactly by a power of two, so that the norm cannot under- or overflow
     vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])
     return so3.from_axis_angle(vec / np.linalg.norm(vec), float(angle))
 
 
 def _spec(args) -> distributions.DistributionSpec:
-    modal = _parse_modal(args.modal_axis, args.modal_angle)
+    modal = _parse_modal("--modal", args.modal_axis, args.modal_angle)
     return distributions.DistributionSpec(args.family, modal=modal, kappa=args.kappa)
 
 
@@ -71,28 +78,17 @@ def cmd_sample(args) -> int:
     spec = _spec(args)
     rng = np.random.default_rng(args.seed)
     P, axes, angles, x = distributions.sample_rotations(spec, args.n, rng, return_parts=True)
-    header = ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
-              "theta", "u1", "u2", "u3", "x"]
-    rows = (
-        [float(v) for v in P[i].reshape(-1)]
-        + [float(angles[i]), float(axes[i, 0]), float(axes[i, 1]), float(axes[i, 2]), float(x[i])]
-        for i in range(args.n)
-    )
-    if args.out:
-        with _open_out(args.out) as fh:
-            _write_csv(fh, header, rows)
-    else:
-        _write_csv(sys.stdout, header, rows)
+    _write_csv(args.out or None, ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
+                                  "theta", "u1", "u2", "u3", "x"],
+               (P.reshape(args.n, 9), angles, axes, x))
     return EXIT_OK
 
 
 def cmd_figure1(args) -> int:
     cay = fake_uniformity.scan_curve("cayley", args.kappa_max, args.n_points)
     fvm = fake_uniformity.scan_curve("fvm", args.kappa_max, args.n_points)
-    rows = [[p.kappa, p.tau2_minus_third, q.tau2_minus_third] for p, q in zip(cay, fvm)]
-    with _open_out(args.out) as fh:
-        _write_csv(fh, ["kappa", "cayley", "fvm"], rows)
-    print("wrote %s (%d rows)" % (args.out, len(rows)))
+    _write_csv(args.out, ["kappa", "cayley", "fvm"], (cay, fvm[:, 1]))
+    print("wrote %s (%d rows)" % (args.out, len(cay)))
     return EXIT_OK
 
 
@@ -118,7 +114,7 @@ def _load_landmarks(path: str) -> np.ndarray:
 def _print_matrix(label: str, G: np.ndarray) -> None:
     print(label)
     for row in G:
-        print("  " + "  ".join(_fmt(v) for v in row))
+        print("  " + "  ".join(["%.17g" % v for v in row]))
 
 
 def cmd_gram(args) -> int:
@@ -134,29 +130,26 @@ def cmd_gram(args) -> int:
     mc, mc_se = radon.mc_projected_gram(spec, V, args.n_mc, np.random.default_rng(args.seed),
                                         threads=args.threads)
     deviation = mc - closed
-    naive_bias = 1.5 * closed - radon.gram(V)
+    naive_bias = radon.recover_gram(closed, 1.0 / 3.0, (spec.modal @ V)[2]) - radon.gram(V)
     _print_matrix("closed-form expected projected Gram:", closed)
     _print_matrix("monte-carlo estimate (n=%d):" % args.n_mc, mc)
     _print_matrix("entrywise deviation (mc - closed):", deviation)
     _print_matrix("naive uniform-law recovery bias (1.5 E - Gram(V)):", naive_bias)
-    print("max |deviation| = %s" % _fmt(np.max(np.abs(deviation))))
-    print("max |naive bias| = %s" % _fmt(np.max(np.abs(naive_bias))))
+    print("max |deviation| = %.17g" % np.max(np.abs(deviation)))
+    print("max |naive bias| = %.17g" % np.max(np.abs(naive_bias)))
     _print_matrix("entrywise MC standard error:", mc_se)
     spread = mc_se > 0.0
     if np.all(deviation[~spread] == 0.0):
         z = np.abs(deviation[spread]) / mc_se[spread]
-        print("max |z| = %s" % _fmt(np.max(z, initial=0.0)))
+        print("max |z| = %.17g" % np.max(z, initial=0.0))
     else:
         print("max |z| = undefined (zero standard error)")
     if args.out:
-        k = V.shape[1]
-        rows = []
-        for name, G in (("closed", closed), ("mc", mc), ("bias", naive_bias)):
-            for i in range(k):
-                for j in range(k):
-                    rows.append([name, i, j, float(G[i, j])])
         with _open_out(args.out) as fh:
-            _write_csv(fh, ["block", "i", "j", "value"], rows)
+            fh.write("block,i,j,value\n")
+            for name, G in (("closed", closed), ("mc", mc), ("bias", naive_bias)):
+                fh.writelines(["%s,%d,%d,%.17g\n" % (name, i, j, v)
+                               for (i, j), v in np.ndenumerate(G)])
         print("wrote %s" % args.out)
     return EXIT_OK
 
@@ -164,8 +157,8 @@ def cmd_gram(args) -> int:
 def cmd_classify(args) -> int:
     if args.n_mc < 1:
         raise DomainError("--n-mc must be >= 1")
-    m1 = _parse_modal(args.modal_axis, args.modal_angle)
-    m2 = _parse_modal(args.modal2_axis, args.modal2_angle)
+    m1 = _parse_modal("--modal", args.modal_axis, args.modal_angle)
+    m2 = _parse_modal("--modal2", args.modal2_axis, args.modal2_angle)
     common = distributions.DistributionSpec(args.family, kappa=args.kappa)
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
@@ -173,37 +166,33 @@ def cmd_classify(args) -> int:
     acc, _, _ = classifier.mc_accuracy(pair, args.n_mc, np.random.default_rng(args.seed),
                                        threads=args.threads)
     if 0.0 < acc < 1.0:
-        stderr = _fmt(math.sqrt(acc * (1.0 - acc) / args.n_mc))
+        stderr = "%.17g" % math.sqrt(acc * (1.0 - acc) / args.n_mc)
     else:
-        # Every draw got the same verdict, so the binomial standard error
-        # reads 0; report the 95% rule-of-three bound instead.
-        stderr = "%s (rule-of-three bound 3/n; MC accuracy is exactly %s)" % (
-            _fmt(3.0 / args.n_mc), _fmt(acc))
-    print("alpha = %s" % _fmt(pair.alpha))
-    print("psi_closed = %s" % _fmt(psi))
-    print("psi_derivative = %s" % _fmt(dpsi))
-    print("mc_accuracy = %s (n=%d)" % (_fmt(acc), args.n_mc))
+        # one verdict for every draw: the 95% rule-of-three bound, not a 0 stderr
+        stderr = "%.17g (rule-of-three bound 3/n; MC accuracy is exactly %.17g)" % (
+            3.0 / args.n_mc, acc)
+    print("alpha = %.17g" % pair.alpha)
+    print("psi_closed = %.17g" % psi)
+    print("psi_derivative = %.17g" % dpsi)
+    print("mc_accuracy = %.17g (n=%d)" % (acc, args.n_mc))
     print("mc_stderr = %s" % stderr)
-    print("gap |closed - mc| = %s" % _fmt(abs(psi - acc)))
+    print("gap |closed - mc| = %.17g" % abs(psi - acc))
     return EXIT_OK
 
 
 def cmd_fakeuni(args) -> int:
-    family = args.family
-    slope = fake_uniformity.initial_slope(family)
-    root = fake_uniformity.find_fake_uniformity(family, 0.0, args.kappa_max)
+    slope = fake_uniformity.initial_slope(args.family)
+    root = fake_uniformity.find_fake_uniformity(args.family, 0.0, args.kappa_max)
     if args.out:
-        points = fake_uniformity.scan_curve(family, args.kappa_max, args.n_points)
-    print("family = %s" % family)
-    print("initial_slope = %s" % _fmt(slope))
+        points = fake_uniformity.scan_curve(args.family, args.kappa_max, args.n_points)
+    print("family = %s" % args.family)
+    print("initial_slope = %.17g" % slope)
     if root is not None:
-        print("fake-uniformity roots: %s" % _fmt(root))
+        print("fake-uniformity roots: %.17g" % root)
     else:
-        print("fake-uniformity roots: none in (0, %s]" % _fmt(args.kappa_max))
+        print("fake-uniformity roots: none in (0, %.17g]" % args.kappa_max)
     if args.out:
-        rows = [[p.kappa, p.tau2_minus_third] for p in points]
-        with _open_out(args.out) as fh:
-            _write_csv(fh, ["kappa", "tau2_minus_third"], rows)
+        _write_csv(args.out, ["kappa", "tau2_minus_third"], (points,))
         print("curve written to %s" % args.out)
     return EXIT_OK
 
@@ -282,15 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError, NoConvergence) as exc:  # DomainError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except NoConvergence as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NOCONV
+        return (EXIT_DATA if isinstance(exc, OSError)
+                else EXIT_NOCONV if isinstance(exc, NoConvergence) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

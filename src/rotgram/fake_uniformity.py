@@ -15,33 +15,28 @@ from the closed form ``moments.tau2_excess`` of tau2 - 1/3:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
 from .moments import tau2_excess
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    kappa: float
-    tau2_minus_third: float
-
-
-def scan_curve(family, kappa_max: float, n_points: int):
-    """tau2(kappa) - 1/3 from ``moments.tau2_excess`` on the uniform grid
-    kappa_max * i / (n_points - 1), i = 0 .. n_points - 1.  Where
-    kappa_max * i overflows, the grid point is kappa_max * (i / (n_points - 1))."""
+def scan_curve(family, kappa_max: float, n_points: int) -> np.ndarray:
+    """The (n_points, 2) array of rows (kappa, tau2(kappa) - 1/3), from
+    ``moments.tau2_excess`` on the grid kappa_max * i / (n_points - 1), or
+    kappa_max * (i / (n_points - 1)) where kappa_max * i overflows."""
     if not 0.0 < kappa_max < math.inf:
         raise DomainError("kappa_max must be positive and finite")
     if n_points < 2:
         raise DomainError("n_points must be >= 2")
-    points = []
-    for i in range(n_points):
+    points = np.empty((n_points, 2))
+    for i, point in enumerate(points):
         kappa = kappa_max * i / (n_points - 1)
         if kappa == math.inf:
             kappa = kappa_max * (i / (n_points - 1))
-        points.append(CurvePoint(kappa, tau2_excess(DistributionSpec(family, kappa=kappa))))
+        point[:] = kappa, tau2_excess(DistributionSpec(family, kappa=kappa))
     return points
 
 

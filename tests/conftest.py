@@ -244,3 +244,13 @@ def limit_gram_kappa_infinity(M, V):
     V = np.asarray(V, dtype=float)
     p = M.T @ np.array([0.0, 0.0, 1.0])
     return radon.gram((np.eye(3) - np.outer(p, p)) @ V)
+
+
+def write_csv_rows(stream, header, rows):
+    """The CLI's former CSV writer, an oracle for ``cli._write_csv``: each
+    float of each row as ``format(float(v), ".17g")``, any other value by
+    ``str``, one ``write`` per row."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import pathlib
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import write_csv_rows
 from rotgram import cli, fake_uniformity, radon, so3
 from rotgram import distributions as dist
 
@@ -128,6 +130,96 @@ class TestSample:
         with pytest.raises(SystemExit) as info:
             run(["sample", "--family", "haar", "--n", "1", flag, "1"])
         assert info.value.code == 2
+
+
+SAMPLE_HEADER = ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
+                 "theta", "u1", "u2", "u3", "x"]
+PIN_LANDMARKS = "1,0,0.5,-1\n0,1,0.25,2\n0,0,1,0.5\n"
+PIN_GRAM = ["gram", "--family", "cayley", "--kappa", "2", "--modal-axis", "1,2,3",
+            "--modal-angle", "0.4", "--landmarks", "V.csv", "--n-mc", "20000", "--seed", "5"]
+
+
+class TestPinnedBytes:
+    """Every other CLI output at fixed flags, byte for byte, as SHA-256:
+    the draw streams, closed forms and number format are part of the
+    reproducibility contract."""
+
+    def _run(self, argv, tmp_path):
+        V = tmp_path / "V.csv"
+        V.write_text(PIN_LANDMARKS, encoding="utf-8")
+        assert run([str(V) if a == "V.csv" else a for a in argv]) == 0
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["figure1", "--kappa-max", "10", "--n-points", "201"],
+         "34f20316a2b26d07da51319795e57903a85ccbdbe75b4cf782db71ed5ad88884"),
+        (["figure1", "--kappa-max", "1.7976931348623157e308", "--n-points", "7"],
+         "9e6000f114a5b7e2902c89c80715066b6e8727f3e3b9a14972574652186d9efa"),
+        (["fakeuni", "--family", "cayley", "--kappa-max", "5"],
+         "6e64de438edea7cfb426c6a7facdd23bdffed2bbd0081a08ae0e07b176c81c3a"),
+        (["fakeuni", "--family", "fvm", "--kappa-max", "10", "--n-points", "257"],
+         "988c70d7dc83a798f71b0d5edade43bd5f253f80a0e52ff25102a2ab0fcaa715"),
+        (PIN_GRAM, "671e7c1f0940848d42e0d7c75b5bf337af16032262a7697e5905c9491a3cdff3"),
+    ], ids=["figure1", "figure1-max-float", "fakeuni-cayley", "fakeuni-fvm", "gram"])
+    def test_out_file(self, argv, sha256, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        self._run(argv + ["--out", str(out)], tmp_path)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (PIN_GRAM, "4b5bf9205e04f9daeb3ed449fd246905aa9ccfbf07f174a3a39e67c82a18c846"),
+        (["classify", "--family", "cayley", "--kappa", "2", "--modal2-axis", "0,0,1",
+          "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
+         "ce135dd17934e19ab870f1fed75c98a20526a4a568ec265ae35ccde61a5fb93e"),
+        (["classify", "--family", "cayley", "--kappa", "1e5", "--modal2-axis", "0,0,1",
+          "--modal2-angle", "1", "--n-mc", "1000"],
+         "f195645f8f631693f2d78b1e45664ad228cb7ed7bbda2ffa92278cdf0bf5d6ff"),
+    ], ids=["gram", "classify", "classify-rule-of-three"])
+    def test_stdout(self, argv, sha256, tmp_path, capsys):
+        self._run(argv, tmp_path)
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
+
+class TestCsvWriter:
+    """``cli._write_csv`` against the former per-value writer,
+    ``conftest.write_csv_rows``, byte for byte."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_sample_matches_the_row_oracle(self, n, capsys):
+        assert run(["sample", "--family", "fvm", "--kappa", "20", "--modal-axis", "1,2,3",
+                    "--modal-angle", "0.4", "--n", str(n), "--seed", "3"]) == 0
+        spec = dist.DistributionSpec("fvm", modal=cli._parse_modal("--modal", "1,2,3", 0.4),
+                                     kappa=20.0)
+        P, axes, angles, x = dist.sample_rotations(spec, n, np.random.default_rng(3),
+                                                   return_parts=True)
+        rows = ([float(v) for v in P[i].reshape(-1)]
+                + [float(angles[i]), float(axes[i, 0]), float(axes[i, 1]), float(axes[i, 2]),
+                   float(x[i])]
+                for i in range(n))
+        expected = io.StringIO()
+        write_csv_rows(expected, SAMPLE_HEADER, rows)
+        assert capsys.readouterr().out == expected.getvalue()
+
+    def test_special_values_match_the_oracle(self, tmp_path):
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0])
+        a = np.tile(special, 60)  # 660 rows: two full blocks and a partial one
+        b = np.roll(a, 3)
+        out = tmp_path / "t.csv"
+        cli._write_csv(str(out), ["a", "b", "c", "d"], (a, np.column_stack([b, -a]), b[::-1]))
+        expected = io.StringIO()
+        write_csv_rows(expected, ["a", "b", "c", "d"], zip(a.tolist(), b.tolist(),
+                                                           (-a).tolist(), b[::-1].tolist()))
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_empty_out_path(tmp_path, capsys, monkeypatch):
+    # an empty --out is stdout for sample, whose --out is optional, and a
+    # path that cannot be opened for figure1, whose --out is required
+    monkeypatch.chdir(tmp_path)
+    assert run(["sample", "--n", "2", "--out", ""]) == 0
+    assert capsys.readouterr().out.startswith("r11,r12,")
+    assert run(["figure1", "--kappa-max", "1", "--out", ""]) == 3
+    assert capsys.readouterr().out == ""
 
 
 class TestFigure1:
@@ -485,6 +577,25 @@ def test_modal_axis_of_any_finite_scale(axis, tmp_path, capsys):
 def test_modal_axis_zero_or_nonfinite_exits_2(axis, capsys):
     assert run(["sample", "--n", "2", "--modal-axis", axis, "--modal-angle", "1"]) == 2
     assert "--modal-axis must be finite and nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, stem, other", [
+    (["sample", "--n", "2"], "--modal", "--modal2"),
+    (["classify", "--n-mc", "10"], "--modal2", "--modal-"),
+], ids=["sample", "classify"])
+@pytest.mark.parametrize("flags, message", [
+    (["-axis", "0,0,1", "-angle", "nan"], "-angle must be finite"),
+    (["-axis", "0,0,1", "-angle", "inf"], "-angle must be finite"),
+    (["-axis", "1,2", "-angle", "1"], "-axis expects three comma-separated values"),
+    (["-axis", "0,0,0", "-angle", "1"], "-axis must be finite and nonzero"),
+    (["-axis", "0,0,1"], "-angle"),
+], ids=["nan-angle", "inf-angle", "two-entry-axis", "zero-axis", "axis-without-angle"])
+def test_modal_errors_name_their_flag(command, stem, other, flags, message, capsys):
+    argv = command + [stem + f if f.startswith("-") else f for f in flags]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert stem + message in captured.err and other not in captured.err, captured.err
 
 
 FINITE_KAPPAS = ["0.5", "50", "51", "1e5", "2e5", "1e8", "1e300", "1.7976931348623157e308"]

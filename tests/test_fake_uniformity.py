@@ -44,22 +44,22 @@ class TestTau2OfKappa:
 class TestScanCurve:
     def test_cayley_endpoints_vanish(self):
         points = fu.scan_curve("cayley", 1.0, 11)
-        assert abs(points[0].tau2_minus_third) < 1e-12
-        assert abs(points[-1].tau2_minus_third) < 1e-12
+        assert abs(points[0, 1]) < 1e-12
+        assert abs(points[-1, 1]) < 1e-12
 
     def test_cayley_interior_strictly_negative(self):
         points = fu.scan_curve("cayley", 1.0, 21)
         for p in points[1:-1]:
-            assert p.tau2_minus_third < 0.0
+            assert p[1] < 0.0
 
     def test_fvm_zero_at_origin(self):
         points = fu.scan_curve("fvm", 1.0, 5)
-        assert abs(points[0].tau2_minus_third) < 1e-9
+        assert abs(points[0, 1]) < 1e-9
 
     def test_grid_layout(self):
         points = fu.scan_curve("cayley", 2.0, 5)
-        np.testing.assert_allclose([p.kappa for p in points], [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert all(math.isfinite(p.tau2_minus_third) for p in points)
+        np.testing.assert_allclose(points[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert all(math.isfinite(p[1]) for p in points)
 
     def test_non_finite_kappa_max(self):
         for kappa_max in (math.nan, math.inf):
@@ -82,15 +82,15 @@ class TestFindFakeUniformity:
         points = fu.scan_curve("cayley", 5.0, 201)[1:]
         crossings = sum(
             1 for a, b in zip(points, points[1:])
-            if a.tau2_minus_third * b.tau2_minus_third < 0.0
+            if a[1] * b[1] < 0.0
         )
         # kappa = 1 lies on this grid and the closed form is exactly 0
         # there, so the one crossing is that grid point, between
         # neighbours of opposite sign, and no pair of neighbours changes sign.
-        zeros = [i for i, p in enumerate(points) if p.tau2_minus_third == 0.0]
-        assert crossings == 0 and [points[i].kappa for i in zeros] == [1.0]
+        zeros = [i for i, p in enumerate(points) if p[1] == 0.0]
+        assert crossings == 0 and [points[i, 0] for i in zeros] == [1.0]
         i = zeros[0]
-        assert points[i - 1].tau2_minus_third < 0.0 < points[i + 1].tau2_minus_third
+        assert points[i - 1, 1] < 0.0 < points[i + 1, 1]
 
     def test_no_spurious_roots_near_zero(self):
         # tau2 - 1/3 is far below the spacing of doubles near 1/3 here

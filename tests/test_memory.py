@@ -1,7 +1,8 @@
 """Peak memory of the Monte Carlo kernels does not grow with the number
 of draws: both work in fixed-size chunks, keep nothing per draw, and
 hold at most one chunk per thread at once.  Within a chunk they work on
-the unit quaternions of the draws and never form a rotation matrix."""
+the unit quaternions of the draws and never form a rotation matrix.  The
+CLI's CSV writer likewise holds one block of rows at a time."""
 
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 
 from rotgram import classifier as cls
 from rotgram import distributions as dist
-from rotgram import radon, so3
+from rotgram import cli, radon, so3
 
 # From two chunks on: one chunk's results are still held while the next
 # is drawn.
@@ -91,3 +92,23 @@ def test_kernels_form_no_rotation_matrix(run, monkeypatch):
     monkeypatch.setattr(so3, "from_quaternion_batch", refuse)
     monkeypatch.setattr(dist, "sample_rotations", refuse)
     run(3000)
+
+
+def test_csv_writer_holds_one_block(tmp_path):
+    # ``cli._write_csv`` formats ROW_BLOCK rows at a time: writing forty
+    # blocks of a 14-column table may not peak above writing four
+    header = ["c%d" % j for j in range(14)]
+    path = str(tmp_path / "t.csv")
+
+    def peak(blocks):
+        table = np.random.default_rng(4).normal(size=(blocks * cli.ROW_BLOCK, 14))
+        cli._write_csv(path, header, (table,))  # first-call allocations are not per row
+        tracemalloc.start()
+        try:
+            cli._write_csv(path, header, (table,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4), peak(40)
+    assert large <= 1.05 * small, (small, large)

@@ -200,6 +200,24 @@ class TestRecoverGram:
         np.testing.assert_allclose(bias, predicted, atol=1e-9)
         assert np.max(np.abs(bias)) > 0.01
 
+    def test_fake_uniform_recovery_is_the_naive_formula_bitwise(self):
+        # ``rotgram gram`` prints recover_gram(E, 1/3, w) - Gram(V) as its
+        # naive-bias block; it is 1.5 E - Gram(V) bit for bit, signs of zero
+        # included, from landmarks at 1e-150 to 1e150
+        rng = np.random.default_rng(10)
+        for _ in range(2000):
+            V = rng.normal(size=(3, int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-150.0, 150.0)
+            V[rng.random(V.shape) < 0.15] = 0.0
+            V[:, rng.random(V.shape[1]) < 0.15] = 0.0
+            family = ("haar", "cayley", "fvm")[int(rng.integers(3))]
+            kappa = 0.0 if family == "haar" else float(rng.uniform(0.0, 5.0))
+            spec = dist.DistributionSpec(family, modal=random_rotation(rng), kappa=kappa)
+            E = radon.expected_projected_gram(spec, V)
+            routed = radon.recover_gram(E, 1.0 / 3.0, (spec.modal @ V)[2]) - radon.gram(V)
+            naive = 1.5 * E - radon.gram(V)
+            np.testing.assert_array_equal(routed, naive)
+            np.testing.assert_array_equal(np.signbit(routed), np.signbit(naive))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             radon.recover_gram(np.eye(2), 0.0, np.zeros(2))

@@ -28,7 +28,6 @@ from .errors import DomainError
 from .moments import fvm_expectation
 
 TIE_TOL = 1e-14
-MC_CHUNK = 1 << 17
 _LOG_TINY = -708.0  # e^x is a normal float above this
 
 
@@ -166,11 +165,11 @@ def mc_accuracy(
     P = R M_label from the common centred law, applies the Bayes rule,
     and returns the fractions of correct assignments as the tuple
     (overall, class-1 accuracy, class-2 accuracy); a class that drew no
-    labels has accuracy nan.  The draws come in chunks of MC_CHUNK, each
-    drawing its labels first and its rotations second;
-    ``distributions.mc_sum`` seeds the chunks and runs up to
-    ``threads`` of them at once, and the result is the same bitwise for
-    every ``threads``.  The rule's statistic is tr(R S_label), with
+    labels has accuracy nan.  The draws come in chunks of
+    ``distributions.MC_CHUNK``, each drawing its labels first and its
+    rotations second; ``distributions.mc_sum`` seeds the chunks and runs
+    up to ``threads`` of them at once, and the result is the same bitwise
+    for every ``threads``.  The rule's statistic is tr(R S_label), with
     S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1.  It is linear in R, so it
     is the quadratic form q^T K(S_label) q in the unit quaternion q of R
     (``_davenport_k``): per chunk both statistics come from one
@@ -188,7 +187,7 @@ def mc_accuracy(
         hit = ((stat > 0.0) | (np.abs(stat) < TIE_TOL)) == is1
         return np.count_nonzero(hit), np.count_nonzero(hit & is1), np.count_nonzero(is1)
 
-    correct, correct1, n1 = mc_sum(kernel, n, MC_CHUNK, rng, threads)
+    correct, correct1, n1 = mc_sum(kernel, n, rng, threads)
     overall = correct / n
     acc1 = correct1 / n1 if n1 else math.nan
     n2 = n - n1

@@ -57,7 +57,10 @@ def _parse_modal(stem: str, axis: str | None, angle: float | None) -> np.ndarray
         raise DomainError("axis-angle input needs both %s-axis and %s-angle" % (stem, stem))
     if not math.isfinite(angle):
         raise DomainError("%s-angle must be finite" % stem)
-    vec = np.array([float(v) for v in axis.split(",")], dtype=float)
+    try:
+        vec = np.array([float(v) for v in axis.split(",")], dtype=float)
+    except ValueError:
+        raise DomainError("%s-axis expects three comma-separated numbers" % stem) from None
     if vec.shape != (3,):
         raise DomainError("%s-axis expects three comma-separated values" % stem)
     if not (np.all(np.isfinite(vec)) and np.any(vec != 0.0)):

@@ -32,6 +32,9 @@ from . import so3
 from .errors import DomainError
 
 _LGAMMA_3_2 = math.lgamma(1.5)
+# Draws per Monte Carlo chunk: small enough that a chunk's arrays stay in
+# a core's L2 cache.
+MC_CHUNK = 1 << 14
 
 
 class Family(str, Enum):
@@ -175,63 +178,68 @@ def _fvm_envelope(kappa: float) -> tuple[float, float, float]:
 
 
 def sample_x_values(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of the angle variate X.
-
-    Haar and Cayley-LMR use the exact Beta(kappa + 1/2, 3/2) law via the
-    ratio-of-Gammas construction (numpy's Marsaglia-Tsang gamma core).
-    Fisher-von Mises at kappa = 0 is that Beta(1/2, 3/2) law.  For
-    kappa > 0, X = w^2 for the quaternion scalar w, whose law on S^3 is
-    the Bingham law exp(-4 kappa (1 - w^2)); it is sampled exactly by
-    rejection from the angular central Gaussian envelope of
-    ``_fvm_envelope``.  A proposal is X = g1 / (g1 + g2 / omega) with
-    g1 ~ Gamma(1/2), g2 ~ Gamma(3/2), accepted when
-
-        log U <= -4 kappa (1 - X) + 2 log(X + omega (1 - X)) - log M.
-
-    The acceptance rate is bounded below uniformly in kappa (0.73 at
-    kappa = 1, about 0.45 from kappa = 20 on), so every finite kappa is
-    supported.  Each round draws g1, g2 and U for the draws still
-    missing.
-    """
-    k = spec.kappa
-    if spec.family is not Family.FVM or k == 0.0:
-        g1 = rng.standard_gamma(k + 0.5, size=n)
-        g2 = rng.standard_gamma(1.5, size=n)
-        return g1 / (g1 + g2)
-    inv_omega, slope, log_m = _fvm_envelope(k)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = n - filled
-        g1 = rng.standard_gamma(0.5, size=m)
-        g2 = rng.standard_gamma(1.5, size=m)
-        s = g1 + inv_omega * g2
-        u = rng.uniform(size=m)
-        # X = g1 / s, 4 kappa (1 - X) = slope g2 / s and
-        # X + omega (1 - X) = (g1 + g2) / s: nothing is subtracted from 1
-        # or multiplied by omega, which overflows above kappa ~ 2e307
-        accept = u <= np.exp(2.0 * np.log((g1 + g2) / s) - slope * (g2 / s) - log_m)
-        num = int(np.count_nonzero(accept))
-        if num:
-            out[filled:filled + num] = g1[accept] / s[accept]
-            filled += num
-    return out
+    """n draws of the angle variate X, those of ``_sample_quaternions``."""
+    return _sample_quaternions(spec, n, rng)[1]
 
 
 def _sample_quaternions(spec: DistributionSpec, n: int, rng: np.random.Generator):
-    """n centred draws as unit quaternions, returned as (q, x, axes).
+    """n centred draws as unit quaternions, returned as (q, x, x_c, z).
 
-    X is drawn first and the axes u second (the draw order is part of
-    the seeded-reproducibility contract).  Column i of the (4, n) array q
-    is the quaternion (w, v) of draw i: its first row is w = sqrt(X), its
-    other three v = sqrt(1 - X) u.
+    X = g1 / (g1 + t) and its complement x_c = 1 - X = t / (g1 + t) are
+    formed separately, from g1 ~ Gamma(a) and t = |z|^2 / (2 omega) for a
+    standard normal triple z: |z|^2 / 2 is Gamma(3/2), and the axis
+    u = z / |z| is uniform on the sphere and independent of |z| (Muller,
+    CACM 1959), so one normal triple gives the second gamma and the axis
+    with no trigonometry.  Column i of the (4, n) array q is the
+    quaternion (w, v) of draw i: w = sqrt(X) and
+    v = sqrt(1 - X) u = z sqrt(1 / (2 omega (g1 + t))), which never
+    divides by a sqrt(1 - X) that has underflowed.
+
+    Haar and Cayley-LMR (and Fisher-von Mises at kappa = 0) take
+    a = kappa + 1/2 and omega = 1, so X is Beta(kappa + 1/2, 3/2), and
+    keep every proposal.  Fisher-von Mises at kappa > 0 is the Bingham
+    law exp(-4 kappa (1 - w^2)) of the quaternion scalar w; it takes
+    a = 1/2 and the omega of the angular-central-Gaussian envelope
+    ``_fvm_envelope`` (Kent, Ganeiber and Mardia, JCGS 2018), and
+    accepts a proposal when
+
+        log U <= -4 kappa (1 - X) + 2 log(X + omega (1 - X)) - log M,
+
+    which happens at a rate bounded below uniformly in kappa (0.73 at
+    kappa = 1, about 0.45 from kappa = 20 on); rejected proposals drop
+    their z.  Each round draws, for the m draws still missing and in
+    this order (part of the seeded-reproducibility contract):
+    ``standard_gamma(a, m)``, ``standard_normal((3, m))`` and, for
+    Fisher-von Mises at kappa > 0 only, ``uniform(size=m)``.
     """
-    x = sample_x_values(spec, n, rng)
-    axes = so3.sample_uniform_axes(n, rng)
+    k = spec.kappa
+    beta = spec.family is not Family.FVM or k == 0.0
+    inv_omega, slope, log_m = (1.0, 0.0, 0.0) if beta else _fvm_envelope(k)
+    parts, filled = [], 0
+    while filled < n:
+        m = n - filled
+        g1 = rng.standard_gamma(k + 0.5 if beta else 0.5, m)
+        z = rng.standard_normal((3, m))
+        h = 0.5 * np.einsum("im,im->m", z, z)
+        if not beta:
+            # with s = g1 + h / omega: X = g1 / s, 4 kappa (1 - X) = slope h / s
+            # and X + omega (1 - X) = (g1 + h) / s, so nothing is subtracted
+            # from 1 or multiplied by omega, which overflows above kappa ~ 2e307
+            s = g1 + inv_omega * h
+            keep = rng.uniform(size=m) <= np.exp(2.0 * np.log((g1 + h) / s)
+                                                 - slope * (h / s) - log_m)
+            g1, z, h = g1[keep], z[:, keep], h[keep]
+        parts.append((g1, z, h))
+        filled += g1.size
+    if len(parts) > 1:
+        g1, z, h = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    t = inv_omega * h
+    s = g1 + t
+    x = g1 / s
     q = np.empty((4, n))
     np.sqrt(x, out=q[0])
-    np.multiply(np.sqrt(1.0 - x), axes.T, out=q[1:])
-    return q, x, axes
+    np.multiply(z, np.sqrt((0.5 * inv_omega) / s), out=q[1:])
+    return q, x, t / s, z
 
 
 def sample_rotations(
@@ -244,15 +252,16 @@ def sample_rotations(
 
     Each sample is built as P = R M, with R the rotation of the unit
     quaternion (w, v) of ``_sample_quaternions``, which is the axis-angle
-    rotation about u by theta = arccos(2 X - 1).  With ``return_parts``
-    the tuple (P, axes, angles, x) is returned; the angles are only
-    computed then.
+    rotation about u by theta = 2 atan2(sqrt(1 - X), sqrt(X)).  With
+    ``return_parts`` the tuple (P, axes, angles, x) is returned; the axes
+    and angles are only computed then, the angles from the complement
+    1 - X, so they keep full relative accuracy near theta = 0.
     """
-    q, x, axes = _sample_quaternions(spec, n, rng)
+    q, x, x_c, z = _sample_quaternions(spec, n, rng)
     P = so3.from_quaternion_batch(q[0], q[1:].T) @ spec.modal
     if return_parts:
-        angles = np.arccos(np.clip(2.0 * x - 1.0, -1.0, 1.0))
-        return P, axes, angles, x
+        axes = (z / np.sqrt(np.einsum("im,im->m", z, z))).T
+        return P, axes, 2.0 * np.arctan2(np.sqrt(x_c), q[0]), x
     return P
 
 
@@ -260,10 +269,10 @@ def sample_rotations(
 # Monte Carlo driver
 
 
-def mc_sum(kernel, n: int, chunk: int, rng: np.random.Generator, threads: int = 1):
+def mc_sum(kernel, n: int, rng: np.random.Generator, threads: int = 1):
     """Elementwise sum of the tuples kernel(m, chunk_rng) over n >= 1 draws.
 
-    The draws are cut into chunks of ``chunk`` (the last may be shorter),
+    The draws are cut into chunks of ``MC_CHUNK`` (the last may be shorter),
     and chunk i draws from the i-th child of ``rng.spawn``, whichever
     worker runs it.  At most min(threads, CPU count) chunks run at once,
     one batch of children is spawned per round (children are numbered
@@ -276,12 +285,12 @@ def mc_sum(kernel, n: int, chunk: int, rng: np.random.Generator, threads: int = 
         raise DomainError("threads must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    count = -(-n // chunk)
+    count = -(-n // MC_CHUNK)
     workers = min(threads, os.cpu_count() or 1, count)
     total = None
     with concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for first in range(0, count, workers):
-            sizes = [min(chunk, n - i * chunk) for i in range(first, min(first + workers, count))]
+            sizes = [min(MC_CHUNK, n - i * MC_CHUNK) for i in range(first, min(first + workers, count))]
             for part in (pool.map if pool else map)(kernel, sizes, rng.spawn(len(sizes))):
                 total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return total

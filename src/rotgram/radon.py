@@ -23,8 +23,6 @@ from . import moments
 from .distributions import DistributionSpec, _sample_quaternions, mc_sum
 from .errors import DomainError
 
-MC_CHUNK = 1 << 16
-
 
 def gram(V) -> np.ndarray:
     """Gram(V) = V^T V, invariant under left rotation of the landmarks."""
@@ -74,7 +72,7 @@ def mc_projected_gram(
     draw A = R M that row is r M V, with r the third row of R, and r is
     quadratic in the unit quaternion of R, so a draw enters only through
     the three numbers r: no rotation matrix is formed.  Each chunk of
-    MC_CHUNK draws adds g^T g and, for the standard error,
+    ``distributions.MC_CHUNK`` draws adds g^T g and, for the standard error,
     (g*g)^T (g*g) as two matrix products; ``distributions.mc_sum`` seeds
     the chunks and runs up to ``threads`` of them at once, and the
     result is the same bitwise for every ``threads``.  The sums are
@@ -91,7 +89,7 @@ def mc_projected_gram(
         gg = g * g
         return g @ g.T, gg @ gg.T
 
-    total, total_sq = mc_sum(kernel, n, MC_CHUNK, rng, threads)
+    total, total_sq = mc_sum(kernel, n, rng, threads)
     outer = total / n
     mean = np.ldexp(gram(U) - outer, 2 * e)
     var = np.maximum(total_sq / n - outer * outer, 0.0)

@@ -1,6 +1,5 @@
 """Deterministic SO(3) algebra: the axis-angle chart, rotations from
-unit quaternions, skew operator, angles between rotations, and uniform
-axes.
+unit quaternions, skew operator and angles between rotations.
 
 Conventions:
 - Rotations are plain 3x3 numpy arrays acting on column vectors, with
@@ -162,17 +161,3 @@ def rotation_angle_between(m1, m2) -> float:
     c = (float(np.trace(D)) - 1.0) / 2.0
     c = min(1.0, max(-1.0, c))
     return math.atan2(s, c)
-
-
-def sample_uniform_axes(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform points on the unit sphere as an (n, 3) array.
-
-    Built from a uniform third component on [-1, 1] and a uniform
-    azimuth, so the U3 marginal is uniform by construction.  Draw order
-    is fixed (all third components, then all azimuths) so a seeded
-    generator reproduces the same axes.
-    """
-    u3 = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    r = np.sqrt(np.clip(1.0 - u3 * u3, 0.0, None))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), u3))

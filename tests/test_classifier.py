@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import planar_block, quad_coeffs, random_rotation
+from conftest import planar_block, quad_coeffs, random_rotation, sample_uniform_axes
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
@@ -47,9 +47,9 @@ def two_einsum_accuracy(pair, n, rng):
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
     stat2 = pair.m2 @ pair.m1.T @ contrast
     labels, hits = [], []
-    starts = range(0, n, cls.MC_CHUNK)
+    starts = range(0, n, dist.MC_CHUNK)
     for start, child in zip(starts, rng.spawn(len(starts))):
-        m = min(cls.MC_CHUNK, n - start)
+        m = min(dist.MC_CHUNK, n - start)
         lab = child.integers(1, 3, size=m)
         R = dist.sample_rotations(pair.common, m, child)
         s1 = np.einsum("nij,ji->n", R, contrast)
@@ -467,7 +467,7 @@ class TestMcAccuracy:
         common = dist.cayley(1.5)
         psi_z = cls.psi_closed(z_pair(1.1, common))
         m1 = random_rotation(rng)
-        axis = so3.sample_uniform_axes(1, rng)[0]
+        axis = sample_uniform_axes(1, rng)[0]
         m2 = so3.from_axis_angle(axis, 1.1) @ m1
         pair = cls.ClassPair(m1, m2, common)
         assert abs(pair.alpha - 1.1) < 1e-12
@@ -477,7 +477,7 @@ class TestMcAccuracy:
         with pytest.raises(ValueError):
             cls.mc_accuracy(z_pair(1.0, dist.haar()), 0, np.random.default_rng(8))
 
-    @pytest.mark.parametrize("n", [1000, 2 * cls.MC_CHUNK + 4321])
+    @pytest.mark.parametrize("n", [1000, 2 * dist.MC_CHUNK + 4321])
     def test_matches_two_einsum_oracle(self, n):
         rng = np.random.default_rng(17)
         m1 = random_rotation(rng)

@@ -108,9 +108,9 @@ class TestSample:
 
     @pytest.mark.parametrize("argv, sha256", [
         (["--family", "cayley", "--kappa", "1"],
-         "c7a68ab5416de0d667db313e29c9d68cb3c5d3d71818c5ba7020d5d6ac371d41"),
+         "c3cdf80887ee36e9177ced853bed63829f8ec67cc6bde7665ce37ff664b158aa"),
         (["--family", "fvm", "--kappa", "20", "--modal-axis", "1,2,3", "--modal-angle", "0.4"],
-         "2ba2cc06ef60cf62d6ecf82a1e96386bb9f1382d66df96f9618d6d5319de5915"),
+         "7a1fd1089b7249feff420f87404be889de33c01ea7a3d1754093efbb20cec5b3"),
     ], ids=["cayley", "fvm"])
     def test_pinned_bytes(self, argv, sha256, capsys):
         # 1000 draws at seed 3, byte for byte: the draw streams and the CSV
@@ -158,7 +158,7 @@ class TestPinnedBytes:
          "6e64de438edea7cfb426c6a7facdd23bdffed2bbd0081a08ae0e07b176c81c3a"),
         (["fakeuni", "--family", "fvm", "--kappa-max", "10", "--n-points", "257"],
          "988c70d7dc83a798f71b0d5edade43bd5f253f80a0e52ff25102a2ab0fcaa715"),
-        (PIN_GRAM, "671e7c1f0940848d42e0d7c75b5bf337af16032262a7697e5905c9491a3cdff3"),
+        (PIN_GRAM, "118a018ad07d05e3403ac92209a2fcf28ac8cf72db78a29882ed098dc20cbee7"),
     ], ids=["figure1", "figure1-max-float", "fakeuni-cayley", "fakeuni-fvm", "gram"])
     def test_out_file(self, argv, sha256, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -166,10 +166,10 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("argv, sha256", [
-        (PIN_GRAM, "4b5bf9205e04f9daeb3ed449fd246905aa9ccfbf07f174a3a39e67c82a18c846"),
+        (PIN_GRAM, "5294cafa39a0ef47fd2ac7226615c67f6bd4b4aafa78e0e1a0fab4d28f21ce42"),
         (["classify", "--family", "cayley", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
-         "ce135dd17934e19ab870f1fed75c98a20526a4a568ec265ae35ccde61a5fb93e"),
+         "01727426fc475a641912c79e0c527dd740066d12333d2c246a0c5415b7b9430b"),
         (["classify", "--family", "cayley", "--kappa", "1e5", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1", "--n-mc", "1000"],
          "f195645f8f631693f2d78b1e45664ad228cb7ed7bbda2ffa92278cdf0bf5d6ff"),
@@ -587,9 +587,12 @@ def test_modal_axis_zero_or_nonfinite_exits_2(axis, capsys):
     (["-axis", "0,0,1", "-angle", "nan"], "-angle must be finite"),
     (["-axis", "0,0,1", "-angle", "inf"], "-angle must be finite"),
     (["-axis", "1,2", "-angle", "1"], "-axis expects three comma-separated values"),
+    (["-axis", "x,y,z", "-angle", "1"], "-axis expects three comma-separated numbers"),
+    (["-axis", "1,,2", "-angle", "1"], "-axis expects three comma-separated numbers"),
     (["-axis", "0,0,0", "-angle", "1"], "-axis must be finite and nonzero"),
     (["-axis", "0,0,1"], "-angle"),
-], ids=["nan-angle", "inf-angle", "two-entry-axis", "zero-axis", "axis-without-angle"])
+], ids=["nan-angle", "inf-angle", "two-entry-axis", "letter-axis", "empty-entry-axis",
+        "zero-axis", "axis-without-angle"])
 def test_modal_errors_name_their_flag(command, stem, other, flags, message, capsys):
     argv = command + [stem + f if f.startswith("-") else f for f in flags]
     assert run(argv) == 2
@@ -626,6 +629,19 @@ def test_every_command_accepts_every_finite_kappa(kappa, tmp_path, capsys):
         if argv[0] == "classify":
             psi = float(text.split("psi_closed = ")[1].split()[0])
             assert 0.0 <= psi <= 1.0
+
+
+@pytest.mark.parametrize("family", ["cayley", "fvm"])
+@pytest.mark.parametrize("kappa", ["1e-300", "1e100", "1e300", "1.7976931348623157e308"])
+def test_sample_at_extreme_kappa_is_finite_with_unit_axes(family, kappa, tmp_path):
+    # near the identity sqrt(1 - X) underflows; the axis must not be
+    # recovered by dividing by it
+    out = tmp_path / "s.csv"
+    assert run(["sample", "--family", family, "--kappa", kappa, "--n", "64", "--seed", "9",
+                "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert table.shape == (64, 14) and np.all(np.isfinite(table))
+    assert np.max(np.abs(np.linalg.norm(table[:, 10:13], axis=1) - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (fvm_x_beta_rejection, fz_closed_cayley, ks_critical, ks_statistic,
                       random_rotation, rotation_density, tau_from_rho)
+from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, so3
 from rotgram.errors import DomainError
@@ -367,6 +368,125 @@ class TestFvmSampler:
         assert all(so3.is_rotation(R) for R in P)
 
 
+class RecordingGenerator:
+    """A numpy Generator proxy that records every call it forwards as
+    (method name, positional arguments, keyword arguments)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return recorded
+
+
+def replayed_gammas(spec, n, seed, z):
+    """g1 of each of the n draws of ``_sample_quaternions`` at ``seed``,
+    whose normal triples are the columns of z: the documented draw order
+    is replayed on a fresh generator, and each kept proposal is found by
+    its normal triple (nan where none matches within 1000 rounds)."""
+    rng = np.random.default_rng(seed)
+    beta = spec.family is not dist.Family.FVM or spec.kappa == 0.0
+    where = {tuple(column): i for i, column in enumerate(z.T)}
+    g1 = np.full(n, np.nan)
+    filled = 0
+    for _ in range(1000):
+        m = n - filled
+        if not m:
+            break
+        proposed = rng.standard_gamma(spec.kappa + 0.5 if beta else 0.5, m)
+        normals = rng.standard_normal((3, m))
+        if not beta:
+            rng.uniform(size=m)
+        for j in range(m):
+            i = where.get(tuple(normals[:, j]))
+            if i is not None:
+                g1[i] = proposed[j]
+                filled += 1
+    return g1
+
+
+def ks_one_sample(cdf, ranks, n):
+    """One-sample KS distance at the order statistics of the 1-based
+    ``ranks`` of a sample of n, given the exact CDF there."""
+    return max(np.max(ranks / n - cdf), np.max(cdf - (ranks - 1) / n))
+
+
+KS_N = 10 ** 5
+KS_CRITICAL = math.sqrt(-0.5 * math.log(0.001 / 2.0)) / math.sqrt(KS_N)  # level 0.001
+EXTREME_KAPPAS = [0.0, 0.5, 20.0, 1e6, 1e12, 1e100]
+
+
+class TestQuaternionSampler:
+    @pytest.mark.parametrize("spec", [dist.haar(), dist.cayley(2.0), dist.fisher_von_mises(0.0)],
+                             ids=["haar", "cayley", "fvm-zero"])
+    def test_beta_families_draw_one_gamma_then_normals(self, spec):
+        rng = RecordingGenerator(np.random.default_rng(30))
+        dist._sample_quaternions(spec, 1000, rng)
+        assert rng.calls == [("standard_gamma", (spec.kappa + 0.5, 1000), {}),
+                             ("standard_normal", ((3, 1000),), {})]
+
+    def test_fvm_rounds_draw_gamma_normals_then_uniform(self):
+        rng = RecordingGenerator(np.random.default_rng(31))
+        dist._sample_quaternions(dist.fisher_von_mises(20.0), 1000, rng)
+        rounds = [rng.calls[i:i + 3] for i in range(0, len(rng.calls), 3)]
+        assert len(rounds) >= 2 and 3 * len(rounds) == len(rng.calls)
+        sizes = []
+        for gamma, normal, uniform in rounds:
+            m = gamma[1][1]
+            assert gamma == ("standard_gamma", (0.5, m), {})
+            assert normal == ("standard_normal", ((3, m),), {})
+            assert uniform == ("uniform", (), {"size": m})
+            sizes.append(m)
+        assert sizes[0] == 1000 and sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("family", ["cayley", "fvm"])
+    @pytest.mark.parametrize("kappa", [1e6, 1e10, 1e14, 1e100])
+    def test_angle_against_mpmath(self, family, kappa):
+        # theta = 2 atan(sqrt(t / g1)), t = |z|^2 / (2 omega), at 50 digits
+        # from the very g1 and z the draw was built from
+        spec = dist.DistributionSpec(family, kappa=kappa)
+        n, seed = 200, 32
+        theta = dist.sample_rotations(spec, n, np.random.default_rng(seed), return_parts=True)[2]
+        z = dist._sample_quaternions(spec, n, np.random.default_rng(seed))[3]
+        g1 = replayed_gammas(spec, n, seed, z)
+        assert not np.any(np.isnan(g1))
+        inv_omega = 1.0 if family == "cayley" else dist._fvm_envelope(kappa)[0]
+        with mpmath.workdps(50):
+            for i in range(n):
+                t = mpmath.mpf(inv_omega) * mpmath.fsum(mpmath.mpf(v) ** 2 for v in z[:, i]) / 2
+                exact = 2 * mpmath.atan(mpmath.sqrt(t / mpmath.mpf(g1[i])))
+                assert abs(theta[i] / exact - 1) <= 1e-15, (i, theta[i], exact)
+
+    @pytest.mark.parametrize("spec", [dist.haar()]
+                             + [dist.cayley(k) for k in EXTREME_KAPPAS]
+                             + [dist.fisher_von_mises(k) for k in EXTREME_KAPPAS],
+                             ids=["haar"] + ["cayley-%g" % k for k in EXTREME_KAPPAS]
+                             + ["fvm-%g" % k for k in EXTREME_KAPPAS])
+    def test_complement_follows_the_exact_law(self, spec):
+        # P(1 - X <= c) = P(X > 1 - c), taken at 500 evenly spaced order
+        # statistics: a lower bound of the full KS distance, since the fvm
+        # tail costs one quadrature per point
+        x_c = np.sort(dist._sample_quaternions(spec, KS_N, np.random.default_rng(40))[2])
+        ranks = np.linspace(1, KS_N, 500).round().astype(int)
+        cdf = np.array([cls._tail(spec, 1.0 - c, c) for c in x_c[ranks - 1]])
+        assert ks_one_sample(cdf, ranks, KS_N) < KS_CRITICAL
+
+    @pytest.mark.parametrize("spec", [dist.cayley(2.0), dist.fisher_von_mises(20.0)],
+                             ids=["cayley", "fvm"])
+    def test_axis_third_component_is_uniform(self, spec):
+        axes = dist.sample_rotations(spec, KS_N, np.random.default_rng(41), return_parts=True)[1]
+        ranks = np.arange(1, KS_N + 1)
+        cdf = (np.sort(axes[:, 2]) + 1.0) / 2.0
+        assert ks_one_sample(cdf, ranks, KS_N) < KS_CRITICAL
+
+
 class TestSampleRotation:
     def test_haar_mean_trace(self):
         rng = np.random.default_rng(17)
@@ -454,34 +574,38 @@ def uniform_sums(m, rng):
 
 
 class TestMcSum:
-    def test_chunk_i_draws_from_child_i(self):
+    def test_chunk_i_draws_from_child_i(self, monkeypatch):
+        monkeypatch.setattr(dist, "MC_CHUNK", 3)
         children = np.random.default_rng(5).spawn(4)
         parts = [uniform_sums(m, child) for m, child in zip((3, 3, 3, 1), children)]
         want = parts[0]
         for part in parts[1:]:
             want = tuple(a + b for a, b in zip(want, part))
-        assert dist.mc_sum(uniform_sums, 10, 3, np.random.default_rng(5)) == want
+        assert dist.mc_sum(uniform_sums, 10, np.random.default_rng(5)) == want
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_same_bits_for_every_thread_count(self, threads):
-        one = dist.mc_sum(uniform_sums, 100003, 1000, np.random.default_rng(6))
+    def test_same_bits_for_every_thread_count(self, threads, monkeypatch):
+        monkeypatch.setattr(dist, "MC_CHUNK", 1000)
+        one = dist.mc_sum(uniform_sums, 100003, np.random.default_rng(6))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # a lost or reordered chunk would change the sums
         try:
-            many = dist.mc_sum(uniform_sums, 100003, 1000, np.random.default_rng(6), threads)
+            many = dist.mc_sum(uniform_sums, 100003, np.random.default_rng(6), threads)
         finally:
             sys.setswitchinterval(interval)
         assert many == one
 
-    def test_spawn_batches_are_bounded(self):
+    def test_spawn_batches_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(dist, "MC_CHUNK", 10)
         rng = SpawnLog(np.random.default_rng(7))
-        total = dist.mc_sum(uniform_sums, 95, 10, rng, threads=3)
+        total = dist.mc_sum(uniform_sums, 95, rng, threads=3)
         assert total[0] == 95
         assert sum(rng.sizes) == 10
         assert all(size <= min(3, os.cpu_count() or 1) for size in rng.sizes), rng.sizes
 
-    def test_domain(self):
+    def test_domain(self, monkeypatch):
+        monkeypatch.setattr(dist, "MC_CHUNK", 3)
         with pytest.raises(DomainError):
-            dist.mc_sum(uniform_sums, 10, 3, np.random.default_rng(0), threads=0)
+            dist.mc_sum(uniform_sums, 10, np.random.default_rng(0), threads=0)
         with pytest.raises(ValueError):
-            dist.mc_sum(uniform_sums, 0, 3, np.random.default_rng(0))
+            dist.mc_sum(uniform_sums, 0, np.random.default_rng(0))

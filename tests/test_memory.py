@@ -48,7 +48,7 @@ def test_mc_accuracy_peak_is_flat():
                          dist.cayley(2.0))
     assert_flat(lambda n, threads: cls.mc_accuracy(pair, n, np.random.default_rng(1),
                                                    threads=threads),
-                cls.MC_CHUNK)
+                dist.MC_CHUNK)
 
 
 def test_mc_projected_gram_peak_is_flat():
@@ -56,7 +56,7 @@ def test_mc_projected_gram_peak_is_flat():
     spec = dist.cayley(2.0)
     assert_flat(lambda n, threads: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
                                                            threads=threads),
-                radon.MC_CHUNK)
+                dist.MC_CHUNK)
 
 
 # A chunk's (m, 3, 3) rotations alone take 9 floats per draw, and the
@@ -66,18 +66,18 @@ FLOATS_PER_DRAW = 18
 
 def gram_run(n):
     V = np.random.default_rng(2).normal(size=(3, 4))
-    return radon.mc_projected_gram(dist.cayley(2.0), V, n or radon.MC_CHUNK,
+    return radon.mc_projected_gram(dist.cayley(2.0), V, n or dist.MC_CHUNK,
                                    np.random.default_rng(3))
 
 
 def accuracy_run(n):
     pair = cls.ClassPair(np.eye(3), so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), 1.0),
                          dist.cayley(2.0))
-    return cls.mc_accuracy(pair, n or cls.MC_CHUNK, np.random.default_rng(1))
+    return cls.mc_accuracy(pair, n or dist.MC_CHUNK, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("run, chunk", [(gram_run, radon.MC_CHUNK),
-                                        (accuracy_run, cls.MC_CHUNK)],
+@pytest.mark.parametrize("run, chunk", [(gram_run, dist.MC_CHUNK),
+                                        (accuracy_run, dist.MC_CHUNK)],
                          ids=["mc_projected_gram", "mc_accuracy"])
 def test_one_chunk_peak_per_draw(run, chunk):
     assert peak_bytes(run) < FLOATS_PER_DRAW * 8 * chunk

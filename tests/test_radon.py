@@ -116,7 +116,7 @@ class TestMcProjectedGram:
         with pytest.raises(ValueError):
             radon.mc_projected_gram(dist.haar(), np.eye(3), 0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", [1000, radon.MC_CHUNK, 2 * radon.MC_CHUNK + 12345])
+    @pytest.mark.parametrize("n", [1000, dist.MC_CHUNK, 2 * dist.MC_CHUNK + 12345])
     def test_matches_per_draw_oracle(self, n):
         # the same chunked draws, chunk i from the i-th spawned child,
         # reduced draw by draw as Gram(H A V)
@@ -124,11 +124,11 @@ class TestMcProjectedGram:
         V = rng.normal(size=(3, 4))
         spec = dist.cayley(2.0, modal=random_rotation(rng))
         mean, se = radon.mc_projected_gram(spec, V, n, np.random.default_rng(14))
-        starts = range(0, n, radon.MC_CHUNK)
+        starts = range(0, n, dist.MC_CHUNK)
         children = np.random.default_rng(14).spawn(len(starts))
         grams = []
         for start, child in zip(starts, children):
-            A = dist.sample_rotations(spec, min(radon.MC_CHUNK, n - start), child)
+            A = dist.sample_rotations(spec, min(dist.MC_CHUNK, n - start), child)
             B = A[:, :2, :] @ V
             grams.append(np.einsum("ndj,ndl->njl", B, B))
         G = np.concatenate(grams)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import from_axis_angle_batch, planar_block, random_rotation
+from conftest import from_axis_angle_batch, planar_block, random_rotation, sample_uniform_axes
 from rotgram import so3
 from rotgram.errors import DegenerateRotation
 
@@ -53,7 +53,7 @@ class TestFromAxisAngle:
     def test_sampled_rotation_invariants(self):
         rng = np.random.default_rng(2)
         for _ in range(2000):
-            u = so3.sample_uniform_axes(1, rng)[0]
+            u = sample_uniform_axes(1, rng)[0]
             t = rng.uniform(0.0, math.pi)
             R = so3.from_axis_angle(u, t)
             assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
@@ -65,7 +65,7 @@ class TestFromAxisAngle:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
-        axes = so3.sample_uniform_axes(10, rng)
+        axes = sample_uniform_axes(10, rng)
         angles = rng.uniform(0.0, math.pi, size=10)
         batch = from_axis_angle_batch(axes, angles)
         for i in range(10):
@@ -96,7 +96,7 @@ class TestFromQuaternionBatch:
 
     @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-20, 0.5, 1.0 - 2.0 ** -53, 1.0])
     def test_edge_angles(self, x):
-        axes = so3.sample_uniform_axes(64, np.random.default_rng(11))
+        axes = sample_uniform_axes(64, np.random.default_rng(11))
         R, oracle = quaternion_and_oracle(np.full(64, x), axes)
         assert all(so3.is_rotation(r) for r in R)
         assert np.max(np.abs(R - oracle)) <= 1e-14
@@ -104,7 +104,7 @@ class TestFromQuaternionBatch:
     def test_haar_draws(self):
         rng = np.random.default_rng(12)
         x = rng.beta(0.5, 1.5, size=20000)
-        R, oracle = quaternion_and_oracle(x, so3.sample_uniform_axes(20000, rng))
+        R, oracle = quaternion_and_oracle(x, sample_uniform_axes(20000, rng))
         assert np.max(np.abs(R - oracle)) <= 1e-14
 
     def test_half_turn_layout(self):
@@ -131,7 +131,7 @@ class TestToAxisAngle:
     def test_round_trip_random(self):
         rng = np.random.default_rng(4)
         for _ in range(10000):
-            u = so3.sample_uniform_axes(1, rng)[0]
+            u = sample_uniform_axes(1, rng)[0]
             t = rng.uniform(1e-6, math.pi - 1e-6)
             R = so3.from_axis_angle(u, t)
             aa = so3.to_axis_angle(R)
@@ -141,7 +141,7 @@ class TestToAxisAngle:
     def test_round_trip_near_degenerate_edges(self):
         rng = np.random.default_rng(5)
         for t in [3e-9, 1e-7, 1e-4, math.pi - 1e-4, math.pi - 1e-7, math.pi - 3e-9]:
-            u = so3.sample_uniform_axes(1, rng)[0]
+            u = sample_uniform_axes(1, rng)[0]
             R = so3.from_axis_angle(u, t)
             back = so3.to_axis_angle(R)
             rebuilt = so3.from_axis_angle(back.axis, back.angle)
@@ -208,7 +208,7 @@ class TestPlanarBlock:
 class TestSampleUniformAxis:
     def test_moments_and_norms(self):
         rng = np.random.default_rng(10)
-        axes = so3.sample_uniform_axes(10 ** 6, rng)
+        axes = sample_uniform_axes(10 ** 6, rng)
         norms = np.linalg.norm(axes, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert abs(axes[:, 2].mean()) < 4e-3
@@ -216,7 +216,7 @@ class TestSampleUniformAxis:
 
     def test_scalar_form(self):
         rng = np.random.default_rng(11)
-        u = so3.sample_uniform_axes(1, rng)[0]
+        u = sample_uniform_axes(1, rng)[0]
         assert u.shape == (3,)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 

@@ -2,11 +2,13 @@
 
 Subcommands: sample, figure1, gram, classify, fakeuni.  Every command is
 deterministic given --seed and its flags; the generator is numpy's
-PCG64, so a seed reproduces output byte for byte.  Every number printed
-or written is formatted '%.17g', which round-trips every float64; a CSV
-is a header row and float columns, written in row blocks by
-``_write_csv`` with LF line endings in UTF-8.  Flags are spelled in
-full; argparse's prefix matching is off.
+PCG64, so a seed reproduces output byte for byte.  Every draw comes in
+the seeded chunks of ``distributions.mc_chunks``; ``sample`` writes each
+chunk before it draws the next.  Every number printed or written is
+formatted '%.17g', which round-trips every float64; a CSV is a header
+row and float columns, written in row blocks by ``_write_csv`` with LF
+line endings in UTF-8.  Flags are spelled in full; argparse's prefix
+matching is off.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numerical non-convergence.
@@ -36,16 +38,19 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_csv(path, header, columns):
-    """Write ``header`` and the float ``columns`` (1-D or 2-D arrays of
-    equal length, side by side) to ``path``, or to stdout with no path,
-    every value as '%.17g', in blocks of ROW_BLOCK rows."""
+def _write_csv(path, header, tables):
+    """Write ``header`` and the rows of ``tables`` to ``path``, or to stdout
+    with no path, every value as '%.17g', in blocks of ROW_BLOCK rows.
+    Each table is a tuple of float columns (1-D or 2-D arrays of equal
+    length, side by side), and the rows of each follow those of the one
+    before, so a generator of tables is written one table at a time."""
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with contextlib.nullcontext(sys.stdout) if path is None else _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), ROW_BLOCK):
-            block = np.column_stack([c[start:start + ROW_BLOCK] for c in columns]).tolist()
-            fh.write("".join([row % tuple(values) for values in block]))
+        for columns in tables:
+            for start in range(0, len(columns[0]), ROW_BLOCK):
+                block = np.column_stack([c[start:start + ROW_BLOCK] for c in columns]).tolist()
+                fh.write("".join([row % tuple(values) for values in block]))
 
 
 def _parse_modal(stem: str, axis: str | None, angle: float | None) -> np.ndarray:
@@ -79,18 +84,18 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
     spec = _spec(args)
-    rng = np.random.default_rng(args.seed)
-    P, axes, angles, x = distributions.sample_rotations(spec, args.n, rng, return_parts=True)
+    draws = (distributions.sample_rotations(spec, m, chunk_rng)
+             for m, chunk_rng in distributions.mc_chunks(args.n, np.random.default_rng(args.seed)))
     _write_csv(args.out or None, ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
                                   "theta", "u1", "u2", "u3", "x"],
-               (P.reshape(args.n, 9), angles, axes, x))
+               ((P.reshape(-1, 9), angles, axes, x) for P, axes, angles, x in draws))
     return EXIT_OK
 
 
 def cmd_figure1(args) -> int:
     cay = fake_uniformity.scan_curve("cayley", args.kappa_max, args.n_points)
     fvm = fake_uniformity.scan_curve("fvm", args.kappa_max, args.n_points)
-    _write_csv(args.out, ["kappa", "cayley", "fvm"], (cay, fvm[:, 1]))
+    _write_csv(args.out, ["kappa", "cayley", "fvm"], [(cay, fvm[:, 1])])
     print("wrote %s (%d rows)" % (args.out, len(cay)))
     return EXIT_OK
 
@@ -195,7 +200,7 @@ def cmd_fakeuni(args) -> int:
     else:
         print("fake-uniformity roots: none in (0, %.17g]" % args.kappa_max)
     if args.out:
-        _write_csv(args.out, ["kappa", "tau2_minus_third"], (points,))
+        _write_csv(args.out, ["kappa", "tau2_minus_third"], [(points,)])
         print("curve written to %s" % args.out)
     return EXIT_OK
 

@@ -12,14 +12,15 @@ case for every family):
 Shifted samples use the right-multiplication convention P = R M, where R
 is the centred (modal = I) conjugation-invariant rotation.  All samplers
 mutate only the caller-supplied numpy Generator.  Normalisers are taken
-on the log scale, so every finite kappa is supported.  ``mc_sum`` is the
-seeded, chunked Monte Carlo driver behind the Gram and classifier
-estimates.
+on the log scale, so every finite kappa is supported.  ``mc_chunks`` seeds
+every run of draws chunk by chunk, for the CLI's ``sample`` and for
+``mc_sum``, the Monte Carlo driver behind the Gram and classifier estimates.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -138,8 +139,12 @@ def fx_density_fn(spec: DistributionSpec):
     if spec.family is Family.CAYLEY:
         log_beta = log_beta_cayley(k)
         return lambda x: math.exp((k - 0.5) * math.log(x) + 0.5 * math.log1p(-x) - log_beta)
-    log_c = fvm_log_norm(k)
-    return lambda x: math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (k * (1.0 - x)))
+    return _fvm_fx(k, fvm_log_norm(k))
+
+
+def _fvm_fx(kappa: float, log_c: float):
+    """The Fisher-von Mises f_X, given log_c = ``fvm_log_norm(kappa)``."""
+    return lambda x: math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (kappa * (1.0 - x)))
 
 
 def fx_density(spec: DistributionSpec, x: float) -> float:
@@ -175,11 +180,6 @@ def _fvm_envelope(kappa: float) -> tuple[float, float, float]:
         b = 0.5 * (math.sqrt(c * c + 32.0 * kappa) - c)
     log_m = 0.5 * b - 2.0 + 2.0 * math.log(4.0 / b)
     return b / (b + 8.0 * kappa), 4.0 * b / (b / kappa + 8.0), log_m
-
-
-def sample_x_values(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of the angle variate X, those of ``_sample_quaternions``."""
-    return _sample_quaternions(spec, n, rng)[1]
 
 
 def _sample_quaternions(spec: DistributionSpec, n: int, rng: np.random.Generator):
@@ -242,55 +242,52 @@ def _sample_quaternions(spec: DistributionSpec, n: int, rng: np.random.Generator
     return q, x, t / s, z
 
 
-def sample_rotations(
-    spec: DistributionSpec,
-    n: int,
-    rng: np.random.Generator,
-    return_parts: bool = False,
-):
-    """n rotation draws as an (n, 3, 3) array.
+def sample_rotations(spec: DistributionSpec, n: int, rng: np.random.Generator):
+    """n rotation draws and their parts, as the tuple (P, axes, angles, x)
+    of shapes (n, 3, 3), (n, 3), (n,) and (n,).
 
     Each sample is built as P = R M, with R the rotation of the unit
     quaternion (w, v) of ``_sample_quaternions``, which is the axis-angle
-    rotation about u by theta = 2 atan2(sqrt(1 - X), sqrt(X)).  With
-    ``return_parts`` the tuple (P, axes, angles, x) is returned; the axes
-    and angles are only computed then, the angles from the complement
-    1 - X, so they keep full relative accuracy near theta = 0.
+    rotation about u by theta = 2 atan2(sqrt(1 - X), sqrt(X)).  The
+    angles come from the complement 1 - X, so they keep full relative
+    accuracy near theta = 0.
     """
     q, x, x_c, z = _sample_quaternions(spec, n, rng)
-    P = so3.from_quaternion_batch(q[0], q[1:].T) @ spec.modal
-    if return_parts:
-        axes = (z / np.sqrt(np.einsum("im,im->m", z, z))).T
-        return P, axes, 2.0 * np.arctan2(np.sqrt(x_c), q[0]), x
-    return P
+    P = so3.from_quaternion_batch(q) @ spec.modal
+    axes = (z / np.sqrt(np.einsum("im,im->m", z, z))).T
+    return P, axes, 2.0 * np.arctan2(np.sqrt(x_c), q[0]), x
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo driver
 
 
-def mc_sum(kernel, n: int, rng: np.random.Generator, threads: int = 1):
-    """Elementwise sum of the tuples kernel(m, chunk_rng) over n >= 1 draws.
+def mc_chunks(n: int, rng: np.random.Generator):
+    """n >= 1 draws as an iterator of (m, chunk_rng) pairs in chunk order:
+    chunk i holds ``MC_CHUNK`` draws (the last may hold fewer) from the
+    i-th child of ``rng.spawn``, spawned as the chunk is taken (children
+    are numbered consecutively, as in one spawn).  n is checked at once."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return ((min(MC_CHUNK, n - start), rng.spawn(1)[0]) for start in range(0, n, MC_CHUNK))
 
-    The draws are cut into chunks of ``MC_CHUNK`` (the last may be shorter),
-    and chunk i draws from the i-th child of ``rng.spawn``, whichever
-    worker runs it.  At most min(threads, CPU count) chunks run at once,
-    one batch of children is spawned per round (children are numbered
-    consecutively, so batches give the same children as one spawn), and
-    the results are added in chunk order.  The sum is therefore the same
-    bitwise for every ``threads``, and memory holds at most one round of
-    chunks, whatever n is.
+
+def mc_sum(kernel, n: int, rng: np.random.Generator, threads: int = 1):
+    """Elementwise sum of the tuples kernel(m, chunk_rng) over the chunks
+    of ``mc_chunks(n, rng)``.
+
+    At most min(threads, CPU count) chunks run at once, whichever worker
+    runs chunk i, and the results are added in chunk order.  The sum is
+    therefore the same bitwise for every ``threads``, and memory holds at
+    most one round of chunks, whatever n is.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = -(-n // MC_CHUNK)
-    workers = min(threads, os.cpu_count() or 1, count)
+    chunks = mc_chunks(n, rng)
+    workers = min(threads, os.cpu_count() or 1)
     total = None
     with concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for first in range(0, count, workers):
-            sizes = [min(MC_CHUNK, n - i * MC_CHUNK) for i in range(first, min(first + workers, count))]
-            for part in (pool.map if pool else map)(kernel, sizes, rng.spawn(len(sizes))):
+        while batch := list(itertools.islice(chunks, workers)):
+            for part in (pool.map if pool else map)(kernel, *zip(*batch)):
                 total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return total

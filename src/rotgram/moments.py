@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family, fvm_log_norm, fx_density_fn, log_bessel_gap
+from .distributions import (DistributionSpec, Family, _fvm_fx, fvm_log_norm, fx_density_fn,
+                            log_bessel_gap)
 from .errors import DomainError, NoConvergence
 
 _SQRT2 = math.sqrt(2.0)
@@ -207,12 +208,10 @@ def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float) -> float:
         v = y / m
         return math.exp(lead + 0.5 * math.log(y) - rate * y) / math.sqrt(1.0 - v) * g(1.0 - v, v)
 
-    def x_integrand(x: float) -> float:  # f_X as in ``fx_density_fn``, with log c reused
-        return math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (k * (1.0 - x))) * g(x, 1.0 - x)
-
     total = integrate(integrand, 0.0, min(min(t_c, 0.5) * m, 745.0 / 4.0), _UFLOW)
     if t_c > 0.5:
-        total += integrate(x_integrand, t, 0.5, _UFLOW)
+        fx = _fvm_fx(k, log_c)
+        total += integrate(lambda x: fx(x) * g(x, 1.0 - x), t, 0.5, _UFLOW)
     return total
 
 

@@ -83,18 +83,16 @@ def from_axis_angle(axis, angle: float) -> np.ndarray:
     return c * _EYE3 + s * skew(u) + (1.0 - c) * np.outer(u, u)
 
 
-def from_quaternion_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotations of the unit quaternions (w, v): (n,) scalars and (n,3)
-    vectors with w^2 + |v|^2 = 1 -> (n,3,3).
+def from_quaternion_batch(q: np.ndarray) -> np.ndarray:
+    """Rotations of the unit quaternions in the columns of the (4, n)
+    array q, each (w, v) with w^2 + |v|^2 = 1 -> (n,3,3).
 
     R = (2 w^2 - 1) I + 2 v v^T + 2 w S(v), filled entry by entry.  With
     w = cos(t/2) and v = sin(t/2) u this is the axis-angle chart at
     angle t, but it needs no trigonometry, and it stays accurate near
     t = pi, where w is small.
     """
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
+    w, v1, v2, v3 = np.asarray(q, dtype=float)
     w2 = 2.0 * w
     d = w2 * w - 1.0
     R = np.empty((w.shape[0], 3, 3))

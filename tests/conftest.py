@@ -53,10 +53,10 @@ def from_axis_angle_batch(axes, angles):
 
 
 def fvm_x_beta_rejection(kappa, n, rng):
-    """Oracle for the Fisher-von Mises ``sample_x_values`` at kappa > 0:
-    rejection from the Beta(1/2, 3/2) law, accepting with probability
-    exp(4 kappa (x - 1)).  Exact, but its acceptance falls like
-    kappa^-3/2, so it is only usable for small kappa."""
+    """Oracle for the Fisher-von Mises X draws of ``_sample_quaternions``
+    at kappa > 0: rejection from the Beta(1/2, 3/2) law, accepting with
+    probability exp(4 kappa (x - 1)).  Exact, but its acceptance falls
+    like kappa^-3/2, so it is only usable for small kappa."""
     out = np.empty(n)
     filled = 0
     while filled < n:

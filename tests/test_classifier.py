@@ -51,7 +51,7 @@ def two_einsum_accuracy(pair, n, rng):
     for start, child in zip(starts, rng.spawn(len(starts))):
         m = min(dist.MC_CHUNK, n - start)
         lab = child.integers(1, 3, size=m)
-        R = dist.sample_rotations(pair.common, m, child)
+        R = dist.sample_rotations(pair.common, m, child)[0]
         s1 = np.einsum("nij,ji->n", R, contrast)
         s2 = np.einsum("nij,ji->n", R, stat2)
         stat = np.where(lab == 1, s1, s2)
@@ -493,7 +493,7 @@ class TestDavenportK:
         rng = np.random.default_rng(21)
         q = rng.normal(size=(4, 1000))
         q /= np.linalg.norm(q, axis=0)
-        R = so3.from_quaternion_batch(q[0], q[1:].T)
+        R = so3.from_quaternion_batch(q)
         for _ in range(5):
             S = rng.normal(size=(3, 3))
             form = np.einsum("in,in->n", cls._davenport_k(S) @ q, q)

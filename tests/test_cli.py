@@ -108,9 +108,9 @@ class TestSample:
 
     @pytest.mark.parametrize("argv, sha256", [
         (["--family", "cayley", "--kappa", "1"],
-         "c3cdf80887ee36e9177ced853bed63829f8ec67cc6bde7665ce37ff664b158aa"),
+         "34c5bb7bcbe6710163fc8d9a38e34c614189938fbc4051221a1d2babcd818961"),
         (["--family", "fvm", "--kappa", "20", "--modal-axis", "1,2,3", "--modal-angle", "0.4"],
-         "7a1fd1089b7249feff420f87404be889de33c01ea7a3d1754093efbb20cec5b3"),
+         "90a6ee716fbdaaceafee6ca576abe80ba606b666200f70a025edb534b69676b3"),
     ], ids=["cayley", "fvm"])
     def test_pinned_bytes(self, argv, sha256, capsys):
         # 1000 draws at seed 3, byte for byte: the draw streams and the CSV
@@ -118,11 +118,16 @@ class TestSample:
         assert run(["sample", *argv, "--n", "1000", "--seed", "3"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
 
-    def test_unallocatable_n_exits_2(self, capsys):
-        # numpy refuses the request for 711 PiB up front, before touching memory
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        # a chunk of draws that cannot be allocated ends the CSV after the
+        # rows written so far, here none, with one error line
+        def refuse(spec, n, rng):
+            raise MemoryError("Unable to allocate 1.13 MiB for an array")
+
+        monkeypatch.setattr(dist, "sample_rotations", refuse)
         assert run(["sample", "--n", "100000000000000000"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.out == ",".join(SAMPLE_HEADER) + "\n" and "Traceback" not in captured.err
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--tol", "--threads"])
@@ -183,20 +188,27 @@ class TestCsvWriter:
     """``cli._write_csv`` against the former per-value writer,
     ``conftest.write_csv_rows``, byte for byte."""
 
-    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 3 * dist.MC_CHUNK + 5])
     def test_sample_matches_the_row_oracle(self, n, capsys):
+        # chunk i of MC_CHUNK rows draws from the i-th spawned child of the seed
         assert run(["sample", "--family", "fvm", "--kappa", "20", "--modal-axis", "1,2,3",
                     "--modal-angle", "0.4", "--n", str(n), "--seed", "3"]) == 0
         spec = dist.DistributionSpec("fvm", modal=cli._parse_modal("--modal", "1,2,3", 0.4),
                                      kappa=20.0)
-        P, axes, angles, x = dist.sample_rotations(spec, n, np.random.default_rng(3),
-                                                   return_parts=True)
-        rows = ([float(v) for v in P[i].reshape(-1)]
-                + [float(angles[i]), float(axes[i, 0]), float(axes[i, 1]), float(axes[i, 2]),
-                   float(x[i])]
-                for i in range(n))
+        starts = range(0, n, dist.MC_CHUNK)
+        children = np.random.default_rng(3).spawn(len(starts))
+
+        def rows():
+            for start, child in zip(starts, children):
+                P, axes, angles, x = dist.sample_rotations(spec, min(dist.MC_CHUNK, n - start),
+                                                           child)
+                for i in range(len(x)):
+                    yield ([float(v) for v in P[i].reshape(-1)]
+                           + [float(angles[i]), float(axes[i, 0]), float(axes[i, 1]),
+                              float(axes[i, 2]), float(x[i])])
+
         expected = io.StringIO()
-        write_csv_rows(expected, SAMPLE_HEADER, rows)
+        write_csv_rows(expected, SAMPLE_HEADER, rows())
         assert capsys.readouterr().out == expected.getvalue()
 
     def test_special_values_match_the_oracle(self, tmp_path):
@@ -204,12 +216,21 @@ class TestCsvWriter:
                             1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0])
         a = np.tile(special, 60)  # 660 rows: two full blocks and a partial one
         b = np.roll(a, 3)
+        columns = (a, np.column_stack([b, -a]), b[::-1])
         out = tmp_path / "t.csv"
-        cli._write_csv(str(out), ["a", "b", "c", "d"], (a, np.column_stack([b, -a]), b[::-1]))
+        cli._write_csv(str(out), ["a", "b", "c", "d"], [columns])
+        assert out.read_bytes() == self.expected(a, b)
+        # the rows of a second table follow those of the first
+        cli._write_csv(str(out), ["a", "b", "c", "d"],
+                       (tuple(c[rows] for c in columns) for rows in (slice(300), slice(300, None))))
+        assert out.read_bytes() == self.expected(a, b)
+
+    @staticmethod
+    def expected(a, b):
         expected = io.StringIO()
         write_csv_rows(expected, ["a", "b", "c", "d"], zip(a.tolist(), b.tolist(),
                                                            (-a).tolist(), b[::-1].tolist()))
-        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        return expected.getvalue().encode("utf-8")
 
 
 def test_empty_out_path(tmp_path, capsys, monkeypatch):

@@ -259,31 +259,31 @@ class TestFzClosedCayley:
 class TestSampleX:
     def test_cayley_zero_mean(self):
         rng = np.random.default_rng(12)
-        x = dist.sample_x_values(dist.cayley(0.0), 10 ** 6, rng)
+        x = dist._sample_quaternions(dist.cayley(0.0), 10 ** 6, rng)[1]
         assert abs(x.mean() - 0.25) < 2e-3
 
     def test_cayley_one_mean(self):
         rng = np.random.default_rng(13)
-        x = dist.sample_x_values(dist.cayley(1.0), 10 ** 6, rng)
+        x = dist._sample_quaternions(dist.cayley(1.0), 10 ** 6, rng)[1]
         assert abs(x.mean() - 0.5) < 2e-3
 
     def test_fvm_mean_matches_quadrature(self):
         spec = dist.fisher_von_mises(1.0)
         rng = np.random.default_rng(14)
-        x = dist.sample_x_values(spec, 10 ** 6, rng)
+        x = dist._sample_quaternions(spec, 10 ** 6, rng)[1]
         target = moments.integrate(lambda t: t * dist.fx_density(spec, t), 0.0, 1.0)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - target) < 3.0 * se
 
     def test_range_and_scalar(self):
         rng = np.random.default_rng(15)
-        x = dist.sample_x_values(dist.fisher_von_mises(3.0), 2000, rng)
+        x = dist._sample_quaternions(dist.fisher_von_mises(3.0), 2000, rng)[1]
         assert np.all((x >= 0.0) & (x <= 1.0))
-        assert 0.0 <= dist.sample_x_values(dist.cayley(2.0), 1, rng)[0] <= 1.0
+        assert 0.0 <= dist._sample_quaternions(dist.cayley(2.0), 1, rng)[1][0] <= 1.0
 
     def test_fvm_zero_is_the_haar_stream(self):
-        a = dist.sample_x_values(dist.fisher_von_mises(0.0), 1000, np.random.default_rng(3))
-        b = dist.sample_x_values(dist.haar(), 1000, np.random.default_rng(3))
+        a = dist._sample_quaternions(dist.fisher_von_mises(0.0), 1000, np.random.default_rng(3))[1]
+        b = dist._sample_quaternions(dist.haar(), 1000, np.random.default_rng(3))[1]
         assert np.array_equal(a, b)
 
 
@@ -338,20 +338,21 @@ class TestFvmSampler:
     def test_acceptance_is_bounded(self, kappa):
         n = 20000
         rng = CountingGenerator(np.random.default_rng(16))
-        x = dist.sample_x_values(dist.fisher_von_mises(kappa), n, rng)
+        x = dist._sample_quaternions(dist.fisher_von_mises(kappa), n, rng)[1]
         assert x.size == n
         assert n / sum(rng.uniform_sizes) >= 0.40
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0, 5.0])
     def test_matches_beta_rejection_oracle(self, kappa):
         n = 20000
-        x = dist.sample_x_values(dist.fisher_von_mises(kappa), n, np.random.default_rng(25))
+        x = dist._sample_quaternions(dist.fisher_von_mises(kappa), n, np.random.default_rng(25))[1]
         ref = fvm_x_beta_rejection(kappa, n, np.random.default_rng(26))
         assert ks_statistic(x, ref) < ks_critical(n, n, alpha=0.001)
 
     @pytest.mark.parametrize("kappa", [20.0, 200.0, 1000.0])
     def test_mean_matches_quadrature_oracle(self, kappa):
-        x = dist.sample_x_values(dist.fisher_von_mises(kappa), 200000, np.random.default_rng(27))
+        x = dist._sample_quaternions(dist.fisher_von_mises(kappa), 200000,
+                                     np.random.default_rng(27))[1]
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - fvm_mean_x_oracle(kappa)) < 4.0 * se
 
@@ -363,7 +364,7 @@ class TestFvmSampler:
     def test_draws_are_valid_for_every_kappa(self, kappa, seed):
         modal = so3.from_axis_angle(np.array([0.0, 0.6, 0.8]), 2.0)
         spec = dist.fisher_von_mises(kappa, modal=modal)
-        P, _, _, x = dist.sample_rotations(spec, 64, np.random.default_rng(seed), return_parts=True)
+        P, _, _, x = dist.sample_rotations(spec, 64, np.random.default_rng(seed))
         assert np.all(np.isfinite(x)) and np.all((x >= 0.0) & (x <= 1.0))
         assert all(so3.is_rotation(R) for R in P)
 
@@ -453,7 +454,7 @@ class TestQuaternionSampler:
         # from the very g1 and z the draw was built from
         spec = dist.DistributionSpec(family, kappa=kappa)
         n, seed = 200, 32
-        theta = dist.sample_rotations(spec, n, np.random.default_rng(seed), return_parts=True)[2]
+        theta = dist.sample_rotations(spec, n, np.random.default_rng(seed))[2]
         z = dist._sample_quaternions(spec, n, np.random.default_rng(seed))[3]
         g1 = replayed_gammas(spec, n, seed, z)
         assert not np.any(np.isnan(g1))
@@ -481,7 +482,7 @@ class TestQuaternionSampler:
     @pytest.mark.parametrize("spec", [dist.cayley(2.0), dist.fisher_von_mises(20.0)],
                              ids=["cayley", "fvm"])
     def test_axis_third_component_is_uniform(self, spec):
-        axes = dist.sample_rotations(spec, KS_N, np.random.default_rng(41), return_parts=True)[1]
+        axes = dist.sample_rotations(spec, KS_N, np.random.default_rng(41))[1]
         ranks = np.arange(1, KS_N + 1)
         cdf = (np.sort(axes[:, 2]) + 1.0) / 2.0
         assert ks_one_sample(cdf, ranks, KS_N) < KS_CRITICAL
@@ -490,14 +491,14 @@ class TestQuaternionSampler:
 class TestSampleRotation:
     def test_haar_mean_trace(self):
         rng = np.random.default_rng(17)
-        P = dist.sample_rotations(dist.haar(), 10 ** 6, rng)
+        P = dist.sample_rotations(dist.haar(), 10 ** 6, rng)[0]
         traces = np.einsum("nii->n", P)
         assert abs(traces.mean()) < 0.01
 
     def test_cayley_mean_z_entry_matches_tau1(self):
         spec = dist.cayley(2.0)
         rng = np.random.default_rng(18)
-        P = dist.sample_rotations(spec, 10 ** 6, rng)
+        P = dist.sample_rotations(spec, 10 ** 6, rng)[0]
         z = P[:, 2, 2]
         tau1 = tau_from_rho(moments.rho_moment(spec, 1), moments.rho_moment(spec, 2))[0]
         se = z.std(ddof=1) / math.sqrt(z.size)
@@ -506,19 +507,19 @@ class TestSampleRotation:
     def test_samples_are_rotations(self):
         rng = np.random.default_rng(19)
         M = random_rotation(rng)
-        P = dist.sample_rotations(dist.fisher_von_mises(2.0, modal=M), 200, rng)
+        P = dist.sample_rotations(dist.fisher_von_mises(2.0, modal=M), 200, rng)[0]
         for R in P:
             assert so3.is_rotation(R)
 
     def test_spherical_cosine_law_per_sample(self):
         rng = np.random.default_rng(20)
-        R, axes, angles, _ = dist.sample_rotations(dist.cayley(1.0), 5000, rng, return_parts=True)
+        R, axes, angles, _ = dist.sample_rotations(dist.cayley(1.0), 5000, rng)
         predicted = axes[:, 2] ** 2 + (1.0 - axes[:, 2] ** 2) * np.cos(angles)
         assert np.max(np.abs(R[:, 2, 2] - predicted)) < 1e-12
 
     def test_scalar_form(self):
         rng = np.random.default_rng(21)
-        assert so3.is_rotation(dist.sample_rotations(dist.cayley(1.0), 1, rng)[0])
+        assert so3.is_rotation(dist.sample_rotations(dist.cayley(1.0), 1, rng)[0][0])
 
 
 class TestConjugationInvariance:
@@ -526,8 +527,8 @@ class TestConjugationInvariance:
         spec = dist.cayley(1.5)
         rng = np.random.default_rng(22)
         n = 10 ** 5
-        Ra = dist.sample_rotations(spec, n, rng)
-        Rb = dist.sample_rotations(spec, n, rng)
+        Ra = dist.sample_rotations(spec, n, rng)[0]
+        Rb = dist.sample_rotations(spec, n, rng)[0]
         Q = random_rotation(rng)
         conj = np.einsum("ji,njk,kl->nil", Q, Ra, Q)
         stat = ks_statistic(conj[:, 2, 2], Rb[:, 2, 2])
@@ -537,16 +538,16 @@ class TestConjugationInvariance:
         spec = dist.cayley(1.5)
         rng = np.random.default_rng(23)
         n = 10 ** 5
-        ta = np.einsum("nii->n", dist.sample_rotations(spec, n, rng))
-        tb = np.einsum("nii->n", dist.sample_rotations(spec, n, rng))
+        ta = np.einsum("nii->n", dist.sample_rotations(spec, n, rng)[0])
+        tb = np.einsum("nii->n", dist.sample_rotations(spec, n, rng)[0])
         assert ks_statistic(ta, tb) < ks_critical(n, n, alpha=0.001)
 
     def test_transpose_symmetry_moments(self):
         spec = dist.fisher_von_mises(1.0)
         rng = np.random.default_rng(24)
         n = 2 * 10 ** 5
-        Ra = dist.sample_rotations(spec, n, rng)
-        Rb = dist.sample_rotations(spec, n, rng)
+        Ra = dist.sample_rotations(spec, n, rng)[0]
+        Rb = dist.sample_rotations(spec, n, rng)[0]
         za, zb = Ra[:, 2, 2], np.transpose(Rb, (0, 2, 1))[:, 2, 2]
         se = math.hypot(za.std(ddof=1), zb.std(ddof=1)) / math.sqrt(n)
         assert abs(za.mean() - zb.mean()) < 3.0 * se

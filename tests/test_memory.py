@@ -2,7 +2,8 @@
 of draws: both work in fixed-size chunks, keep nothing per draw, and
 hold at most one chunk per thread at once.  Within a chunk they work on
 the unit quaternions of the draws and never form a rotation matrix.  The
-CLI's CSV writer likewise holds one block of rows at a time."""
+CLI's CSV writer likewise holds one block of rows at a time, and
+``sample`` draws in the same chunks, writing each before the next."""
 
 import tracemalloc
 
@@ -59,6 +60,15 @@ def test_mc_projected_gram_peak_is_flat():
                 dist.MC_CHUNK)
 
 
+def test_sample_peak_is_flat(tmp_path):
+    path = str(tmp_path / "s.csv")
+    peaks = chunk_peaks(lambda n: cli.main(["sample", "--family", "cayley", "--kappa", "2",
+                                            "--n", str(n), "--seed", "5", "--out", path]),
+                        dist.MC_CHUNK)
+    # five chunks of rows may not cost more than two, give or take 1%
+    assert max(peaks) <= 1.01 * min(peaks), peaks
+
+
 # A chunk's (m, 3, 3) rotations alone take 9 floats per draw, and the
 # rotations shifted by the modal matrix 9 more.
 FLOATS_PER_DRAW = 18
@@ -102,10 +112,10 @@ def test_csv_writer_holds_one_block(tmp_path):
 
     def peak(blocks):
         table = np.random.default_rng(4).normal(size=(blocks * cli.ROW_BLOCK, 14))
-        cli._write_csv(path, header, (table,))  # first-call allocations are not per row
+        cli._write_csv(path, header, [(table,)])  # first-call allocations are not per row
         tracemalloc.start()
         try:
-            cli._write_csv(path, header, (table,))
+            cli._write_csv(path, header, [(table,)])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -128,7 +128,7 @@ class TestMcProjectedGram:
         children = np.random.default_rng(14).spawn(len(starts))
         grams = []
         for start, child in zip(starts, children):
-            A = dist.sample_rotations(spec, min(dist.MC_CHUNK, n - start), child)
+            A = dist.sample_rotations(spec, min(dist.MC_CHUNK, n - start), child)[0]
             B = A[:, :2, :] @ V
             grams.append(np.einsum("ndj,ndl->njl", B, B))
         G = np.concatenate(grams)
@@ -143,8 +143,8 @@ class TestMcProjectedGram:
         m = 5000
         q = dist._sample_quaternions(spec, m, np.random.default_rng(20).spawn(1)[0])[0]
         rows = radon._third_rows(q)
-        np.testing.assert_array_equal(rows.T, so3.from_quaternion_batch(q[0], q[1:].T)[:, 2, :])
-        P = dist.sample_rotations(spec, m, np.random.default_rng(20).spawn(1)[0])
+        np.testing.assert_array_equal(rows.T, so3.from_quaternion_batch(q)[:, 2, :])
+        P = dist.sample_rotations(spec, m, np.random.default_rng(20).spawn(1)[0])[0]
         np.testing.assert_allclose(rows.T @ spec.modal, P[:, 2, :], rtol=0.0, atol=1e-15)
 
     def test_large_landmarks_scale_exactly(self):
@@ -269,8 +269,8 @@ class TestGramDistributionComparison:
         V = np.eye(3)
         M = random_rotation(rng)
         n = 10 ** 5
-        A_c = dist.sample_rotations(dist.cayley(1.0, modal=M), n, rng)
-        A_h = dist.sample_rotations(dist.haar(), n, rng)
+        A_c = dist.sample_rotations(dist.cayley(1.0, modal=M), n, rng)[0]
+        A_h = dist.sample_rotations(dist.haar(), n, rng)[0]
         B_c = A_c[:, :2, :] @ V
         B_h = A_h[:, :2, :] @ V
         tr_c = np.einsum("ndj,ndj->n", B_c, B_c)

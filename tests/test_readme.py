@@ -1,10 +1,13 @@
 """README drift: every ``rotgram ...`` command in the README's CLI code
 block is accepted by the current argument parser, every ``--flag`` named
-in the CLI section is an option of some subcommand, and every backticked
-``rotgram.<module>[.<name>]`` resolves.  Commands are parsed only, never
-run."""
+in the CLI section is an option of some subcommand, every backticked
+``rotgram.<module>[.<name>]`` resolves, and every public function is
+either used by the package or named in the README.  Commands are parsed
+only, never run."""
 
 import argparse
+import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -14,7 +17,8 @@ import pytest
 
 from rotgram import cli
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def cli_section():
@@ -73,3 +77,29 @@ def test_readme_name_resolves(dotted):
     obj = importlib.import_module(".".join(parts[:2]))
     for attr in parts[2:]:
         obj = getattr(obj, attr)
+
+
+def loaded_name(node):
+    """The name a ``Name`` or ``Attribute`` node loads, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def test_every_public_function_is_used_or_named():
+    # used means loaded as code outside its own definition; docstrings and
+    # imports do not count
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "rotgram").glob("*.py"))}
+    loads = collections.Counter(loaded_name(node) for tree in trees.values()
+                                for node in ast.walk(tree))
+    named = set(readme_names())
+    orphans = [
+        "rotgram.%s.%s" % (module, fn.name)
+        for module, tree in trees.items() for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and loads[fn.name] == sum(loaded_name(node) == fn.name for node in ast.walk(fn))
+        and "rotgram.%s.%s" % (module, fn.name) not in named]
+    assert orphans == []

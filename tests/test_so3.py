@@ -79,7 +79,7 @@ def quaternion_and_oracle(x, axes):
     x = np.asarray(x, dtype=float)
     w = np.sqrt(x)
     s = np.sqrt(1.0 - x)
-    R = so3.from_quaternion_batch(w, s[:, None] * axes)
+    R = so3.from_quaternion_batch(np.vstack((w, s * axes.T)))
     return R, from_axis_angle_batch(axes, 2.0 * np.arctan2(s, w))
 
 
@@ -109,7 +109,7 @@ class TestFromQuaternionBatch:
 
     def test_half_turn_layout(self):
         # w = 0: R = -I + 2 u u^T
-        R = so3.from_quaternion_batch(np.zeros(1), E1[None, :])[0]
+        R = so3.from_quaternion_batch(np.r_[0.0, E1][:, None])[0]
         np.testing.assert_array_equal(R, np.diag([1.0, -1.0, -1.0]))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .distributions import (DistributionSpec, Family, _sample_quaternions, fvm_log_norm,
-                            log_beta_cayley, mc_sum)
+from .distributions import (DistributionSpec, Family, _chunk_rows, _sample_quaternions,
+                            fvm_log_norm, log_beta_cayley, mc_sum)
 from .errors import DomainError
 from .moments import fvm_expectation
 
@@ -174,20 +174,39 @@ def mc_accuracy(
     is the quadratic form q^T K(S_label) q in the unit quaternion q of R
     (``_davenport_k``): per chunk both statistics come from one
     (8, 4) @ (4, m) matrix product and no rotation matrix is formed.
+    Each kernel forms its chunks in one workspace of 14 rows and three
+    rows of flags, which it keeps from chunk to chunk; only the labels
+    are drawn into a new array.
     """
     stat1 = np.eye(3) - pair.m1 @ pair.m2.T  # P M1^T = R for class-1 draws
     stat2 = pair.m2 @ pair.m1.T @ stat1
     K = np.vstack((_davenport_k(stat1), _davenport_k(stat2)))
 
-    def kernel(m, chunk_rng):
-        is1 = chunk_rng.integers(1, 3, size=m) == 1
-        q = _sample_quaternions(pair.common, m, chunk_rng)[0]
-        both = np.einsum("kin,in->kn", (K @ q).reshape(2, 4, m), q)
-        stat = np.where(is1, both[0], both[1])
-        hit = ((stat > 0.0) | (np.abs(stat) < TIE_TOL)) == is1
-        return np.count_nonzero(hit), np.count_nonzero(hit & is1), np.count_nonzero(is1)
+    def new_kernel():
+        # rows: the quaternions (4), the sampler's scratch (2), which then
+        # holds both statistics, and K q (8); the flags: labels, hits, ties
+        workspace, flag_rows = _chunk_rows(14), _chunk_rows(3, bool)
 
-    correct, correct1, n1 = mc_sum(kernel, n, rng, threads)
+        def kernel(m, chunk_rng):
+            is1, hit, tie = flag_rows(m)
+            np.equal(chunk_rng.integers(1, 3, size=m), 1, out=is1)
+            work = workspace(m)
+            q, both, Kq = work[:4], work[4:6], work[6:]
+            _sample_quaternions(pair.common, chunk_rng, work[:6])
+            np.matmul(K, q, out=Kq)
+            np.einsum("kin,in->kn", Kq.reshape(2, 4, m), q, out=both)
+            stat = both[1]
+            np.copyto(stat, both[0], where=is1)
+            np.greater(stat, 0.0, out=hit)
+            np.less(np.abs(stat, out=both[0]), TIE_TOL, out=tie)
+            hit |= tie
+            np.equal(hit, is1, out=hit)
+            np.logical_and(hit, is1, out=tie)  # tie now flags the class-1 hits
+            return np.count_nonzero(hit), np.count_nonzero(tie), np.count_nonzero(is1)
+
+        return kernel
+
+    correct, correct1, n1 = mc_sum(new_kernel, n, rng, threads)
     overall = correct / n
     acc1 = correct1 / n1 if n1 else math.nan
     n2 = n - n1

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from . import classifier, distributions, fake_uniformity, moments, radon, so3
+from . import classifier, distributions, fake_uniformity, radon, so3
 from .errors import DomainError, NoConvergence
 
 EXIT_OK = 0

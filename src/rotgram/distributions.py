@@ -182,16 +182,23 @@ def _fvm_envelope(kappa: float) -> tuple[float, float, float]:
     return b / (b + 8.0 * kappa), 4.0 * b / (b / kappa + 8.0), log_m
 
 
-def _sample_quaternions(spec: DistributionSpec, n: int, rng: np.random.Generator):
-    """n centred draws as unit quaternions, returned as (q, x, x_c, z).
+def _sample_quaternions(spec: DistributionSpec, rng: np.random.Generator, work: np.ndarray,
+                        z: np.ndarray = None) -> np.ndarray:
+    """Fill the C-contiguous (6, m) float array work with m centred draws:
+    the unit quaternions q in work[:4], one draw per column, the complement
+    x_c = 1 - X in work[4] and X in work[5].  Returns the (3, m) normal
+    triples z that the draws were built from: drawn into z if given, else
+    into work[1:4], where the vector parts of q overwrite them.  Fisher-von
+    Mises at kappa > 0 collects them from its rejection rounds into arrays
+    of its own, returns those and leaves z unwritten; nothing else of size
+    m is allocated.
 
-    X = g1 / (g1 + t) and its complement x_c = 1 - X = t / (g1 + t) are
-    formed separately, from g1 ~ Gamma(a) and t = |z|^2 / (2 omega) for a
-    standard normal triple z: |z|^2 / 2 is Gamma(3/2), and the axis
-    u = z / |z| is uniform on the sphere and independent of |z| (Muller,
-    CACM 1959), so one normal triple gives the second gamma and the axis
-    with no trigonometry.  Column i of the (4, n) array q is the
-    quaternion (w, v) of draw i: w = sqrt(X) and
+    X = g1 / (g1 + t) and x_c = t / (g1 + t) are formed separately, from
+    g1 ~ Gamma(a) and t = |z|^2 / (2 omega) for a standard normal triple z:
+    |z|^2 / 2 is Gamma(3/2), and the axis u = z / |z| is uniform on the
+    sphere and independent of |z| (Muller, CACM 1959), so one normal triple
+    gives the second gamma and the axis with no trigonometry.  The
+    quaternion of a draw is (w, v) with w = sqrt(X) and
     v = sqrt(1 - X) u = z sqrt(1 / (2 omega (g1 + t))), which never
     divides by a sqrt(1 - X) that has underflowed.
 
@@ -208,38 +215,54 @@ def _sample_quaternions(spec: DistributionSpec, n: int, rng: np.random.Generator
     which happens at a rate bounded below uniformly in kappa (0.73 at
     kappa = 1, about 0.45 from kappa = 20 on); rejected proposals drop
     their z.  Each round draws, for the m draws still missing and in
-    this order (part of the seeded-reproducibility contract):
-    ``standard_gamma(a, m)``, ``standard_normal((3, m))`` and, for
+    this order (part of the seeded-reproducibility contract): m gammas
+    ``standard_gamma(a)``, a (3, m) block ``standard_normal`` and, for
     Fisher-von Mises at kappa > 0 only, ``uniform(size=m)``.
     """
     k = spec.kappa
     beta = spec.family is not Family.FVM or k == 0.0
     inv_omega, slope, log_m = (1.0, 0.0, 0.0) if beta else _fvm_envelope(k)
-    parts, filled = [], 0
-    while filled < n:
-        m = n - filled
-        g1 = rng.standard_gamma(k + 0.5 if beta else 0.5, m)
-        z = rng.standard_normal((3, m))
-        h = 0.5 * np.einsum("im,im->m", z, z)
-        if not beta:
+    n = work.shape[1]
+    t, s = work[4], work[5]
+    if beta:
+        z = work[1:4] if z is None else z
+        rng.standard_gamma(k + 0.5, out=work[0])
+        rng.standard_normal(out=z)
+        np.einsum("im,im->m", z, z, out=t)
+        t *= 0.5
+    else:
+        parts, filled = [], 0
+        while filled < n:
+            m = n - filled
+            g1 = rng.standard_gamma(0.5, m)
+            z = rng.standard_normal((3, m))
+            h = 0.5 * np.einsum("im,im->m", z, z)
             # with s = g1 + h / omega: X = g1 / s, 4 kappa (1 - X) = slope h / s
             # and X + omega (1 - X) = (g1 + h) / s, so nothing is subtracted
             # from 1 or multiplied by omega, which overflows above kappa ~ 2e307
-            s = g1 + inv_omega * h
-            keep = rng.uniform(size=m) <= np.exp(2.0 * np.log((g1 + h) / s)
-                                                 - slope * (h / s) - log_m)
-            g1, z, h = g1[keep], z[:, keep], h[keep]
-        parts.append((g1, z, h))
-        filled += g1.size
-    if len(parts) > 1:
-        g1, z, h = (np.concatenate(p, axis=-1) for p in zip(*parts))
-    t = inv_omega * h
-    s = g1 + t
-    x = g1 / s
-    q = np.empty((4, n))
-    np.sqrt(x, out=q[0])
-    np.multiply(z, np.sqrt((0.5 * inv_omega) / s), out=q[1:])
-    return q, x, t / s, z
+            sm = g1 + inv_omega * h
+            keep = rng.uniform(size=m) <= np.exp(2.0 * np.log((g1 + h) / sm)
+                                                 - slope * (h / sm) - log_m)
+            parts.append((g1[keep], z[:, keep], h[keep]))
+            filled += parts[-1][0].size
+        # z keeps the layout that selection and concatenation give it
+        # (column-major, or row-major after a round that kept nothing):
+        # einsum sums |z|^2 in an order that depends on the layout, and the
+        # bytes of the axes of ``sample_rotations`` are pinned
+        g1, z, h = parts[0]
+        if len(parts) > 1:
+            g1, z, h = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        work[0], work[4] = g1, h
+    t *= inv_omega
+    np.add(work[0], t, out=s)
+    work[0] /= s
+    t /= s
+    np.divide(0.5 * inv_omega, s, out=s)
+    np.sqrt(s, out=s)
+    np.multiply(z, s, out=work[1:4])
+    np.copyto(s, work[0])
+    np.sqrt(s, out=work[0])
+    return z
 
 
 def sample_rotations(spec: DistributionSpec, n: int, rng: np.random.Generator):
@@ -252,10 +275,12 @@ def sample_rotations(spec: DistributionSpec, n: int, rng: np.random.Generator):
     angles come from the complement 1 - X, so they keep full relative
     accuracy near theta = 0.
     """
-    q, x, x_c, z = _sample_quaternions(spec, n, rng)
+    work = np.empty((6, n))
+    z = _sample_quaternions(spec, rng, work, np.empty((3, n)))
+    q = work[:4]
     P = so3.from_quaternion_batch(q) @ spec.modal
     axes = (z / np.sqrt(np.einsum("im,im->m", z, z))).T
-    return P, axes, 2.0 * np.arctan2(np.sqrt(x_c), q[0]), x
+    return P, axes, 2.0 * np.arctan2(np.sqrt(work[4]), q[0]), work[5]
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +297,42 @@ def mc_chunks(n: int, rng: np.random.Generator):
     return ((min(MC_CHUNK, n - start), rng.spawn(1)[0]) for start in range(0, n, MC_CHUNK))
 
 
-def mc_sum(kernel, n: int, rng: np.random.Generator, threads: int = 1):
+def mc_sum(new_kernel, n: int, rng: np.random.Generator, threads: int = 1):
     """Elementwise sum of the tuples kernel(m, chunk_rng) over the chunks
-    of ``mc_chunks(n, rng)``.
+    of ``mc_chunks(n, rng)``, the kernels built by calling new_kernel().
 
-    At most min(threads, CPU count) chunks run at once, whichever worker
-    runs chunk i, and the results are added in chunk order.  The sum is
-    therefore the same bitwise for every ``threads``, and memory holds at
-    most one round of chunks, whatever n is.
+    At most workers = min(threads, CPU count) chunks run at once: one
+    kernel is built per worker, kernel i runs slot i of every round of
+    chunks, and each round ends before the next starts, so no kernel runs
+    two chunks at once and a kernel may reuse its buffers from chunk to
+    chunk (``_chunk_rows``).  The results are added in chunk order, so the
+    sum is the same bitwise for every ``threads``, and memory holds at
+    most one round of chunks and workers kernels, whatever n is.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
     chunks = mc_chunks(n, rng)
     workers = min(threads, os.cpu_count() or 1)
+    kernels = [new_kernel() for _ in range(workers)]
     total = None
     with concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         while batch := list(itertools.islice(chunks, workers)):
-            for part in (pool.map if pool else map)(kernel, *zip(*batch)):
+            for part in (pool.map if pool else map)(lambda kernel, chunk: kernel(*chunk),
+                                                    kernels, batch):
                 total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return total
+
+
+def _chunk_rows(rows: int, dtype=float):
+    """A kernel's workspace: a function of m that returns a (rows, m)
+    view of one flat array, allocated at the first call.  Chunks come
+    largest first, so later calls reuse its leading rows * m entries."""
+    flat = None
+
+    def view(m: int) -> np.ndarray:
+        nonlocal flat
+        if flat is None:
+            flat = np.empty(rows * m, dtype)
+        return flat[:rows * m].reshape(rows, m)
+
+    return view

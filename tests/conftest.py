@@ -52,6 +52,14 @@ def from_axis_angle_batch(axes, angles):
     return c * np.eye(3) + s * S + (1.0 - c) * outer
 
 
+def quaternion_draws(spec, n, rng):
+    """n draws of ``distributions._sample_quaternions`` as the tuple
+    (q, x, x_c, z), the normal triples kept apart from q."""
+    work = np.empty((6, n))
+    z = dist._sample_quaternions(spec, rng, work, np.empty((3, n)))
+    return work[:4], work[5], work[4], z
+
+
 def fvm_x_beta_rejection(kappa, n, rng):
     """Oracle for the Fisher-von Mises X draws of ``_sample_quaternions``
     at kappa > 0: rejection from the Beta(1/2, 3/2) law, accepting with

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (fvm_x_beta_rejection, fz_closed_cayley, ks_critical, ks_statistic,
-                      random_rotation, rotation_density, tau_from_rho)
+                      quaternion_draws, random_rotation, rotation_density, tau_from_rho)
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, so3
@@ -259,31 +260,31 @@ class TestFzClosedCayley:
 class TestSampleX:
     def test_cayley_zero_mean(self):
         rng = np.random.default_rng(12)
-        x = dist._sample_quaternions(dist.cayley(0.0), 10 ** 6, rng)[1]
+        x = quaternion_draws(dist.cayley(0.0), 10 ** 6, rng)[1]
         assert abs(x.mean() - 0.25) < 2e-3
 
     def test_cayley_one_mean(self):
         rng = np.random.default_rng(13)
-        x = dist._sample_quaternions(dist.cayley(1.0), 10 ** 6, rng)[1]
+        x = quaternion_draws(dist.cayley(1.0), 10 ** 6, rng)[1]
         assert abs(x.mean() - 0.5) < 2e-3
 
     def test_fvm_mean_matches_quadrature(self):
         spec = dist.fisher_von_mises(1.0)
         rng = np.random.default_rng(14)
-        x = dist._sample_quaternions(spec, 10 ** 6, rng)[1]
+        x = quaternion_draws(spec, 10 ** 6, rng)[1]
         target = moments.integrate(lambda t: t * dist.fx_density(spec, t), 0.0, 1.0)
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - target) < 3.0 * se
 
     def test_range_and_scalar(self):
         rng = np.random.default_rng(15)
-        x = dist._sample_quaternions(dist.fisher_von_mises(3.0), 2000, rng)[1]
+        x = quaternion_draws(dist.fisher_von_mises(3.0), 2000, rng)[1]
         assert np.all((x >= 0.0) & (x <= 1.0))
-        assert 0.0 <= dist._sample_quaternions(dist.cayley(2.0), 1, rng)[1][0] <= 1.0
+        assert 0.0 <= quaternion_draws(dist.cayley(2.0), 1, rng)[1][0] <= 1.0
 
     def test_fvm_zero_is_the_haar_stream(self):
-        a = dist._sample_quaternions(dist.fisher_von_mises(0.0), 1000, np.random.default_rng(3))[1]
-        b = dist._sample_quaternions(dist.haar(), 1000, np.random.default_rng(3))[1]
+        a = quaternion_draws(dist.fisher_von_mises(0.0), 1000, np.random.default_rng(3))[1]
+        b = quaternion_draws(dist.haar(), 1000, np.random.default_rng(3))[1]
         assert np.array_equal(a, b)
 
 
@@ -338,21 +339,20 @@ class TestFvmSampler:
     def test_acceptance_is_bounded(self, kappa):
         n = 20000
         rng = CountingGenerator(np.random.default_rng(16))
-        x = dist._sample_quaternions(dist.fisher_von_mises(kappa), n, rng)[1]
+        x = quaternion_draws(dist.fisher_von_mises(kappa), n, rng)[1]
         assert x.size == n
         assert n / sum(rng.uniform_sizes) >= 0.40
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0, 5.0])
     def test_matches_beta_rejection_oracle(self, kappa):
         n = 20000
-        x = dist._sample_quaternions(dist.fisher_von_mises(kappa), n, np.random.default_rng(25))[1]
+        x = quaternion_draws(dist.fisher_von_mises(kappa), n, np.random.default_rng(25))[1]
         ref = fvm_x_beta_rejection(kappa, n, np.random.default_rng(26))
         assert ks_statistic(x, ref) < ks_critical(n, n, alpha=0.001)
 
     @pytest.mark.parametrize("kappa", [20.0, 200.0, 1000.0])
     def test_mean_matches_quadrature_oracle(self, kappa):
-        x = dist._sample_quaternions(dist.fisher_von_mises(kappa), 200000,
-                                     np.random.default_rng(27))[1]
+        x = quaternion_draws(dist.fisher_von_mises(kappa), 200000, np.random.default_rng(27))[1]
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - fvm_mean_x_oracle(kappa)) < 4.0 * se
 
@@ -429,13 +429,16 @@ class TestQuaternionSampler:
                              ids=["haar", "cayley", "fvm-zero"])
     def test_beta_families_draw_one_gamma_then_normals(self, spec):
         rng = RecordingGenerator(np.random.default_rng(30))
-        dist._sample_quaternions(spec, 1000, rng)
-        assert rng.calls == [("standard_gamma", (spec.kappa + 0.5, 1000), {}),
-                             ("standard_normal", ((3, 1000),), {})]
+        quaternion_draws(spec, 1000, rng)
+        (gamma, gamma_args, gamma_out), (normal, normal_args, normal_out) = rng.calls
+        assert (gamma, gamma_args, list(gamma_out)) == ("standard_gamma", (spec.kappa + 0.5,),
+                                                        ["out"])
+        assert (normal, normal_args, list(normal_out)) == ("standard_normal", (), ["out"])
+        assert gamma_out["out"].shape == (1000,) and normal_out["out"].shape == (3, 1000)
 
     def test_fvm_rounds_draw_gamma_normals_then_uniform(self):
         rng = RecordingGenerator(np.random.default_rng(31))
-        dist._sample_quaternions(dist.fisher_von_mises(20.0), 1000, rng)
+        quaternion_draws(dist.fisher_von_mises(20.0), 1000, rng)
         rounds = [rng.calls[i:i + 3] for i in range(0, len(rng.calls), 3)]
         assert len(rounds) >= 2 and 3 * len(rounds) == len(rng.calls)
         sizes = []
@@ -455,7 +458,7 @@ class TestQuaternionSampler:
         spec = dist.DistributionSpec(family, kappa=kappa)
         n, seed = 200, 32
         theta = dist.sample_rotations(spec, n, np.random.default_rng(seed))[2]
-        z = dist._sample_quaternions(spec, n, np.random.default_rng(seed))[3]
+        z = quaternion_draws(spec, n, np.random.default_rng(seed))[3]
         g1 = replayed_gammas(spec, n, seed, z)
         assert not np.any(np.isnan(g1))
         inv_omega = 1.0 if family == "cayley" else dist._fvm_envelope(kappa)[0]
@@ -474,7 +477,7 @@ class TestQuaternionSampler:
         # P(1 - X <= c) = P(X > 1 - c), taken at 500 evenly spaced order
         # statistics: a lower bound of the full KS distance, since the fvm
         # tail costs one quadrature per point
-        x_c = np.sort(dist._sample_quaternions(spec, KS_N, np.random.default_rng(40))[2])
+        x_c = np.sort(quaternion_draws(spec, KS_N, np.random.default_rng(40))[2])
         ranks = np.linspace(1, KS_N, 500).round().astype(int)
         cdf = np.array([cls._tail(spec, 1.0 - c, c) for c in x_c[ranks - 1]])
         assert ks_one_sample(cdf, ranks, KS_N) < KS_CRITICAL
@@ -582,16 +585,16 @@ class TestMcSum:
         want = parts[0]
         for part in parts[1:]:
             want = tuple(a + b for a, b in zip(want, part))
-        assert dist.mc_sum(uniform_sums, 10, np.random.default_rng(5)) == want
+        assert dist.mc_sum(lambda: uniform_sums, 10, np.random.default_rng(5)) == want
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_same_bits_for_every_thread_count(self, threads, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 1000)
-        one = dist.mc_sum(uniform_sums, 100003, np.random.default_rng(6))
+        one = dist.mc_sum(lambda: uniform_sums, 100003, np.random.default_rng(6))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # a lost or reordered chunk would change the sums
         try:
-            many = dist.mc_sum(uniform_sums, 100003, np.random.default_rng(6), threads)
+            many = dist.mc_sum(lambda: uniform_sums, 100003, np.random.default_rng(6), threads)
         finally:
             sys.setswitchinterval(interval)
         assert many == one
@@ -599,14 +602,45 @@ class TestMcSum:
     def test_spawn_batches_are_bounded(self, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 10)
         rng = SpawnLog(np.random.default_rng(7))
-        total = dist.mc_sum(uniform_sums, 95, rng, threads=3)
+        total = dist.mc_sum(lambda: uniform_sums, 95, rng, threads=3)
         assert total[0] == 95
         assert sum(rng.sizes) == 10
         assert all(size <= min(3, os.cpu_count() or 1) for size in rng.sizes), rng.sizes
 
+    def test_one_kernel_per_worker_never_entered_while_busy(self, monkeypatch):
+        monkeypatch.setattr(dist, "MC_CHUNK", 1000)
+        built, overlaps = [], []
+
+        def new_kernel():
+            busy = threading.Lock()
+
+            def kernel(m, rng):
+                if not busy.acquire(blocking=False):
+                    overlaps.append(m)
+                    return uniform_sums(m, rng)
+                try:
+                    for _ in range(50):  # Python work the switch interval can cut
+                        pass
+                    return uniform_sums(m, rng)
+                finally:
+                    busy.release()
+
+            built.append(kernel)
+            return kernel
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            total = dist.mc_sum(new_kernel, 100003, np.random.default_rng(8), threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert total[0] == 100003
+        assert len(built) == min(3, os.cpu_count() or 1)
+        assert overlaps == []
+
     def test_domain(self, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 3)
         with pytest.raises(DomainError):
-            dist.mc_sum(uniform_sums, 10, np.random.default_rng(0), threads=0)
+            dist.mc_sum(lambda: uniform_sums, 10, np.random.default_rng(0), threads=0)
         with pytest.raises(ValueError):
-            dist.mc_sum(uniform_sums, 0, np.random.default_rng(0))
+            dist.mc_sum(lambda: uniform_sums, 0, np.random.default_rng(0))

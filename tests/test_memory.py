@@ -3,8 +3,15 @@ of draws: both work in fixed-size chunks, keep nothing per draw, and
 hold at most one chunk per thread at once.  Within a chunk they work on
 the unit quaternions of the draws and never form a rotation matrix.  The
 CLI's CSV writer likewise holds one block of rows at a time, and
-``sample`` draws in the same chunks, writing each before the next."""
+``sample`` draws in the same chunks, writing each before the next.  Each
+kernel reuses one workspace from chunk to chunk, so its pages are not
+returned to the OS and faulted back in chunk after chunk."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -69,8 +76,12 @@ def test_sample_peak_is_flat(tmp_path):
     assert max(peaks) <= 1.01 * min(peaks), peaks
 
 
-# A chunk's (m, 3, 3) rotations alone take 9 floats per draw, and the
-# rotations shifted by the modal matrix 9 more.
+# One kernel's workspace, in floats per draw: ``mc_projected_gram`` holds
+# 8 + k rows (the quaternions, the sampler's scratch, the third rows with
+# their scratch and the k = 4 landmark rows of g), 12 floats in all.
+# ``mc_accuracy`` holds 14 rows (the quaternions, the scratch that then
+# holds both statistics, and K q), the int64 labels and three rows of
+# flags, about 15.4 floats.  The bound leaves room for the small arrays.
 FLOATS_PER_DRAW = 18
 
 
@@ -91,6 +102,45 @@ def accuracy_run(n):
                          ids=["mc_projected_gram", "mc_accuracy"])
 def test_one_chunk_peak_per_draw(run, chunk):
     assert peak_bytes(run) < FLOATS_PER_DRAW * 8 * chunk
+
+
+FAULTS_PER_CHUNK = 32
+FAULT_SCRIPT = textwrap.dedent("""
+    import contextlib, io, resource, sys
+    from rotgram import cli, distributions
+
+    n = str(16 * distributions.MC_CHUNK)
+    common = ["--family", "cayley", "--kappa", "2", "--n-mc", n, "--seed", "1",
+              "--threads", "1", "--modal-axis", "0,0,1"]
+    gram = ["gram", *common, "--modal-angle", "0.7", "--landmarks", sys.argv[1]]
+    classify = ["classify", *common, "--modal-angle", "0",
+                "--modal2-axis", "0,0,1", "--modal2-angle", "1.0"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(gram) == 0 and cli.main(classify) == 0 and cli.main(classify) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(classify) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_classify_chunks_do_not_fault_their_pages_back_in(tmp_path):
+    # Arrays allocated per chunk can go back to the OS as each chunk ends,
+    # and the next chunk faults them back in: about 500 minor faults per
+    # chunk when classify follows gram in one process.  A kernel's one
+    # workspace is faulted in at most once per call.  The warm-up runs
+    # classify twice: glibc maps the first block of a new, larger size on
+    # its own and raises its mmap threshold when that block is freed, so
+    # only the second classify takes its workspace from the heap, which
+    # then keeps the pages.
+    landmarks = tmp_path / "landmarks.csv"
+    landmarks.write_text("1,0,0,0.5\n0,1,0,-0.5\n0,0,1,2\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(landmarks)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= FAULTS_PER_CHUNK * 16, proc.stdout
 
 
 @pytest.mark.parametrize("run", [gram_run, accuracy_run],

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .distributions import (DistributionSpec, Family, _chunk_rows, _sample_quaternions,
-                            fvm_log_norm, log_beta_cayley, mc_sum)
+from .distributions import (DistributionSpec, Family, _sample_quaternions, fvm_log_norm,
+                            log_beta_cayley, mc_sum)
 from .errors import DomainError
 from .moments import fvm_expectation
 
@@ -33,8 +33,9 @@ _LOG_TINY = -708.0  # e^x is a normal float above this
 
 @dataclass(frozen=True)
 class ClassPair:
-    """Two modal rotations plus the shared centred law; the separation
-    angle is recomputed from the matrices, never trusted from input."""
+    """Two modal rotations, stored as read-only copies, plus the shared
+    centred law; the separation angle is recomputed from the matrices,
+    never trusted from input."""
 
     m1: np.ndarray
     m2: np.ndarray
@@ -42,8 +43,8 @@ class ClassPair:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        m1 = so3.require_rotation(self.m1)
-        m2 = so3.require_rotation(self.m2)
+        m1 = so3.require_rotation(np.array(self.m1, dtype=float))
+        m2 = so3.require_rotation(np.array(self.m2, dtype=float))
         if not np.all(np.abs(self.common.modal - np.eye(3)) <= 1e-12):
             raise DomainError("the common law must be centred (modal = identity)")
         alpha = so3.rotation_angle_between(m1, m2)
@@ -165,48 +166,39 @@ def mc_accuracy(
     P = R M_label from the common centred law, applies the Bayes rule,
     and returns the fractions of correct assignments as the tuple
     (overall, class-1 accuracy, class-2 accuracy); a class that drew no
-    labels has accuracy nan.  The draws come in chunks of
-    ``distributions.MC_CHUNK``, each drawing its labels first and its
-    rotations second; ``distributions.mc_sum`` seeds the chunks and runs
-    up to ``threads`` of them at once, and the result is the same bitwise
-    for every ``threads``.  The rule's statistic is tr(R S_label), with
+    labels has accuracy nan.  Each chunk draws its labels first and its
+    rotations second.  The rule's statistic is tr(R S_label), with
     S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1.  It is linear in R, so it
     is the quadratic form q^T K(S_label) q in the unit quaternion q of R
     (``_davenport_k``): per chunk both statistics come from one
     (8, 4) @ (4, m) matrix product and no rotation matrix is formed.
-    Each kernel forms its chunks in one workspace of 14 rows and three
-    rows of flags, which it keeps from chunk to chunk; only the labels
-    are drawn into a new array.
+    A chunk works in 15 rows (``distributions.mc_sum``): the quaternions
+    (4), the sampler's scratch (2), which then holds both statistics,
+    K q (8), and one row whose bytes hold three rows of flags (labels,
+    hits, ties); only the labels are drawn into a new array.
     """
     stat1 = np.eye(3) - pair.m1 @ pair.m2.T  # P M1^T = R for class-1 draws
     stat2 = pair.m2 @ pair.m1.T @ stat1
     K = np.vstack((_davenport_k(stat1), _davenport_k(stat2)))
 
-    def new_kernel():
-        # rows: the quaternions (4), the sampler's scratch (2), which then
-        # holds both statistics, and K q (8); the flags: labels, hits, ties
-        workspace, flag_rows = _chunk_rows(14), _chunk_rows(3, bool)
+    def kernel(work, chunk_rng):
+        m = work.shape[1]
+        is1, hit, tie = work[14].view(bool)[:3 * m].reshape(3, m)
+        np.equal(chunk_rng.integers(1, 3, size=m), 1, out=is1)
+        q, both, Kq = work[:4], work[4:6], work[6:14]
+        _sample_quaternions(pair.common, chunk_rng, work[:6])
+        np.matmul(K, q, out=Kq)
+        np.einsum("kin,in->kn", Kq.reshape(2, 4, m), q, out=both)
+        stat = both[1]
+        np.copyto(stat, both[0], where=is1)
+        np.greater(stat, 0.0, out=hit)
+        np.less(np.abs(stat, out=both[0]), TIE_TOL, out=tie)
+        hit |= tie
+        np.equal(hit, is1, out=hit)
+        np.logical_and(hit, is1, out=tie)  # tie now flags the class-1 hits
+        return np.count_nonzero(hit), np.count_nonzero(tie), np.count_nonzero(is1)
 
-        def kernel(m, chunk_rng):
-            is1, hit, tie = flag_rows(m)
-            np.equal(chunk_rng.integers(1, 3, size=m), 1, out=is1)
-            work = workspace(m)
-            q, both, Kq = work[:4], work[4:6], work[6:]
-            _sample_quaternions(pair.common, chunk_rng, work[:6])
-            np.matmul(K, q, out=Kq)
-            np.einsum("kin,in->kn", Kq.reshape(2, 4, m), q, out=both)
-            stat = both[1]
-            np.copyto(stat, both[0], where=is1)
-            np.greater(stat, 0.0, out=hit)
-            np.less(np.abs(stat, out=both[0]), TIE_TOL, out=tie)
-            hit |= tie
-            np.equal(hit, is1, out=hit)
-            np.logical_and(hit, is1, out=tie)  # tie now flags the class-1 hits
-            return np.count_nonzero(hit), np.count_nonzero(tie), np.count_nonzero(is1)
-
-        return kernel
-
-    correct, correct1, n1 = mc_sum(new_kernel, n, rng, threads)
+    correct, correct1, n1 = mc_sum(kernel, 15, n, rng, threads)
     overall = correct / n
     acc1 = correct1 / n1 if n1 else math.nan
     n2 = n - n1

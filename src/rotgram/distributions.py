@@ -297,42 +297,33 @@ def mc_chunks(n: int, rng: np.random.Generator):
     return ((min(MC_CHUNK, n - start), rng.spawn(1)[0]) for start in range(0, n, MC_CHUNK))
 
 
-def mc_sum(new_kernel, n: int, rng: np.random.Generator, threads: int = 1):
-    """Elementwise sum of the tuples kernel(m, chunk_rng) over the chunks
-    of ``mc_chunks(n, rng)``, the kernels built by calling new_kernel().
+def mc_sum(kernel, rows: int, n: int, rng: np.random.Generator, threads: int = 1):
+    """Elementwise sum of the tuples kernel(work, chunk_rng) over the chunks
+    of ``mc_chunks(n, rng)``, work being a C-contiguous (rows, m) float
+    workspace for a chunk of m draws.
 
-    At most workers = min(threads, CPU count) chunks run at once: one
-    kernel is built per worker, kernel i runs slot i of every round of
-    chunks, and each round ends before the next starts, so no kernel runs
-    two chunks at once and a kernel may reuse its buffers from chunk to
-    chunk (``_chunk_rows``).  The results are added in chunk order, so the
-    sum is the same bitwise for every ``threads``, and memory holds at
-    most one round of chunks and workers kernels, whatever n is.
+    At most workers = min(threads, CPU count, number of chunks) chunks
+    run at once, slot i of every round in the leading rows * m entries of
+    the i-th of workers flat arrays, allocated once per call for the
+    largest chunk.  Each round ends before the next starts, so no
+    workspace holds two chunks at once.  The results are added in chunk
+    order, so the sum is the same bitwise for every ``threads``, and
+    memory holds at most one round of chunks and workers workspaces,
+    whatever n is.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
     chunks = mc_chunks(n, rng)
-    workers = min(threads, os.cpu_count() or 1)
-    kernels = [new_kernel() for _ in range(workers)]
+    workers = min(threads, os.cpu_count() or 1, -(-n // MC_CHUNK))
+    flats = [np.empty(rows * min(n, MC_CHUNK)) for _ in range(workers)]
+
+    def run(flat, chunk):
+        m, chunk_rng = chunk
+        return kernel(flat[:rows * m].reshape(rows, m), chunk_rng)
+
     total = None
     with concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         while batch := list(itertools.islice(chunks, workers)):
-            for part in (pool.map if pool else map)(lambda kernel, chunk: kernel(*chunk),
-                                                    kernels, batch):
+            for part in (pool.map if pool else map)(run, flats, batch):
                 total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return total
-
-
-def _chunk_rows(rows: int, dtype=float):
-    """A kernel's workspace: a function of m that returns a (rows, m)
-    view of one flat array, allocated at the first call.  Chunks come
-    largest first, so later calls reuse its leading rows * m entries."""
-    flat = None
-
-    def view(m: int) -> np.ndarray:
-        nonlocal flat
-        if flat is None:
-            flat = np.empty(rows * m, dtype)
-        return flat[:rows * m].reshape(rows, m)
-
-    return view

@@ -66,7 +66,8 @@ CAYLEY_SCALED_KAPPA = 1e150
 
 
 def _qk15(g, a: float, b: float):
-    """One Gauss-Kronrod 15/7 panel; returns (integral, error estimate)."""
+    """One Gauss-Kronrod 15/7 panel; returns (integral, error estimate,
+    integral of |g|)."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = g(centre)

@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from . import moments
-from .distributions import DistributionSpec, _chunk_rows, _sample_quaternions, mc_sum
+from . import moments, so3
+from .distributions import DistributionSpec, _sample_quaternions, mc_sum
 from .errors import DomainError
 
 
@@ -45,30 +45,6 @@ def expected_projected_gram(spec: DistributionSpec, V) -> np.ndarray:
     return gram(V) - gram(D @ spec.modal @ V)
 
 
-def _third_rows(q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Third rows of the rotations of the unit quaternions in the columns
-    of the (4, m) array q, written to out[:3] of the (4, m) array out and
-    returned: the entries R_31, R_32, R_33 of ``so3.from_quaternion_batch``,
-    by its formulas and in its order of operations.  out[3] is scratch."""
-    w, v1, v2, v3 = q
-    rows, w2 = out[:3], out[3]
-    np.multiply(w, 2.0, out=w2)
-    np.multiply(w2, v2, out=rows[2])  # rows[2] holds w2 v2, then w2 v1
-    np.multiply(v1, 2.0, out=rows[0])
-    rows[0] *= v3
-    rows[0] -= rows[2]
-    np.multiply(w2, v1, out=rows[2])
-    np.multiply(v2, 2.0, out=rows[1])
-    rows[1] *= v3
-    rows[1] += rows[2]
-    np.multiply(w2, w, out=rows[2])
-    rows[2] -= 1.0
-    np.multiply(v3, 2.0, out=w2)  # w2 now holds 2 v3 v3
-    w2 *= v3
-    rows[2] += w2
-    return rows
-
-
 def mc_projected_gram(
     spec: DistributionSpec,
     V,
@@ -83,36 +59,27 @@ def mc_projected_gram(
     draw A = R M that row is r M V, with r the third row of R, and r is
     quadratic in the unit quaternion of R, so a draw enters only through
     the three numbers r: no rotation matrix is formed.  Each chunk of
-    ``distributions.MC_CHUNK`` draws adds g^T g and, for the standard error,
-    (g*g)^T (g*g) as two matrix products, g squared in place; each
-    kernel forms its chunks in one workspace of 8 + k rows, k the number
-    of landmarks, which it keeps from chunk to chunk.
-    ``distributions.mc_sum`` seeds the chunks and runs up to ``threads``
-    of them at once, and the result is the same bitwise for every
-    ``threads``.  The sums are formed on V 2^-e, |V| < 2^e, and scaled
-    back exactly, so that the fourth powers stay finite for every finite V.
+    draws adds g^T g and, for the standard error, (g*g)^T (g*g) as two
+    matrix products, g squared in place, in a workspace of 8 + k rows
+    (``distributions.mc_sum``), k the number of landmarks: the
+    quaternions (4), the sampler's scratch (2), then r with its scratch
+    row (4) from row 4 on, and g (k).  The sums are formed on V 2^-e,
+    |V| < 2^e, and scaled back exactly, so that the fourth powers stay
+    finite for every finite V.
     """
     V = np.asarray(V, dtype=float)
     e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
     U = np.ldexp(V, -e)
     MU_T = (spec.modal @ U).T
 
-    def new_kernel():
-        # rows: the quaternions (4), the sampler's scratch (2) and then the
-        # third rows with their scratch (4) from row 4 on, and g (k)
-        workspace = _chunk_rows(8 + len(MU_T))
+    def kernel(work, chunk_rng):
+        _sample_quaternions(spec, chunk_rng, work[:6])
+        g = np.matmul(MU_T, so3.rotation_row(work[:4], 2, work[4:7], work[7]), out=work[8:])
+        outer = g @ g.T
+        g *= g
+        return outer, g @ g.T
 
-        def kernel(m, chunk_rng):
-            work = workspace(m)
-            _sample_quaternions(spec, chunk_rng, work[:6])
-            g = np.matmul(MU_T, _third_rows(work[:4], work[4:8]), out=work[8:])
-            outer = g @ g.T
-            g *= g
-            return outer, g @ g.T
-
-        return kernel
-
-    total, total_sq = mc_sum(new_kernel, n, rng, threads)
+    total, total_sq = mc_sum(kernel, 8 + len(MU_T), n, rng, threads)
     outer = total / n
     mean = np.ldexp(gram(U) - outer, 2 * e)
     var = np.maximum(total_sq / n - outer * outer, 0.0)

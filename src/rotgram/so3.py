@@ -87,31 +87,46 @@ def from_quaternion_batch(q: np.ndarray) -> np.ndarray:
     """Rotations of the unit quaternions in the columns of the (4, n)
     array q, each (w, v) with w^2 + |v|^2 = 1 -> (n,3,3).
 
-    R = (2 w^2 - 1) I + 2 v v^T + 2 w S(v), filled entry by entry.  With
-    w = cos(t/2) and v = sin(t/2) u this is the axis-angle chart at
-    angle t, but it needs no trigonometry, and it stays accurate near
-    t = pi, where w is small.
+    R = (2 w^2 - 1) I + 2 v v^T + 2 w S(v), filled row by row through
+    ``rotation_row``.  With w = cos(t/2) and v = sin(t/2) u this is the
+    axis-angle chart at angle t, but it needs no trigonometry, and it
+    stays accurate near t = pi, where w is small.
     """
-    w, v1, v2, v3 = np.asarray(q, dtype=float)
-    w2 = 2.0 * w
-    d = w2 * w - 1.0
-    R = np.empty((w.shape[0], 3, 3))
-    R[:, 0, 0] = d + 2.0 * v1 * v1
-    R[:, 1, 1] = d + 2.0 * v2 * v2
-    R[:, 2, 2] = d + 2.0 * v3 * v3
-    a = 2.0 * v1 * v2
-    b = w2 * v3
-    R[:, 0, 1] = a - b
-    R[:, 1, 0] = a + b
-    a = 2.0 * v1 * v3
-    b = w2 * v2
-    R[:, 0, 2] = a + b
-    R[:, 2, 0] = a - b
-    a = 2.0 * v2 * v3
-    b = w2 * v1
-    R[:, 1, 2] = a - b
-    R[:, 2, 1] = a + b
+    q = np.asarray(q, dtype=float)
+    R = np.empty((q.shape[1], 3, 3))
+    w2 = np.empty(q.shape[1])
+    for i in range(3):
+        rotation_row(q, i, R[:, i].T, w2)
     return R
+
+
+def rotation_row(q: np.ndarray, i: int, out: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Row i of the rotations of the unit quaternions (w, v) in the
+    columns of the (4, m) array q, written to the (3, m) array out and
+    returned; w2 is a length-m scratch array.  With (i, j, k) a cyclic
+    order of (0, 1, 2):
+
+        R_ii = (2w w - 1) + (2v_i) v_i,
+        R_ij = (2v_j) v_i - (2w) v_k,
+        R_ik = (2v_k) v_i + (2w) v_j.
+    """
+    w, v = q[0], q[1:]
+    j, k = (i + 1) % 3, (i + 2) % 3
+    np.multiply(w, 2.0, out=w2)
+    np.multiply(w2, v[k], out=out[i])  # out[i] holds 2w v_k, then 2w v_j
+    np.multiply(v[j], 2.0, out=out[j])
+    out[j] *= v[i]
+    out[j] -= out[i]
+    np.multiply(w2, v[j], out=out[i])
+    np.multiply(v[k], 2.0, out=out[k])
+    out[k] *= v[i]
+    out[k] += out[i]
+    np.multiply(w2, w, out=out[i])
+    out[i] -= 1.0
+    np.multiply(v[i], 2.0, out=w2)  # w2 now holds 2v_i v_i
+    w2 *= v[i]
+    out[i] += w2
+    return out
 
 
 def to_axis_angle(R) -> AxisAngle:

@@ -117,6 +117,15 @@ class TestClassPair:
         with pytest.raises(DomainError):
             cls.ClassPair(np.eye(3), np.diag([-1.0, -1.0, 1.0]), dist.haar())
 
+    def test_keeps_copies_of_the_callers_matrices(self):
+        m1, m2 = np.eye(3), so3.from_axis_angle(E3, 1.0)
+        pair = cls.ClassPair(m1, m2, dist.cayley(2.0))
+        assert not pair.m1.flags.writeable and not pair.m2.flags.writeable
+        m1[0, 0] = m2[0, 0] = 5.0  # the caller's arrays stay writeable
+        np.testing.assert_array_equal(pair.m1, np.eye(3))
+        np.testing.assert_array_equal(pair.m2, so3.from_axis_angle(E3, 1.0))
+        assert abs(pair.alpha - 1.0) < 1e-12
+
 
 def closed_parts(spec, alpha):
     """(lo, w, P(X > lo), P(X > hi), H(lo, hi), H(0, lo)) of ``psi_closed``."""

@@ -572,7 +572,8 @@ class SpawnLog:
         return self._rng.spawn(n_children)
 
 
-def uniform_sums(m, rng):
+def uniform_sums(work, rng):
+    m = work.shape[1]
     x = rng.uniform(size=m)
     return m, x.sum(), x @ x
 
@@ -581,20 +582,20 @@ class TestMcSum:
     def test_chunk_i_draws_from_child_i(self, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 3)
         children = np.random.default_rng(5).spawn(4)
-        parts = [uniform_sums(m, child) for m, child in zip((3, 3, 3, 1), children)]
+        parts = [uniform_sums(np.empty((1, m)), child) for m, child in zip((3, 3, 3, 1), children)]
         want = parts[0]
         for part in parts[1:]:
             want = tuple(a + b for a, b in zip(want, part))
-        assert dist.mc_sum(lambda: uniform_sums, 10, np.random.default_rng(5)) == want
+        assert dist.mc_sum(uniform_sums, 1, 10, np.random.default_rng(5)) == want
 
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_same_bits_for_every_thread_count(self, threads, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 1000)
-        one = dist.mc_sum(lambda: uniform_sums, 100003, np.random.default_rng(6))
+        one = dist.mc_sum(uniform_sums, 1, 100003, np.random.default_rng(6))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # a lost or reordered chunk would change the sums
         try:
-            many = dist.mc_sum(lambda: uniform_sums, 100003, np.random.default_rng(6), threads)
+            many = dist.mc_sum(uniform_sums, 1, 100003, np.random.default_rng(6), threads)
         finally:
             sys.setswitchinterval(interval)
         assert many == one
@@ -602,45 +603,49 @@ class TestMcSum:
     def test_spawn_batches_are_bounded(self, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 10)
         rng = SpawnLog(np.random.default_rng(7))
-        total = dist.mc_sum(lambda: uniform_sums, 95, rng, threads=3)
+        total = dist.mc_sum(uniform_sums, 1, 95, rng, threads=3)
         assert total[0] == 95
         assert sum(rng.sizes) == 10
         assert all(size <= min(3, os.cpu_count() or 1) for size in rng.sizes), rng.sizes
 
-    def test_one_kernel_per_worker_never_entered_while_busy(self, monkeypatch):
+    def test_one_workspace_per_worker_never_shared(self, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 1000)
-        built, overlaps = [], []
+        lock = threading.Lock()
+        busy, seen, overlaps, layouts = set(), set(), [], []
 
-        def new_kernel():
-            busy = threading.Lock()
-
-            def kernel(m, rng):
-                if not busy.acquire(blocking=False):
-                    overlaps.append(m)
-                    return uniform_sums(m, rng)
-                try:
-                    for _ in range(50):  # Python work the switch interval can cut
-                        pass
-                    return uniform_sums(m, rng)
-                finally:
-                    busy.release()
-
-            built.append(kernel)
-            return kernel
+        def kernel(work, rng):
+            address = work.ctypes.data
+            with lock:
+                if address in busy:
+                    overlaps.append(address)
+                busy.add(address)
+                seen.add(address)
+                layouts.append((work.shape, work.flags.c_contiguous))
+            try:
+                for _ in range(50):  # Python work the switch interval can cut
+                    pass
+                return uniform_sums(work, rng)
+            finally:
+                with lock:
+                    busy.discard(address)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            total = dist.mc_sum(new_kernel, 100003, np.random.default_rng(8), threads=3)
+            total = dist.mc_sum(kernel, 2, 100003, np.random.default_rng(8), threads=3)
         finally:
             sys.setswitchinterval(interval)
         assert total[0] == 100003
-        assert len(built) == min(3, os.cpu_count() or 1)
+        assert len(seen) == min(3, os.cpu_count() or 1)
         assert overlaps == []
+        assert sorted(layouts) == [((2, 3), True)] + [((2, 1000), True)] * 100
+        seen.clear()
+        assert dist.mc_sum(kernel, 2, 1000, np.random.default_rng(9), threads=3)[0] == 1000
+        assert len(seen) == 1  # one chunk needs one workspace
 
     def test_domain(self, monkeypatch):
         monkeypatch.setattr(dist, "MC_CHUNK", 3)
         with pytest.raises(DomainError):
-            dist.mc_sum(lambda: uniform_sums, 10, np.random.default_rng(0), threads=0)
+            dist.mc_sum(uniform_sums, 1, 10, np.random.default_rng(0), threads=0)
         with pytest.raises(ValueError):
-            dist.mc_sum(lambda: uniform_sums, 0, np.random.default_rng(0))
+            dist.mc_sum(uniform_sums, 1, 0, np.random.default_rng(0))

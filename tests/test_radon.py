@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (is_gram, ks_statistic, limit_gram_kappa_infinity, project,
-                      quaternion_draws, random_rotation, rotation_with_third_row)
+from conftest import (from_axis_angle_batch, is_gram, ks_statistic, limit_gram_kappa_infinity,
+                      project, quaternion_draws, random_rotation, rotation_with_third_row)
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
 from rotgram.errors import DomainError
@@ -141,9 +141,11 @@ class TestMcProjectedGram:
     def test_kernel_rows_are_third_rows_of_the_draws(self, spec):
         # the same child stream gives the kernel's rows and the full draws
         m = 5000
-        q = quaternion_draws(spec, m, np.random.default_rng(20).spawn(1)[0])[0]
-        rows = radon._third_rows(q, np.empty((4, m)))
-        np.testing.assert_array_equal(rows.T, so3.from_quaternion_batch(q)[:, 2, :])
+        q, x, x_c, z = quaternion_draws(spec, m, np.random.default_rng(20).spawn(1)[0])
+        rows = so3.rotation_row(q, 2, np.empty((3, m)), np.empty(m))
+        axes = (z / np.linalg.norm(z, axis=0)).T
+        oracle = from_axis_angle_batch(axes, 2.0 * np.arctan2(np.sqrt(x_c), np.sqrt(x)))
+        assert np.max(np.abs(rows.T - oracle[:, 2, :])) <= 1e-14
         P = dist.sample_rotations(spec, m, np.random.default_rng(20).spawn(1)[0])[0]
         np.testing.assert_allclose(rows.T @ spec.modal, P[:, 2, :], rtol=0.0, atol=1e-15)
 

@@ -113,6 +113,37 @@ class TestFromQuaternionBatch:
         np.testing.assert_array_equal(R, np.diag([1.0, -1.0, -1.0]))
 
 
+def row_and_oracle(i, w, s, axes):
+    """Row i of R from the quaternion w, v = s u through ``rotation_row``,
+    and the same row of the axis-angle oracle at theta = 2 atan2(s, w)."""
+    q = np.vstack((w, s * axes.T))
+    row = so3.rotation_row(q, i, np.empty((3, w.size)), np.empty(w.size))
+    return row.T, from_axis_angle_batch(axes, 2.0 * np.arctan2(s, w))[:, i, :]
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+class TestRotationRow:
+    def test_matches_axis_angle_oracle(self, i):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=5000)
+        row, oracle = row_and_oracle(i, np.sqrt(x), np.sqrt(1.0 - x),
+                                     sample_uniform_axes(5000, rng))
+        assert np.max(np.abs(row - oracle)) <= 1e-14
+
+    def test_half_turns(self, i):
+        # w = 0: row i of -I + 2 u u^T
+        row, oracle = row_and_oracle(i, np.zeros(64), np.ones(64),
+                                     sample_uniform_axes(64, np.random.default_rng(14)))
+        assert np.max(np.abs(row - oracle)) <= 1e-14
+
+    def test_near_identity(self, i):
+        # |v| = 1e-160: the off-diagonal entries 2 w v keep their relative
+        # accuracy although the products v_i v_j underflow
+        row, oracle = row_and_oracle(i, np.ones(64), np.full(64, 1e-160),
+                                     sample_uniform_axes(64, np.random.default_rng(15)))
+        np.testing.assert_allclose(row, oracle, rtol=1e-14, atol=1e-300)
+
+
 class TestToAxisAngle:
     def test_z_quarter_turn(self):
         aa = so3.to_axis_angle(so3.from_axis_angle(E3, math.pi / 2))

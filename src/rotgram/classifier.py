@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .distributions import (DistributionSpec, Family, _sample_quaternions, fvm_log_norm,
+from .distributions import (DistributionSpec, _sample_quaternions, fvm_log_norm,
                             log_beta_cayley, mc_sum)
 from .errors import DomainError
 from .moments import fvm_expectation
@@ -80,8 +80,8 @@ def _beta_tail(p: float, t: float, t_c: float) -> float:
 
 def _tail(spec: DistributionSpec, t: float, t_c: float) -> float:
     """P(X > t), given t and t_c = 1 - t."""
-    if spec.family is not Family.FVM or spec.kappa == 0.0:
-        return _beta_tail(spec.kappa + 0.5, t, t_c)
+    if spec.beta_p is not None:
+        return _beta_tail(spec.beta_p, t, t_c)
     return fvm_expectation(spec, lambda x, v: 1.0, t, t_c)
 
 
@@ -94,7 +94,7 @@ def _h_integrals(spec: DistributionSpec, alpha: float):
     hi = math.cos(0.25 * alpha) ** 2
     w = math.cos(0.5 * alpha)
     k = spec.kappa
-    if spec.family is Family.FVM and k > 0.0:
+    if spec.beta_p is None:
         log_c = fvm_log_norm(k)
 
         def h_int(width, gap):  # H(1 - gap - width, 1 - gap)

@@ -70,6 +70,11 @@ class DistributionSpec:
         modal.flags.writeable = False
         object.__setattr__(self, "modal", modal)
 
+    @property
+    def beta_p(self) -> float | None:
+        """p = kappa + 1/2 if X ~ Beta(p, 3/2); None for Fisher-von Mises at kappa > 0."""
+        return None if self.family is Family.FVM and self.kappa > 0.0 else self.kappa + 0.5
+
 
 def haar() -> DistributionSpec:
     return DistributionSpec(Family.HAAR)
@@ -169,8 +174,8 @@ def _fvm_envelope(kappa: float) -> tuple[float, float, float]:
     Returns (1/omega, 4 kappa / omega, log M), M being the envelope
     bound exp(-(4 - b)/2) (4/b)^2.  With c = 8 kappa - 4, b is
     (sqrt(c^2 + 32 kappa) - c)/2 for c <= 0 and 16 kappa / (c + sqrt(c^2 +
-    32 kappa)) for c > 0, there divided through by 8 kappa so that
-    neither branch cancels or overflows for any finite kappa.
+    32 kappa)) for c > 0, there divided through by 8 kappa, and 1/omega
+    is (b/8) / (b/8 + kappa): nothing cancels or overflows for any kappa.
     """
     if kappa > 0.5:
         c = 1.0 - 0.5 / kappa
@@ -179,19 +184,16 @@ def _fvm_envelope(kappa: float) -> tuple[float, float, float]:
         c = 8.0 * kappa - 4.0
         b = 0.5 * (math.sqrt(c * c + 32.0 * kappa) - c)
     log_m = 0.5 * b - 2.0 + 2.0 * math.log(4.0 / b)
-    return b / (b + 8.0 * kappa), 4.0 * b / (b / kappa + 8.0), log_m
+    return 0.125 * b / (0.125 * b + kappa), 4.0 * b / (b / kappa + 8.0), log_m
 
 
 def _sample_quaternions(spec: DistributionSpec, rng: np.random.Generator, work: np.ndarray,
                         z: np.ndarray = None) -> np.ndarray:
     """Fill the C-contiguous (6, m) float array work with m centred draws:
     the unit quaternions q in work[:4], one draw per column, the complement
-    x_c = 1 - X in work[4] and X in work[5].  Returns the (3, m) normal
-    triples z that the draws were built from: drawn into z if given, else
-    into work[1:4], where the vector parts of q overwrite them.  Fisher-von
-    Mises at kappa > 0 collects them from its rejection rounds into arrays
-    of its own, returns those and leaves z unwritten; nothing else of size
-    m is allocated.
+    x_c = 1 - X in work[4] and X in work[5].  Returns the C-contiguous
+    (3, m) normal triples z that the draws were built from: the caller's z
+    if given, else work[1:4], where the vector parts of q overwrite them.
 
     X = g1 / (g1 + t) and x_c = t / (g1 + t) are formed separately, from
     g1 ~ Gamma(a) and t = |z|^2 / (2 omega) for a standard normal triple z:
@@ -203,7 +205,7 @@ def _sample_quaternions(spec: DistributionSpec, rng: np.random.Generator, work: 
     divides by a sqrt(1 - X) that has underflowed.
 
     Haar and Cayley-LMR (and Fisher-von Mises at kappa = 0) take
-    a = kappa + 1/2 and omega = 1, so X is Beta(kappa + 1/2, 3/2), and
+    a = ``spec.beta_p`` and omega = 1, so X is Beta(kappa + 1/2, 3/2), and
     keep every proposal.  Fisher-von Mises at kappa > 0 is the Bingham
     law exp(-4 kappa (1 - w^2)) of the quaternion scalar w; it takes
     a = 1/2 and the omega of the angular-central-Gaussian envelope
@@ -213,46 +215,45 @@ def _sample_quaternions(spec: DistributionSpec, rng: np.random.Generator, work: 
         log U <= -4 kappa (1 - X) + 2 log(X + omega (1 - X)) - log M,
 
     which happens at a rate bounded below uniformly in kappa (0.73 at
-    kappa = 1, about 0.45 from kappa = 20 on); rejected proposals drop
-    their z.  Each round draws, for the m draws still missing and in
-    this order (part of the seeded-reproducibility contract): m gammas
-    ``standard_gamma(a)``, a (3, m) block ``standard_normal`` and, for
-    Fisher-von Mises at kappa > 0 only, ``uniform(size=m)``.
+    kappa = 1, about 0.45 from kappa = 20 on).
+
+    One loop serves every family.  Each round fills, for the m draws still
+    missing, the tails of the rows from column ``filled`` on, in this order
+    (part of the seeded-reproducibility contract): ``standard_gamma(a)``,
+    ``standard_normal`` into each row of z in turn (the values of one
+    (3, m) block), |z|^2 / 2 summed as (z0^2 + z1^2) + z2^2 and, for
+    Fisher-von Mises at kappa > 0 only, ``uniform(size=m)``, after which
+    the kept proposals move, in order, to the front of the tails.  Only
+    the uniforms and the acceptance test allocate.
     """
-    k = spec.kappa
-    beta = spec.family is not Family.FVM or k == 0.0
-    inv_omega, slope, log_m = (1.0, 0.0, 0.0) if beta else _fvm_envelope(k)
+    p = spec.beta_p
+    inv_omega, slope, log_m = (1.0, 0.0, 0.0) if p is not None else _fvm_envelope(spec.kappa)
     n = work.shape[1]
+    z = work[1:4] if z is None else z
     t, s = work[4], work[5]
-    if beta:
-        z = work[1:4] if z is None else z
-        rng.standard_gamma(k + 0.5, out=work[0])
-        rng.standard_normal(out=z)
-        np.einsum("im,im->m", z, z, out=t)
-        t *= 0.5
-    else:
-        parts, filled = [], 0
-        while filled < n:
-            m = n - filled
-            g1 = rng.standard_gamma(0.5, m)
-            z = rng.standard_normal((3, m))
-            h = 0.5 * np.einsum("im,im->m", z, z)
-            # with s = g1 + h / omega: X = g1 / s, 4 kappa (1 - X) = slope h / s
-            # and X + omega (1 - X) = (g1 + h) / s, so nothing is subtracted
-            # from 1 or multiplied by omega, which overflows above kappa ~ 2e307
-            sm = g1 + inv_omega * h
-            keep = rng.uniform(size=m) <= np.exp(2.0 * np.log((g1 + h) / sm)
-                                                 - slope * (h / sm) - log_m)
-            parts.append((g1[keep], z[:, keep], h[keep]))
-            filled += parts[-1][0].size
-        # z keeps the layout that selection and concatenation give it
-        # (column-major, or row-major after a round that kept nothing):
-        # einsum sums |z|^2 in an order that depends on the layout, and the
-        # bytes of the axes of ``sample_rotations`` are pinned
-        g1, z, h = parts[0]
-        if len(parts) > 1:
-            g1, z, h = (np.concatenate(p, axis=-1) for p in zip(*parts))
-        work[0], work[4] = g1, h
+    filled = 0
+    while filled < n:
+        m = n - filled
+        g1, h, r, zm = work[0, filled:], t[filled:], s[filled:], z[:, filled:]
+        rng.standard_gamma(0.5 if p is None else p, out=g1)
+        for row in zm:
+            rng.standard_normal(out=row)
+        np.multiply(zm[0], zm[0], out=h)
+        h += np.multiply(zm[1], zm[1], out=r)
+        h += np.multiply(zm[2], zm[2], out=r)
+        h *= 0.5
+        if p is not None:
+            break
+        # with r = g1 + h / omega: X = g1 / r, 4 kappa (1 - X) = slope h / r
+        # and X + omega (1 - X) = (g1 + h) / r, so nothing is subtracted
+        # from 1 or multiplied by omega, which overflows above kappa ~ 2e307
+        np.multiply(h, inv_omega, out=r)
+        r += g1
+        keep = rng.uniform(size=m) <= np.exp(2.0 * np.log((g1 + h) / r) - slope * (h / r) - log_m)
+        kept = np.count_nonzero(keep)
+        for row in (g1, h, *zm):
+            row[:kept] = row[keep]
+        filled += kept
     t *= inv_omega
     np.add(work[0], t, out=s)
     work[0] /= s
@@ -279,7 +280,7 @@ def sample_rotations(spec: DistributionSpec, n: int, rng: np.random.Generator):
     z = _sample_quaternions(spec, rng, work, np.empty((3, n)))
     q = work[:4]
     P = so3.from_quaternion_batch(q) @ spec.modal
-    axes = (z / np.sqrt(np.einsum("im,im->m", z, z))).T
+    axes = (z / np.sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2])).T
     return P, axes, 2.0 * np.arctan2(np.sqrt(work[4]), q[0]), work[5]
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (DistributionSpec, Family, _fvm_fx, fvm_log_norm, fx_density_fn,
-                            log_bessel_gap)
+from .distributions import DistributionSpec, _fvm_fx, fvm_log_norm, fx_density_fn, log_bessel_gap
 from .errors import DomainError, NoConvergence
 
 _SQRT2 = math.sqrt(2.0)
@@ -224,10 +223,10 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
     E[X^a (1-X)^b] = prod_{i<a} (p+i)/(p+3/2+i) * prod_{i<b} (3/2+i)/(p+3/2+a+i).
     Fisher-von Mises takes the weighted sum through ``fvm_expectation``.
     """
-    if spec.family is Family.FVM and spec.kappa > 0.0:
+    p = spec.beta_p
+    if p is None:
         return fvm_expectation(spec, lambda x, v: sum(w * x ** (n - j) * v ** j
                                                      for j, w in enumerate(weights)), 0.0, 1.0)
-    p = spec.kappa + 0.5
     total = 0.0
     for b, w in enumerate(weights):
         a = n - b
@@ -270,7 +269,7 @@ def tau2_excess(spec: DistributionSpec) -> float:
     k = spec.kappa
     if k == 0.0:
         return 0.0
-    if spec.family is Family.FVM:
+    if spec.beta_p is None:
         return (2.0 / 15.0) * math.exp(log_bessel_gap(2, k) - log_bessel_gap(0, k))
     if k > CAYLEY_SCALED_KAPPA:
         return 2.0 * (1.0 - 1.0 / k) / (3.0 * (1.0 + 2.0 / k) * (1.0 + 3.0 / k))

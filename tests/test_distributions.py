@@ -430,25 +430,61 @@ class TestQuaternionSampler:
     def test_beta_families_draw_one_gamma_then_normals(self, spec):
         rng = RecordingGenerator(np.random.default_rng(30))
         quaternion_draws(spec, 1000, rng)
-        (gamma, gamma_args, gamma_out), (normal, normal_args, normal_out) = rng.calls
+        (gamma, gamma_args, gamma_out), *normals = rng.calls
         assert (gamma, gamma_args, list(gamma_out)) == ("standard_gamma", (spec.kappa + 0.5,),
                                                         ["out"])
-        assert (normal, normal_args, list(normal_out)) == ("standard_normal", (), ["out"])
-        assert gamma_out["out"].shape == (1000,) and normal_out["out"].shape == (3, 1000)
+        assert gamma_out["out"].shape == (1000,) and len(normals) == 3
+        for normal, normal_args, normal_out in normals:  # one call per row of z, no uniform
+            assert (normal, normal_args, list(normal_out)) == ("standard_normal", (), ["out"])
+            assert normal_out["out"].shape == (1000,)
 
     def test_fvm_rounds_draw_gamma_normals_then_uniform(self):
         rng = RecordingGenerator(np.random.default_rng(31))
         quaternion_draws(dist.fisher_von_mises(20.0), 1000, rng)
-        rounds = [rng.calls[i:i + 3] for i in range(0, len(rng.calls), 3)]
-        assert len(rounds) >= 2 and 3 * len(rounds) == len(rng.calls)
+        rounds = [rng.calls[i:i + 5] for i in range(0, len(rng.calls), 5)]
+        assert len(rounds) >= 2 and 5 * len(rounds) == len(rng.calls)
         sizes = []
-        for gamma, normal, uniform in rounds:
-            m = gamma[1][1]
-            assert gamma == ("standard_gamma", (0.5, m), {})
-            assert normal == ("standard_normal", ((3, m),), {})
+        for (gamma, gamma_args, gamma_out), *normals, uniform in rounds:
+            m = gamma_out["out"].size
+            assert (gamma, gamma_args, list(gamma_out)) == ("standard_gamma", (0.5,), ["out"])
+            for normal, normal_args, normal_out in normals:
+                assert (normal, normal_args, list(normal_out)) == ("standard_normal", (), ["out"])
+                assert normal_out["out"].shape == (m,)
             assert uniform == ("uniform", (), {"size": m})
             sizes.append(m)
         assert sizes[0] == 1000 and sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("spec", [dist.cayley(2.0), dist.fisher_von_mises(20.0)],
+                             ids=["cayley", "fvm"])
+    def test_draws_into_the_given_z(self, spec):
+        work, z = np.empty((6, 1000)), np.empty((3, 1000))
+        assert dist._sample_quaternions(spec, np.random.default_rng(34), work, z) is z
+
+    @pytest.mark.parametrize("spec", [dist.haar(), dist.cayley(2.0), dist.fisher_von_mises(0.0)],
+                             ids=["haar", "cayley", "fvm-zero"])
+    def test_one_draw_sums_the_triple_in_the_documented_order(self, spec):
+        # x_c of a one-draw call, bit for bit, replayed from the documented
+        # draw order with |z|^2 / 2 summed as (z0^2 + z1^2) + z2^2
+        for seed in range(40):
+            x_c = quaternion_draws(spec, 1, np.random.default_rng(seed))[2][0]
+            rng = np.random.default_rng(seed)
+            g1 = float(rng.standard_gamma(spec.kappa + 0.5))
+            z0, z1, z2 = (float(v) for v in rng.standard_normal(3))
+            t = ((z0 * z0 + z1 * z1) + z2 * z2) * 0.5
+            assert x_c == t / (g1 + t), seed
+
+    def test_fvm_angle_keeps_its_scaling_up_to_the_largest_kappa(self):
+        # theta ~ c / sqrt(kappa) at large kappa, the same c for the same
+        # seed: no product with kappa in the envelope may overflow to inf
+        def scaled_theta(kappa):
+            theta = dist.sample_rotations(dist.fisher_von_mises(kappa), 200,
+                                          np.random.default_rng(33))[2]
+            assert np.all(theta > 0.0), kappa
+            return theta * math.sqrt(kappa)
+
+        reference = scaled_theta(1e300)
+        for kappa in (1e306, 1e307, 1e308, sys.float_info.max):
+            assert np.max(np.abs(scaled_theta(kappa) / reference - 1.0)) <= 1e-11, kappa
 
     @pytest.mark.parametrize("family", ["cayley", "fvm"])
     @pytest.mark.parametrize("kappa", [1e6, 1e10, 1e14, 1e100])

@@ -224,7 +224,7 @@ def _sample_quaternions(spec: DistributionSpec, rng: np.random.Generator, work: 
     (3, m) block), |z|^2 / 2 summed as (z0^2 + z1^2) + z2^2 and, for
     Fisher-von Mises at kappa > 0 only, ``uniform(size=m)``, after which
     the kept proposals move, in order, to the front of the tails.  Only
-    the uniforms and the acceptance test allocate.
+    that round allocates: its uniforms, acceptance test and moved copies.
     """
     p = spec.beta_p
     inv_omega, slope, log_m = (1.0, 0.0, 0.0) if p is not None else _fvm_envelope(spec.kappa)

@@ -7,8 +7,10 @@ the seeded chunks of ``distributions.mc_chunks``; ``sample`` writes each
 chunk before it draws the next.  Every number printed or written is
 formatted '%.17g', which round-trips every float64; a CSV is a header
 row and float columns, written in row blocks by ``_write_csv`` with LF
-line endings in UTF-8.  Flags are spelled in full; argparse's prefix
-matching is off.
+line endings in UTF-8.  Each block is spelt by the numpy kernel
+``_csv.format_rows``, whose bytes are those of '%.17g' (it leaves zeros,
+|x| < 1e-4, |x| >= 10, nan and infinities to '%.17g' itself).  Flags are
+spelled in full; argparse's prefix matching is off.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 numerical non-convergence.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 import warnings
@@ -31,7 +34,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NOCONV = 4
-ROW_BLOCK = 256  # rows per block of ``_write_csv``: one block's Python floats stay small
+# Rows per block of ``_write_csv``: ``_csv.format_rows`` spells a block at a
+# time (and '%.17g' the values it leaves), so one block's arrays and text stay small.
+ROW_BLOCK = 256
 
 
 def _open_out(path):
@@ -44,13 +49,13 @@ def _write_csv(path, header, tables):
     Each table is a tuple of float columns (1-D or 2-D arrays of equal
     length, side by side), and the rows of each follow those of the one
     before, so a generator of tables is written one table at a time."""
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    from . import _csv  # here, so that a command writing no CSV does not compile the kernel
     with contextlib.nullcontext(sys.stdout) if path is None else _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for columns in tables:
             for start in range(0, len(columns[0]), ROW_BLOCK):
-                block = np.column_stack([c[start:start + ROW_BLOCK] for c in columns]).tolist()
-                fh.write("".join([row % tuple(values) for values in block]))
+                fh.write(_csv.format_rows(np.column_stack([c[start:start + ROW_BLOCK]
+                                                           for c in columns])))
 
 
 def _parse_modal(stem: str, axis: str | None, angle: float | None) -> np.ndarray:
@@ -274,11 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building one leaves cyclic garbage (argparse's
+# help formatters) for the collector, which would free it at a moment that
+# depends on how many objects the command itself allocates.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name per call: the parser is built once, so a cmd_*
+        # function wrapped after that (as the bench tracer does) is still run
+        return globals()[args.func.__name__](args)
     except (ValueError, MemoryError, OSError, NoConvergence) as exc:  # DomainError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return (EXIT_DATA if isinstance(exc, OSError)

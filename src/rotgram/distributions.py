@@ -36,6 +36,9 @@ _LGAMMA_3_2 = math.lgamma(1.5)
 # Draws per Monte Carlo chunk: small enough that a chunk's arrays stay in
 # a core's L2 cache.
 MC_CHUNK = 1 << 14
+# The modal of every spec built without one: a rotation, so not validated.
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 class Family(str, Enum):
@@ -49,7 +52,8 @@ class DistributionSpec:
     """Family tag plus modal rotation and concentration.
 
     Immutable and freely shareable; the modal matrix is stored as a
-    read-only copy.
+    read-only copy, and every spec without one shares one read-only
+    identity.
     """
 
     family: Family
@@ -65,9 +69,12 @@ class DistributionSpec:
         if family is Family.HAAR and kappa != 0.0:
             raise DomainError("the Haar family has kappa = 0 by definition")
         object.__setattr__(self, "kappa", kappa)
-        modal = np.eye(3) if self.modal is None else np.array(self.modal, dtype=float)
-        so3.require_rotation(modal)
-        modal.flags.writeable = False
+        if self.modal is None:
+            modal = _IDENTITY
+        else:
+            modal = np.array(self.modal, dtype=float)
+            so3.require_rotation(modal)
+            modal.flags.writeable = False
         object.__setattr__(self, "modal", modal)
 
     @property

@@ -4,12 +4,18 @@ import functools
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
 from rotgram.errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
+
+# Property tests draw the same examples on every run, and a slow example
+# on a busy machine is not a failure.
+settings.register_profile("rotgram", derandomize=True, deadline=None)
+settings.load_profile("rotgram")
 
 
 def sample_uniform_axes(n, rng):

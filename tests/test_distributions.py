@@ -124,6 +124,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec.modal[0, 0] = 2.0
 
+    def test_specs_without_a_modal_share_the_identity(self, monkeypatch):
+        def refuse(R):
+            raise AssertionError("the identity modal was validated")
+
+        monkeypatch.setattr(so3, "require_rotation", refuse)
+        specs = [dist.haar(), dist.cayley(2.0), dist.DistributionSpec("fvm", kappa=0.5)]
+        assert all(spec.modal is specs[0].modal for spec in specs)
+        assert np.array_equal(specs[0].modal, np.eye(3)) and not specs[0].modal.flags.writeable
+        monkeypatch.undo()
+        # a given modal is still validated: a reflection is rejected
+        with pytest.raises(ValueError):
+            dist.fisher_von_mises(1.0, modal=np.diag([1.0, 1.0, -1.0]))
+
 
 class TestFxDensity:
     def test_cayley_zero_at_half(self):

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .distributions import (DistributionSpec, _sample_quaternions, fvm_log_norm,
-                            log_beta_cayley, mc_sum)
+from .distributions import DistributionSpec, _sample_quaternions, log_beta_cayley, log_h, mc_sum
 from .errors import DomainError
-from .moments import fvm_expectation
+from .moments import h_integral
 
 TIE_TOL = 1e-14
 _LOG_TINY = -708.0  # e^x is a normal float above this
@@ -82,7 +81,7 @@ def _tail(spec: DistributionSpec, t: float, t_c: float) -> float:
     """P(X > t), given t and t_c = 1 - t."""
     if spec.beta_p is not None:
         return _beta_tail(spec.beta_p, t, t_c)
-    return fvm_expectation(spec, lambda x, v: 1.0, t, t_c)
+    return h_integral(spec, lambda x, w: 2.0 * w, 1.0, 0.0, math.atan2(math.sqrt(t_c), math.sqrt(t)))
 
 
 def _h_integrals(spec: DistributionSpec, alpha: float):
@@ -94,18 +93,17 @@ def _h_integrals(spec: DistributionSpec, alpha: float):
     hi = math.cos(0.25 * alpha) ** 2
     w = math.cos(0.5 * alpha)
     k = spec.kappa
+    log_norm, _ = log_h(spec)
     if spec.beta_p is None:
-        log_c = fvm_log_norm(k)
-
         def h_int(width, gap):  # H(1 - gap - width, 1 - gap)
             u = 4.0 * (k * width)
-            return width * (-math.expm1(-u) / u if u > 0.0 else 1.0) * math.exp(log_c - 4.0 * (k * gap))
+            return width * (-math.expm1(-u) / u if u > 0.0 else 1.0) * math.exp(log_norm - 4.0 * (k * gap))
 
         return lo, hi, w, h_int(w, lo), h_int(lo, hi)
-    log_norm = math.log1p(k) + log_beta_cayley(k)
+    log_c = log_norm - math.log1p(k)  # H(0, x) = e^log_c x^(k + 1)
     log_lo, log_hi = math.log(lo), math.log1p(-lo)
-    h_mid = -math.exp((k + 1.0) * log_hi - log_norm) * math.expm1((k + 1.0) * (log_lo - log_hi))
-    return lo, hi, w, h_mid, math.exp((k + 1.0) * log_lo - log_norm)
+    h_mid = -math.exp((k + 1.0) * log_hi + log_c) * math.expm1((k + 1.0) * (log_lo - log_hi))
+    return lo, hi, w, h_mid, math.exp((k + 1.0) * log_lo + log_c)
 
 
 def psi_closed(pair: ClassPair) -> float:

@@ -125,11 +125,6 @@ def log_bessel_gap(n: int, kappa: float) -> float:
     return math.log(total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(kappa)
 
 
-def fvm_log_norm(kappa: float) -> float:
-    """log c for the Fisher-von Mises f_X = c sqrt((1-x)/x) e^(-4 kappa (1-x))."""
-    return math.log(2.0 / math.pi) - log_bessel_gap(0, kappa)
-
-
 def log_beta_cayley(kappa: float) -> float:
     """log B(kappa + 1/2, 3/2).  Above kappa = 30 the large-kappa expansion
     of log Gamma(kappa + 1/2) - log Gamma(kappa + 1), which a difference of
@@ -141,30 +136,29 @@ def log_beta_cayley(kappa: float) -> float:
             + t * (-1.0 / 8.0 + t * t * (1.0 / 192.0 + t * t * (-1.0 / 640.0 + 17.0 * t * t / 14336.0))))
 
 
-def fx_density_fn(spec: DistributionSpec):
-    """The density f_X of ``fx_density`` as a function of x alone, with
-    its normalising constant computed once, for integrands evaluated at
-    many nodes.  The argument must lie in (0, 1); it is not checked."""
+def log_h(spec: DistributionSpec):
+    """h(x) = sqrt(x / (1 - x)) f_X(x) on the log scale, as the pair
+    (log_norm, tilt) with log h(x) = log_norm + tilt(x, w), w = 1 - x:
+    x^kappa / B(kappa + 1/2, 3/2) for Haar and Cayley-LMR, the tilt taken
+    as kappa log1p(-w) where w < 1/2 and kappa log x elsewhere, and
+    c e^(-4 kappa w) for Fisher-von Mises, with log c = log(2/pi) - L_0(kappa)
+    (``log_bessel_gap``).  The tilt reads whichever of x and w the caller
+    holds to full relative accuracy; both must lie in (0, 1) and are not
+    checked."""
     k = spec.kappa
-    if spec.family is Family.HAAR:
-        return lambda x: (2.0 / math.pi) * math.sqrt((1.0 - x) / x)
-    if spec.family is Family.CAYLEY:
-        log_beta = log_beta_cayley(k)
-        return lambda x: math.exp((k - 0.5) * math.log(x) + 0.5 * math.log1p(-x) - log_beta)
-    return _fvm_fx(k, fvm_log_norm(k))
-
-
-def _fvm_fx(kappa: float, log_c: float):
-    """The Fisher-von Mises f_X, given log_c = ``fvm_log_norm(kappa)``."""
-    return lambda x: math.sqrt((1.0 - x) / x) * math.exp(log_c - 4.0 * (kappa * (1.0 - x)))
+    if spec.beta_p is None:
+        return math.log(2.0 / math.pi) - log_bessel_gap(0, k), lambda x, w: -4.0 * (k * w)
+    return -log_beta_cayley(k), lambda x, w: k * (math.log1p(-w) if w < 0.5 else math.log(x))
 
 
 def fx_density(spec: DistributionSpec, x: float) -> float:
     """Density of the angle variate X = (1 + cos Theta)/2 on (0, 1),
-    with respect to Lebesgue measure."""
+    with respect to Lebesgue measure: sqrt((1 - x) / x) h(x), h as in
+    ``log_h``."""
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in the open interval (0, 1)")
-    return fx_density_fn(spec)(x)
+    log_norm, tilt = log_h(spec)
+    return math.sqrt((1.0 - x) / x) * math.exp(log_norm + tilt(x, 1.0 - x))
 
 
 # ---------------------------------------------------------------------------

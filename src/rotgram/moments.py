@@ -9,8 +9,10 @@ nonnegative weights, exact for the Beta laws of Haar and Cayley-LMR and
 one quadrature for Fisher-von Mises.
 
 ``integrate`` has one setting, a float absolute tolerance (default
-1e-10).  The Fisher-von Mises tail ``fvm_expectation`` always runs to
-the roundoff floor, and ``fx_from_fz`` to 1e-9, the floor of its
+1e-10).  ``h_integral`` is the one integral over the angle law that
+reaches x = 1: the Fisher-von Mises tails and moments and the zonal
+density ``fz_from_fx``, at every finite kappa, run through it to the
+roundoff floor.  ``fx_from_fz`` runs to 1e-9, the floor of its
 derivative stencil.
 
 The zonal density f_Z is normalised so that (1/2) * integral_{-1}^{1}
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, _fvm_fx, fvm_log_norm, fx_density_fn, log_bessel_gap
+from .distributions import DistributionSpec, log_bessel_gap, log_h
 from .errors import DomainError, NoConvergence
 
 _SQRT2 = math.sqrt(2.0)
@@ -186,33 +188,36 @@ class MomentVector:
         object.__setattr__(self, "tau", tau)
 
 
-def fvm_expectation(spec: DistributionSpec, g, t: float, t_c: float) -> float:
-    """E[g(X, 1 - X); X > t] under the Fisher-von Mises law at kappa > 0,
-    given t and t_c = 1 - t, so that neither is formed from the other.
+def h_integral(spec: DistributionSpec, weight, u: float, u_c: float, end: float) -> float:
+    """integral_0^end weight(x, w) h(x) dphi at x = u cos^2 phi and
+    w = 1 - x = u_c + u sin^2 phi, for h of ``distributions.log_h``,
+    u in (0, 1], u_c = 1 - u and 0 < end <= pi/2.  With u = 1,
+    f_X dx = 2 sin^2 phi h dphi, so E[g(X, 1 - X); X > t] takes weight
+    2 w g and end = atan2(sqrt(1 - t), sqrt(t)); the zonal density takes
+    weight 1.  Neither has a singular end.
 
-    f_X peaks within about 1/kappa of x = 1, so where 1 - x < 1/2 the
-    integral runs in y = m (1 - x), m = max(kappa, 1): the peak lies within
-    O(1) of y = 0 at every kappa, 1 - X carries no cancellation, and y stops
-    at 745/4, where e^(-4y) underflows.  There f_X dx = sqrt(y / (1 - v))
-    e^(log c - 1.5 log m - 4 (kappa / m) y) dy, v = y / m.  The rest, with
-    the 1/sqrt(x) end x = 0, runs in x from t.  Both run to the roundoff
-    floor: the tolerance is the smallest normal float.
+    h(u cos^2 phi) peaks at phi = 0, about m^1.5 high and 1/sqrt(m) wide,
+    m = max(kappa, 1), so the integral runs in t = sqrt(m) phi, where
+    h dphi = m (h / m^1.5) dt: m^-1.5 is taken in the exponent and m
+    multiplies the weight.  It stops once h has fallen by at least e^-745,
+    at sin^2 phi = 745 / (4 kappa u) for Fisher-von Mises and
+    745 / (kappa u) for Haar and Cayley-LMR, as (1 - v)^kappa <= e^(-kappa v),
+    and runs to the roundoff floor.
     """
     k = spec.kappa
     m = max(k, 1.0)
-    log_c = fvm_log_norm(k)
-    lead = log_c - 1.5 * math.log(m)
-    rate = 4.0 * (k / m)
+    r = math.sqrt(m)
+    log_norm, tilt = log_h(spec)
+    lead = log_norm - 1.5 * math.log(m)
+    top = (186.25 if spec.beta_p is None else 745.0) / k / u if k > 0.0 else 1.0
+    end = min(end, math.asin(math.sqrt(min(top, 1.0))))
 
-    def integrand(y: float) -> float:
-        v = y / m
-        return math.exp(lead + 0.5 * math.log(y) - rate * y) / math.sqrt(1.0 - v) * g(1.0 - v, v)
+    def integrand(t: float) -> float:
+        s, c = math.sin(t / r), math.cos(t / r)
+        x, w = u * (c * c), u_c + u * (s * s)
+        return weight(x, w) * m * math.exp(lead + tilt(x, w))
 
-    total = integrate(integrand, 0.0, min(min(t_c, 0.5) * m, 745.0 / 4.0), _UFLOW)
-    if t_c > 0.5:
-        fx = _fvm_fx(k, log_c)
-        total += integrate(lambda x: fx(x) * g(x, 1.0 - x), t, 0.5, _UFLOW)
-    return total
+    return integrate(integrand, 0.0, r * end, _UFLOW)
 
 
 def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
@@ -221,12 +226,13 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
     Haar and Cayley-LMR have X ~ Beta(p, 3/2) with p = kappa + 1/2, so
     each mean is a product of ratios, exact to rounding:
     E[X^a (1-X)^b] = prod_{i<a} (p+i)/(p+3/2+i) * prod_{i<b} (3/2+i)/(p+3/2+a+i).
-    Fisher-von Mises takes the weighted sum through ``fvm_expectation``.
+    Fisher-von Mises takes the weighted sum through ``h_integral``.
     """
     p = spec.beta_p
     if p is None:
-        return fvm_expectation(spec, lambda x, v: sum(w * x ** (n - j) * v ** j
-                                                     for j, w in enumerate(weights)), 0.0, 1.0)
+        return h_integral(spec, lambda x, v: 2.0 * v * sum(w * x ** (n - j) * v ** j
+                                                           for j, w in enumerate(weights)),
+                          1.0, 0.0, 0.5 * math.pi)
     total = 0.0
     for b, w in enumerate(weights):
         a = n - b
@@ -299,7 +305,9 @@ def tau_k(spec: DistributionSpec, k: int) -> float:
 
 
 def moment_vector(spec: DistributionSpec, order: int) -> MomentVector:
-    """rho and tau up to ``order`` (tau via the Bernstein kernel of ``tau_k``)."""
+    """rho and tau up to ``order`` in 0..20 (tau via the Bernstein kernel of ``tau_k``)."""
+    if not 0 <= order <= 20:
+        raise DomainError("moment order must lie in 0..20")
     rho = [rho_moment(spec, r) for r in range(order + 1)]
     tau = [1.0] + [tau_k(spec, j) for j in range(1, order + 1)]
     return MomentVector(rho=tuple(rho), tau=tuple(tau))
@@ -310,25 +318,19 @@ def moment_vector(spec: DistributionSpec, order: int) -> MomentVector:
 
 
 def fz_from_fx(spec: DistributionSpec, s: float) -> float:
-    """Zonal density of Z at s in (-1, 1), from the angle density:
+    """Zonal density of Z at s in (-1, 1), from the angle law:
 
-        f_Z(s) = (1/sqrt2) * integral_0^{(1+s)/2}
-                 f_X(x) / sqrt((1 + s - 2x)(1 - x)) dx
+        f_Z(s) = integral_0^{pi/2} h(u cos^2 phi) dphi,  u = (1 + s)/2,
 
-    Both inverse-square-root endpoints are handled by the quadrature
-    substitution.  The result is nonnegative and satisfies
+    the Abel transform (1/2) integral_0^u f_X(x) / sqrt((u - x)(1 - x)) dx
+    after x = u cos^2 phi, taken by ``h_integral`` with no singular end; it
+    is exactly (kappa + 1) u^kappa for Cayley-LMR.  Every finite kappa is
+    supported.  The result is nonnegative and satisfies
     (1/2) * integral_{-1}^{1} f_Z = 1.
     """
     if not -1.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (-1, 1)")
-    upper = 0.5 * (1.0 + s)
-    fx = fx_density_fn(spec)
-
-    def integrand(x: float) -> float:
-        return fx(x) / math.sqrt((1.0 + s - 2.0 * x) * (1.0 - x))
-
-    value = integrate(integrand, 0.0, upper) / _SQRT2
-    return max(value, 0.0)
+    return h_integral(spec, lambda x, w: 1.0, 0.5 * (1.0 + s), 0.5 * (1.0 - s), 0.5 * math.pi)
 
 
 def fx_from_fz(fz, s: float) -> float:
@@ -349,7 +351,9 @@ def fx_from_fz(fz, s: float) -> float:
 
     The quadrature runs to abs_tol 1e-9, looser than ``integrate``'s
     default, because the stencil noise floor, roughly eval-error / 1e-3,
-    limits the achievable accuracy.
+    limits the achievable accuracy.  The fixed stencil resolves only a
+    zonal density that varies slowly on the scale 1e-3; the README gives
+    the errors it leaves on the closed Cayley-LMR pair.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (0, 1)")

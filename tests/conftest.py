@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import settings
 
@@ -163,7 +164,7 @@ def g0(k, x):
 def tau_k_g0(spec, k):
     """Oracle for ``moments.tau_k`` through the G0 recursion:
     tau_k = 1 - (k / sqrt2) * integral_0^1 f_X(x) G0_k(x) dx."""
-    fx = dist.fx_density_fn(spec)
+    fx = functools.partial(dist.fx_density, spec)
     value = moments.integrate(lambda x: fx(x) * g0(k, x), 0.0, 1.0)
     return 1.0 - (k / SQRT2) * value
 
@@ -236,6 +237,22 @@ def fz_closed_cayley(kappa, s):
     if not -1.0 <= s <= 1.0:
         raise DomainError("s must lie in [-1, 1]")
     return (kappa + 1.0) * (0.5 * (1.0 + s)) ** kappa
+
+
+def fz_fvm_oracle(kappa, s):
+    """Zonal density of the Fisher-von Mises family at kappa > 0, at 40
+    digits: with u = (1 + s) / 2 and z = 2 kappa u,
+
+        f_Z(s) = e^(-4 kappa (1 - u)) e^(-z) I_0(z) / (e^(-2 kappa) (I_0 - I_1)(2 kappa)),
+
+    the integral over phi in [0, pi/2] of h(u cos^2 phi) = c e^(-4 kappa
+    (1 - u cos^2 phi)) in closed form (DLMF 10.32.1)."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        u = (1 + mpmath.mpf(s)) / 2
+        z = 2 * k * u
+        return float(mpmath.exp(2 * k - 4 * k * (1 - u) - z) * mpmath.besseli(0, z)
+                     / (mpmath.besseli(0, 2 * k) - mpmath.besseli(1, 2 * k)))
 
 
 def project(A, V):

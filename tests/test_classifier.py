@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -140,7 +141,7 @@ class TestHFunction:
     def test_normalisation_invariant(self, kappa):
         # P(X > lo) + integral_0^lo f_X = 1 and P(X > hi) = integral_hi^1 f_X
         spec = dist.cayley(kappa)
-        fx = dist.fx_density_fn(spec)
+        fx = functools.partial(dist.fx_density, spec)
         for alpha in (1e-3, 0.5, 2.0, 3.0):
             lo, _, tail_lo, tail_hi, _, _ = closed_parts(spec, alpha)
             hi = math.cos(0.25 * alpha) ** 2
@@ -166,7 +167,7 @@ class TestHFunction:
     def test_nonnegative(self):
         # and H equals the quadrature of h = c e^(-4 kappa (1 - x)) for fvm
         spec = dist.fisher_von_mises(1.5)
-        fx = dist.fx_density_fn(spec)
+        fx = functools.partial(dist.fx_density, spec)
 
         def h(x):
             return math.sqrt(x / (1.0 - x)) * fx(x)
@@ -303,6 +304,16 @@ class TestPsiClosed:
                 assert abs(cls.psi_closed(pair) - psi) < 1e-13, (kappa, alpha)
                 assert abs(cls.psi_derivative(pair) - dpsi) < 1e-13 * max(1.0, dpsi), (kappa, alpha)
 
+    def test_fvm_at_small_separations(self):
+        # the fvm tail missed the sqrt(t) mass near x = t, so psi read about
+        # 1/2 + alpha / (2 pi) at kappa = 1e-300 and was 1.1e-10 off at 0.3
+        common = dist.fisher_von_mises(1e-300)
+        for alpha in np.geomspace(1.0001e-12, 1e-4, 75):
+            assert abs(cls.psi_closed(z_pair(alpha, common)) - 0.5) < 1e-13, alpha
+        for kappa in (0.3, 2.0):
+            psi, _ = psi_quadrature_oracle("fvm", kappa, 1e-9)
+            assert abs(cls.psi_closed(z_pair(1e-9, dist.fisher_von_mises(kappa))) - psi) < 1e-13, kappa
+
     def test_increasing_in_concentration(self):
         values = [cls.psi_closed(z_pair(1.0, dist.cayley(k))) for k in (0.5, 1.0, 2.0, 5.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -403,7 +414,7 @@ class TestPsiKappaRange:
             monkeypatch.setattr(module, "log_bessel_gap", counting)
         pair = z_pair(1.0, dist.fisher_von_mises(2.0))
         cls.psi_closed(pair)
-        # L_0 once each for h, the x-space lower tail and the upper tail
+        # L_0 once each for h and the two tails P(X > lo) and P(X > hi)
         assert calls == [0] * 3
         cls.psi_derivative(pair)  # h alone, without quadrature
         assert calls == [0] * 4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import fz_closed_cayley, g0, g0_coefficients, tau_from_rho, tau_k_g0
+from conftest import fz_closed_cayley, fz_fvm_oracle, g0, g0_coefficients, tau_from_rho, tau_k_g0
 from rotgram import distributions as dist
 from rotgram import moments
 from rotgram.errors import DomainError, NoConvergence
@@ -334,6 +334,12 @@ class TestMomentVector:
         with pytest.raises(ValueError):
             moments.MomentVector(rho=(1.0,), tau=(1.0, 1.5))
 
+    @pytest.mark.parametrize("order", [-1, -5, 21])
+    def test_rejects_order_outside_range(self, order):
+        # order -1 returned MomentVector(rho=(), tau=(1.0,))
+        with pytest.raises(DomainError):
+            moments.moment_vector(dist.cayley(1.0), order)
+
 
 class TestFzFromFx:
     def test_cayley_two_at_origin(self):
@@ -349,6 +355,24 @@ class TestFzFromFx:
             for s in (-0.9, -0.5, 0.0, 0.5, 0.9):
                 closed = fz_closed_cayley(kappa, s)
                 assert abs(moments.fz_from_fx(spec, s) - closed) < 1e-8
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e12, 1e100, 1e300])
+    def test_cayley_near_the_mode_at_huge_kappa(self, kappa):
+        # a quadrature in x stalled near the peak from kappa ~ 1e3 and read
+        # 3.4e-13 for 606531 at kappa = 1e6.  From kappa ~ 1e16 on, 1 - c /
+        # kappa rounds to 1, and at the largest double below 1 f_Z is 0
+        for c in (0.1, 1.0, 3.0):
+            s = min(1.0 - c / kappa, math.nextafter(1.0, 0.0))
+            with mpmath.workdps(50):
+                k = mpmath.mpf(kappa)
+                ref = float((k + 1) * ((1 + mpmath.mpf(s)) / 2) ** k)
+            assert abs(moments.fz_from_fx(dist.cayley(kappa), s) - ref) <= 1e-13 * ref, c
+
+    @pytest.mark.parametrize("kappa", [1e-300, 0.3, 2.0, 20.0, 49.9, 1e3, 1e5])
+    def test_fvm_against_bessel_oracle(self, kappa):
+        for s in (-0.9, -0.3, 0.0, 0.5, *(1.0 - c / kappa for c in (0.1, 1.0, 3.0) if c < kappa)):
+            ref = fz_fvm_oracle(kappa, s)
+            assert abs(moments.fz_from_fx(dist.fisher_von_mises(kappa), s) - ref) <= 1e-13 * ref, s
 
     def test_fvm_zonal_normalisation(self):
         spec = dist.fisher_von_mises(1.0)

@@ -128,7 +128,7 @@ def psi_derivative(pair: ClassPair) -> float:
 
         psi'(alpha) = (H(lo, hi) - (w / lo) H(0, lo)) / (4 (1 + w)).
 
-    Identically zero under the uniform law, where h is constant.
+    Zero up to rounding under the uniform law, where h is constant.
     """
     lo, _, w, h_mid, h_low = _h_integrals(pair.common, pair.alpha)
     return (h_mid - w * h_low / lo) / (4.0 * (1.0 + w))

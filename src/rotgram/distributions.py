@@ -158,7 +158,7 @@ def fx_density(spec: DistributionSpec, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in the open interval (0, 1)")
     log_norm, tilt = log_h(spec)
-    return math.sqrt((1.0 - x) / x) * math.exp(log_norm + tilt(x, 1.0 - x))
+    return math.sqrt(1.0 - x) / math.sqrt(x) * math.exp(log_norm + tilt(x, 1.0 - x))
 
 
 # ---------------------------------------------------------------------------

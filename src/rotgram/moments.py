@@ -12,8 +12,8 @@ one quadrature for Fisher-von Mises.
 1e-10).  ``h_integral`` is the one integral over the angle law that
 reaches x = 1: the Fisher-von Mises tails and moments and the zonal
 density ``fz_from_fx``, at every finite kappa, run through it to the
-roundoff floor.  ``fx_from_fz`` runs to 1e-9, the floor of its
-derivative stencil.
+roundoff floor.  ``fx_from_fz`` inverts ``fz_from_fx`` by one regularised
+Abel integral, run to 1e-9 as differences of f_Z cancel near its end.
 
 The zonal density f_Z is normalised so that (1/2) * integral_{-1}^{1}
 f_Z(s) ds = 1, matching the sphere-density convention of the closed
@@ -30,8 +30,6 @@ import numpy as np
 
 from .distributions import DistributionSpec, log_bessel_gap, log_h
 from .errors import DomainError, NoConvergence
-
-_SQRT2 = math.sqrt(2.0)
 
 # 15-point Kronrod nodes (positive half, descending) with the embedded
 # 7-point Gauss rule at indices 1, 3, 5 and the centre.
@@ -247,12 +245,13 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
 
 def rho_moment(spec: DistributionSpec, r: int) -> float:
     """E[X^r].  Haar and Cayley-LMR use the Beta-moment Pochhammer ratio
-    with p = kappa + 1/2, q = 3/2; Fisher-von Mises integrates x^r f_X."""
+    with p = kappa + 1/2, q = 3/2; Fisher-von Mises integrates x^r f_X,
+    whose rounding can pass 1 at huge kappa, so the result is clamped to 1."""
     if not 0 <= r <= 20:
         raise DomainError("moment order must lie in 0..20")
     if r == 0:
         return 1.0
-    return _bernstein_mean(spec, r, (1.0,))
+    return min(_bernstein_mean(spec, r, (1.0,)), 1.0)
 
 
 def tau2_excess(spec: DistributionSpec) -> float:
@@ -336,33 +335,34 @@ def fz_from_fx(spec: DistributionSpec, s: float) -> float:
 def fx_from_fz(fz, s: float) -> float:
     """Recover the angle density at s in (0, 1) from a zonal density.
 
-    Inverting the forward half-integral relation (an Abel equation in
-    v = cos Theta) gives
+    The forward transform is an Abel equation, inverted with the derivative
+    moved inside the integral (Gorenflo and Vessella, Abel Integral
+    Equations, 1991) so that f_Z is never differentiated; with y_s = 2s - 1
 
-        f_X(s) = (2/pi) sqrt((1-s)/s) f_Z(-1)
-                 + (4 sqrt2 / pi) sqrt(1-s)
-                   * integral_0^{sqrt(2s)} f_Z'(2s - 1 - u^2) du,
+        f_X(s) = (2/pi) sqrt(1 - s) [f_Z(y_s) / sqrt(s) - (1/sqrt2)
+                 integral_0^{1 + y_s} (f_Z(y_s - d) - f_Z(y_s)) d^(-3/2) dd],
 
-    which reproduces the closed Cayley-LMR pairs exactly.  ``fz`` may be
-    any callable on the open interval (-1, 1) in the zonal normalisation;
-    its derivative is taken by a five-point central stencil of width
-    1e-3 (shrunk near the interval ends), and the boundary value
-    f_Z(-1) is read just inside the endpoint.
-
-    The quadrature runs to abs_tol 1e-9, looser than ``integrate``'s
-    default, because the stencil noise floor, roughly eval-error / 1e-3,
-    limits the achievable accuracy.  The fixed stencil resolves only a
-    zonal density that varies slowly on the scale 1e-3; the README gives
-    the errors it leaves on the closed Cayley-LMR pair.
+    one ``integrate`` call whose sin^2 substitution absorbs the d^(-1/2)
+    end.  ``fz`` may be any callable on (-1, 1) in the zonal normalisation
+    and is read only inside it.  Below s of about 8.3e-17, where 2s - 1
+    rounds to -1 or the double above it, DomainError is raised.  As
+    f_Z(y_s - d) - f_Z(y_s) cancels at small d, the quadrature runs to
+    abs_tol 1e-9 (to the roundoff floor, the closed Cayley-LMR pair at
+    kappa >= 100 exhausts the panel budget); the README lists where even
+    1e-9 is out of reach and NoConvergence is raised.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (0, 1)")
+    y_s = 2.0 * s - 1.0
+    if y_s <= math.nextafter(-1.0, 1.0):
+        raise DomainError("s = %r is too small: 2s - 1 rounds to within one double of -1" % s)
+    f_s = fz(y_s)
+    top, bottom = math.nextafter(y_s, -1.0), math.nextafter(-1.0, 1.0)
 
-    def dfz(y: float) -> float:
-        h = max(min(1e-3, 0.2 * (1.0 + y), 0.2 * (1.0 - y)), 1e-13)
-        return (-fz(y + 2.0 * h) + 8.0 * fz(y + h) - 8.0 * fz(y - h) + fz(y - 2.0 * h)) / (12.0 * h)
+    def integrand(d: float) -> float:
+        # difference quotient of f_Z over the exact y_s - y, y the double nearest y_s - d
+        y = min(max(y_s - d, bottom), top)
+        return (fz(y) - f_s) / (y_s - y) / math.sqrt(d)
 
-    boundary = fz(-1.0 + 1e-12)
-    head = (2.0 / math.pi) * math.sqrt((1.0 - s) / s) * boundary
-    tail = integrate(lambda u: dfz(2.0 * s - 1.0 - u * u), 0.0, math.sqrt(2.0 * s), 1e-9)
-    return head + (4.0 * _SQRT2 / math.pi) * math.sqrt(1.0 - s) * tail
+    tail = integrate(integrand, 0.0, 1.0 + y_s, 1e-9)
+    return (2.0 / math.pi) * math.sqrt(1.0 - s) * (f_s / math.sqrt(s) - tail / math.sqrt(2.0))

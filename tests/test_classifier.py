@@ -425,6 +425,12 @@ class TestPsiDerivative:
     def test_haar_derivative_vanishes(self, alpha):
         assert abs(cls.psi_derivative(z_pair(alpha, dist.haar()))) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [2e-12, 1e-6, 1.0, math.pi - 2e-12])
+    @pytest.mark.parametrize("common", [dist.haar(), dist.cayley(1e-300)])
+    def test_uniform_law_is_zero_up_to_rounding(self, alpha, common):
+        # h is constant, so psi' is the rounding of H(lo, hi) - (w / lo) H(0, lo)
+        assert abs(cls.psi_derivative(z_pair(alpha, common))) <= 1e-15
+
     def test_positive_for_concentrated_cayley(self):
         assert cls.psi_derivative(z_pair(1.0, dist.cayley(1.0))) > 0.0
 

@@ -173,6 +173,14 @@ class TestFxDensity:
                 ref = float(mpmath.log(mpmath.beta(mpmath.mpf(kappa) + 0.5, 1.5)))
             assert abs(dist.log_beta_cayley(kappa) - ref) <= 1e-15 * max(1.0, abs(ref)), kappa
 
+    @pytest.mark.parametrize("x", [5e-309, 1e-310, 5e-324])
+    def test_finite_near_zero(self, x):
+        # sqrt((1 - x) / x) overflowed below x ~ 5.6e-309
+        haar = dist.fx_density(dist.haar(), x)
+        assert abs(haar / ((2.0 / math.pi) * math.sqrt(1.0 - x) / math.sqrt(x)) - 1.0) <= 1e-15
+        for spec in (dist.cayley(2.0), dist.fisher_von_mises(2.0)):
+            assert math.isfinite(dist.fx_density(spec, x))
+
     def test_domain_errors(self):
         spec = dist.haar()
         for x in (0.0, 1.0, -0.2, 1.4):

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import fz_closed_cayley, fz_fvm_oracle, g0, g0_coefficients, tau_from_rho, tau_k_g0
 from rotgram import distributions as dist
@@ -153,6 +155,13 @@ class TestRhoMoment:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             moments.rho_moment(dist.haar(), 21)
+
+    @pytest.mark.parametrize("kappa", [1e50, 1e100, 1e200, 1e300, 1e308, 1.7976931348623157e308])
+    def test_fvm_never_exceeds_one(self, kappa):
+        # the rounding of the log-scale normaliser read 1.0000000000000571
+        rho = [moments.rho_moment(dist.fisher_von_mises(kappa), r) for r in (1, 2, 20)]
+        assert all(0.0 <= v <= 1.0 for v in rho), rho
+        assert rho[0] >= rho[1] >= rho[2], rho
 
 
 class TestTauFromRho:
@@ -416,3 +425,55 @@ class TestFxFromFz:
     def test_domain(self):
         with pytest.raises(DomainError):
             moments.fx_from_fz(lambda t: 1.0, 0.0)
+
+    @pytest.mark.parametrize("kappa, bound", [(0.0, 1e-12), (0.5, 1e-12), (1.0, 1e-12), (3.0, 1e-12),
+                                              (10.0, 1e-12), (30.0, 1e-7), (100.0, 1e-4),
+                                              (1000.0, 1e-2)])
+    def test_closed_cayley_pair_across_kappa(self, kappa, bound):
+        # a derivative stencil of fixed width 1e-3 left 3.1e-5 at kappa = 0.5,
+        # 5.1e-9 at 10, 7.3e-4 at 100 and 4.4e-2 at 1000
+        spec = dist.cayley(kappa)
+        for s in (0.2, 0.5, 0.8, 0.95, 0.99):
+            ref = dist.fx_density(spec, s)
+            if ref > 0.0:
+                value = moments.fx_from_fz(lambda t: fz_closed_cayley(kappa, t), s)
+                assert abs(value - ref) <= bound * ref, s
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0, 10.0])
+    def test_fvm_round_trip(self, kappa):
+        spec = dist.fisher_von_mises(kappa)
+        for s in (0.2, 0.5, 0.8, 0.95, 0.99):
+            ref = dist.fx_density(spec, s)
+            value = moments.fx_from_fz(lambda t: moments.fz_from_fx(spec, t), s)
+            assert abs(value - ref) <= 1e-10 * ref, s
+
+    @given(s=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           law=st.sampled_from([dist.haar(), dist.cayley(0.5), dist.fisher_von_mises(2.0),
+                                0.0, 0.5, 3.0]))
+    @example(s=5e-324, law=dist.haar())
+    @example(s=2.0 ** -55, law=dist.cayley(0.5))
+    @example(s=1e-17, law=dist.fisher_von_mises(2.0))
+    @example(s=2.0 ** -53, law=dist.haar())
+    @example(s=2.0 ** -53, law=3.0)
+    @example(s=1.0 - 2.0 ** -53, law=dist.fisher_von_mises(2.0))
+    @example(s=1.0 - 2.0 ** -53, law=0.5)
+    def test_reads_fz_only_inside_its_domain(self, s, law):
+        # law is a spec read through fz_from_fx, or a Cayley kappa read
+        # through the closed pair; an error of strict itself names y, not s
+        seen = []
+
+        def strict(y):
+            seen.append(y)
+            if not -1.0 < y < 1.0:
+                raise DomainError("fz read at %r" % y)
+            if isinstance(law, float):
+                return fz_closed_cayley(law, y)
+            return moments.fz_from_fx(law, y)
+
+        try:
+            value = moments.fx_from_fz(strict, s)
+        except DomainError as err:
+            assert repr(s) in str(err)
+        else:
+            assert math.isfinite(value)
+        assert all(-1.0 < y < 1.0 for y in seen)

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import so3
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 
 _LGAMMA_3_2 = math.lgamma(1.5)
 # Draws per Monte Carlo chunk: small enough that a chunk's arrays stay in
@@ -99,30 +99,80 @@ def fisher_von_mises(kappa: float, modal=None) -> DistributionSpec:
 # Log-scale normalisers
 
 
-def log_bessel_gap(n: int, kappa: float) -> float:
+def _each(f, values: np.ndarray) -> np.ndarray:
+    """f(v) of each v of the 1-d float array values, as Python floats."""
+    return np.fromiter(map(f, values.tolist()), float, values.size)
+
+
+# The term tables of ``log_bessel_gap``, for n = 0 and 2, by term j.  The
+# series runs to j = 72, where its longest sum (at the double below
+# kappa = 10) stops, with ratios -kappa / d_j; the expansion runs to j = 44,
+# as for every kappa >= 10 a ratio num_j / (16 (j - 1) kappa) of size >= 1
+# comes by j = 43.
+_SERIES_J = np.arange(1.0, 73.0)[:, None]
+_SERIES_D = {n: np.where(_SERIES_J % 2.0 == 0.0, _SERIES_J / 2.0, (_SERIES_J + 1.0) / 2.0 + n)
+             for n in (0, 2)}
+_EXPANSION_J = np.arange(2.0, 45.0)[:, None]
+_EXPANSION_NUM = {n: (2.0 * n + 2.0 * _EXPANSION_J - 1.0) * (2.0 * _EXPANSION_J - 2.0 * n - 3.0)
+                  for n in (0, 2)}
+_EXPANSION_DEN = 16.0 * (_EXPANSION_J - 1.0)
+
+
+def _sum_to_stop(table: np.ndarray, stop) -> np.ndarray:
+    """Column by column, the sum of the terms np.multiply.accumulate(table)
+    in row order, up to the first row at which the bool array
+    stop(terms, sums) holds; NoConvergence if it holds in no row."""
+    terms = np.multiply.accumulate(table, axis=0)
+    sums = np.add.accumulate(terms, axis=0)
+    held = stop(terms, sums)
+    last, columns = np.argmax(held, axis=0), np.arange(table.shape[1])
+    if np.count_nonzero(held[last, columns]) < len(columns):
+        raise NoConvergence("a Bessel sum did not stop within %d terms" % len(held))
+    return sums[last, columns]
+
+
+def log_bessel_gap(n: int, kappa):
     """L_n(kappa) = log(e^-z (I_n(z) - I_{n+1}(z))) at z = 2 kappa, n = 0 or 2,
-    kappa > 0 (or 0 for n = 0).  Below z = 20 the power series in kappa with
-    kappa^n factored out; above, the large-z expansions (DLMF 10.40.1) summed
-    term by term from their coefficient differences with 1/kappa factored
-    out, so nothing cancels or overflows.  Relative error below 1e-15."""
-    if kappa < 10.0:
-        term = total = 1.0 / math.factorial(n)
-        j = 0
-        while abs(term) > 1e-17 * total:  # also stops once the terms underflow
-            j += 1
-            term *= -kappa / (j // 2 if j % 2 == 0 else j // 2 + 1 + n)
-            total += term
-        return math.log(total) - 2.0 * kappa + (n * math.log(kappa) if n else 0.0)
-    u = total = (2.0 * n + 1.0) / 4.0
-    j = 1
-    while abs(u) > 1e-17 * total:
-        j += 1
-        step = (2 * n + 2 * j - 1) * (2 * j - 2 * n - 3) / (16.0 * (j - 1) * kappa)
-        if abs(step) >= 1.0:  # the divergent tail starts: stop at the smallest term
-            break
-        u *= step
-        total += u
-    return math.log(total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(kappa)
+    kappa > 0 (or 0 for n = 0), at a float or at each kappa of an array: a
+    float (or a 0-d array) gives a float, an array an array of its shape.
+
+    Below z = 20 the power series in kappa with kappa^n factored out; above,
+    the large-z expansions (DLMF 10.40.1) summed term by term from their
+    coefficient differences with 1/kappa factored out, so nothing cancels
+    or overflows.  Relative error below 1e-15.
+
+    Each branch builds one table for all its kappas, the term index on
+    axis 0: the first term, then the ratios of consecutive terms.  Its
+    terms and their partial sums are ``np.multiply.accumulate`` and
+    ``np.add.accumulate`` of it, both strictly in row order.  Each kappa
+    stops at its first term below 1e-17 of the sum (also once the terms
+    underflow) or, in the expansion, before the first ratio of size >= 1,
+    where the divergent tail starts.  Every log is ``math.log`` of one
+    value (``np.log`` rounds a few inputs differently), so each result is
+    bitwise that of adding the terms one by one in a loop.
+    """
+    k = np.asarray(kappa, dtype=float)
+    flat = k.reshape(-1)
+    out = np.empty(flat.shape)
+    low = flat < 10.0
+    n_low = np.count_nonzero(low)
+    if n_low:
+        ks = flat[low]
+        table = np.empty((len(_SERIES_J) + 1, ks.size))
+        table[0] = 1.0 / math.factorial(n)
+        np.divide(-ks, _SERIES_D[n], out=table[1:])
+        total = _sum_to_stop(table, lambda t, s: ~(np.abs(t) > 1e-17 * s))
+        out[low] = _each(math.log, total) - 2.0 * ks + (n * _each(math.log, ks) if n else 0.0)
+    if n_low < flat.size:
+        ks = flat[~low]
+        table = np.empty((len(_EXPANSION_J) + 1, ks.size))
+        table[0] = (2.0 * n + 1.0) / 4.0
+        with np.errstate(over="ignore"):  # 16 (j - 1) kappa is inf above kappa ~ 2.6e305
+            np.divide(_EXPANSION_NUM[n], _EXPANSION_DEN * ks, out=table[1:])
+        total = _sum_to_stop(table, lambda t, s: ~(np.abs(t[:-1]) > 1e-17 * s[:-1])
+                             | (np.abs(table[1:]) >= 1.0))
+        out[~low] = _each(math.log, total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * _each(math.log, ks)
+    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
 def log_beta_cayley(kappa: float) -> float:

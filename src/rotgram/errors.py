@@ -13,4 +13,5 @@ class DomainError(ValueError):
 class NoConvergence(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget before
     reaching the requested tolerance; the message names the interval,
-    the panel count and the depth reached."""
+    the panel count and the depth reached.  Also raised if a Bessel sum
+    of ``log_bessel_gap`` does not stop within its term table."""

@@ -3,7 +3,7 @@
 A family has the fake uniformity property when some kappa > 0 gives the
 same second zonal moment tau2 = 1/3 as the uniform law, so its expected
 projected Gram is indistinguishable from Haar's.  Everything here comes
-from the closed form ``moments.tau2_excess`` of tau2 - 1/3:
+from the closed form ``moments.tau2_excess_at`` of tau2 - 1/3:
 
 - Cayley-LMR: 2 kappa (kappa - 1) / (3 (kappa + 2)(kappa + 3)), whose one
   root with kappa > 0 is kappa = 1 and whose slope at kappa = 0 is -1/9.
@@ -18,26 +18,27 @@ import math
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family
+from .distributions import Family
 from .errors import DomainError
-from .moments import tau2_excess
+from .moments import tau2_excess_at
 
 
 def scan_curve(family, kappa_max: float, n_points: int) -> np.ndarray:
-    """The (n_points, 2) array of rows (kappa, tau2(kappa) - 1/3), from
-    ``moments.tau2_excess`` on the grid kappa_max * i / (n_points - 1), or
-    kappa_max * (i / (n_points - 1)) where kappa_max * i overflows."""
+    """The (n_points, 2) array of rows (kappa, tau2(kappa) - 1/3) on the
+    grid kappa_max * i / (n_points - 1), or kappa_max * (i / (n_points - 1))
+    where kappa_max * i overflows, from one ``moments.tau2_excess_at`` call
+    over the whole grid.  DomainError for Haar, whose kappa is 0."""
     if not 0.0 < kappa_max < math.inf:
         raise DomainError("kappa_max must be positive and finite")
     if n_points < 2:
         raise DomainError("n_points must be >= 2")
-    points = np.empty((n_points, 2))
-    for i, point in enumerate(points):
+    family = _concentrated(family)
+    i = np.arange(n_points, dtype=float)
+    with np.errstate(over="ignore"):  # the overflowing products take the fallback
         kappa = kappa_max * i / (n_points - 1)
-        if kappa == math.inf:
-            kappa = kappa_max * (i / (n_points - 1))
-        point[:] = kappa, tau2_excess(DistributionSpec(family, kappa=kappa))
-    return points
+    overflow = kappa == math.inf
+    kappa[overflow] = kappa_max * (i[overflow] / (n_points - 1))
+    return np.column_stack((kappa, tau2_excess_at(family, kappa)))
 
 
 def _concentrated(family) -> Family:

@@ -2,7 +2,8 @@
 variate X = (1 + cos Theta)/2 and the zonal variate Z = (R e3)_3.
 
 ``tau2`` is the closed-form second zonal moment used in production, and
-``tau2_excess`` is tau2 - 1/3 with an exact sign;
+``tau2_excess`` is tau2 - 1/3 with an exact sign, from ``tau2_excess_at``,
+which takes a whole array of kappa;
 ``rho_moment``, ``tau_k`` and ``moment_vector`` are the general-order
 moment bridge: tau_k is the mean of a Bernstein polynomial in X with
 nonnegative weights, exact for the Beta laws of Haar and Cayley-LMR and
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, log_bessel_gap, log_h
+from .distributions import DistributionSpec, Family, log_bessel_gap, log_h
 from .errors import DomainError, NoConvergence
 
 # 15-point Kronrod nodes (positive half, descending) with the embedded
@@ -254,31 +255,51 @@ def rho_moment(spec: DistributionSpec, r: int) -> float:
     return min(_bernstein_mean(spec, r, (1.0,)), 1.0)
 
 
-def tau2_excess(spec: DistributionSpec) -> float:
-    """tau2 - 1/3 in closed form, without quadrature.  No 1/3 is
-    subtracted, so the sign is exact in floating point.
+def tau2_excess_at(family, kappa):
+    """tau2 - 1/3 of the centred ``family`` in closed form, without
+    quadrature, at a float or at each kappa of an array (finite and >= 0):
+    a float (or a 0-d array) gives a float, an array an array of its shape.
+    No 1/3 is subtracted, so the sign is exact in floating point.
 
     Haar and Cayley-LMR: 2k (k - 1) / (3 (k + 2)(k + 3)), from
     tau2 = (2 + k + k^2) / (6 + 5k + k^2); 0 at k = 0 and at k = 1.
     Fisher-von Mises: (2/15) (I2 - I3) / (I0 - I1) at argument 2k, from
     the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1 and
     I_{n-1} - I_{n+1} = (2n/z) I_n, taken as (2/15) exp(L_2 - L_0) from
-    ``log_bessel_gap``; no terms cancel as k -> 0 or overflow as k grows,
+    one ``log_bessel_gap`` call per n over all k > 0, with ``math.exp``
+    of each value; no terms cancel as k -> 0 or overflow as k grows,
     and the value is positive for every k > 0.
 
-    k = 0 returns +0.0 (2 * 0 * (0 - 1) is -0.0).  Above
+    k = 0 gives +0.0 (2 * 0 * (0 - 1) is -0.0).  Above
     CAYLEY_SCALED_KAPPA the Cayley-LMR form is divided through by k^2,
     because k^2 overflows near 1.3e154; the excess tends to 2/3, so
-    tau2 tends to 1.
+    tau2 tends to 1.  Each form is taken on its own kappas only, so
+    nothing overflows.  DomainError for Haar at any k > 0.
     """
-    k = spec.kappa
-    if k == 0.0:
-        return 0.0
-    if spec.beta_p is None:
-        return (2.0 / 15.0) * math.exp(log_bessel_gap(2, k) - log_bessel_gap(0, k))
-    if k > CAYLEY_SCALED_KAPPA:
-        return 2.0 * (1.0 - 1.0 / k) / (3.0 * (1.0 + 2.0 / k) * (1.0 + 3.0 / k))
-    return 2.0 * k * (k - 1.0) / (3.0 * (k + 2.0) * (k + 3.0))
+    family = Family(family)
+    k = np.asarray(kappa, dtype=float)
+    if not np.all((0.0 <= k) & (k < math.inf)):
+        raise DomainError("concentration kappa must be finite and >= 0")
+    out = np.zeros(k.shape)
+    positive = k > 0.0
+    if family is Family.HAAR and positive.any():
+        raise DomainError("the Haar family has kappa = 0 by definition")
+    if family is Family.FVM:
+        kp = k[positive]
+        gap = log_bessel_gap(2, kp) - log_bessel_gap(0, kp)
+        out[positive] = (2.0 / 15.0) * np.fromiter(map(math.exp, gap.tolist()), float, gap.size)
+    else:
+        scaled = k > CAYLEY_SCALED_KAPPA
+        plain = positive & ~scaled
+        kp, ks = k[plain], k[scaled]
+        out[plain] = 2.0 * kp * (kp - 1.0) / (3.0 * (kp + 2.0) * (kp + 3.0))
+        out[scaled] = 2.0 * (1.0 - 1.0 / ks) / (3.0 * (1.0 + 2.0 / ks) * (1.0 + 3.0 / ks))
+    return float(out) if out.ndim == 0 else out
+
+
+def tau2_excess(spec: DistributionSpec) -> float:
+    """tau2 - 1/3 of ``spec``: ``tau2_excess_at`` at its family and kappa."""
+    return tau2_excess_at(spec.family, spec.kappa)
 
 
 def tau2(spec: DistributionSpec) -> float:

@@ -169,6 +169,64 @@ def tau_k_g0(spec, k):
     return 1.0 - (k / SQRT2) * value
 
 
+def log_bessel_gap_loop(n, kappa):
+    """Oracle for ``distributions.log_bessel_gap`` at one float kappa: the
+    same series and expansion, summed one term at a time in a loop that
+    stops at the first term below 1e-17 of the sum or, in the expansion,
+    before the first ratio of size >= 1."""
+    if kappa < 10.0:
+        term = total = 1.0 / math.factorial(n)
+        j = 0
+        while abs(term) > 1e-17 * total:  # also stops once the terms underflow
+            j += 1
+            term *= -kappa / (j // 2 if j % 2 == 0 else j // 2 + 1 + n)
+            total += term
+        return math.log(total) - 2.0 * kappa + (n * math.log(kappa) if n else 0.0)
+    u = total = (2.0 * n + 1.0) / 4.0
+    j = 1
+    while abs(u) > 1e-17 * total:
+        j += 1
+        step = (2 * n + 2 * j - 1) * (2 * j - 2 * n - 3) / (16.0 * (j - 1) * kappa)
+        if abs(step) >= 1.0:  # the divergent tail starts: stop at the smallest term
+            break
+        u *= step
+        total += u
+    return math.log(total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(kappa)
+
+
+def tau2_excess_loop(family, kappa):
+    """Oracle for ``moments.tau2_excess_at`` at one float kappa, with the
+    Bessel gaps of ``log_bessel_gap_loop``."""
+    k = kappa
+    if k == 0.0:
+        return 0.0
+    if dist.Family(family) is dist.Family.FVM:
+        return (2.0 / 15.0) * math.exp(log_bessel_gap_loop(2, k) - log_bessel_gap_loop(0, k))
+    if k > moments.CAYLEY_SCALED_KAPPA:
+        return 2.0 * (1.0 - 1.0 / k) / (3.0 * (1.0 + 2.0 / k) * (1.0 + 3.0 / k))
+    return 2.0 * k * (k - 1.0) / (3.0 * (k + 2.0) * (k + 3.0))
+
+
+def scan_curve_loop(family, kappa_max, n_points):
+    """Oracle for ``fake_uniformity.scan_curve``: the grid built and
+    evaluated one point at a time, each through ``tau2_excess`` of its own
+    ``DistributionSpec``."""
+    points = np.empty((n_points, 2))
+    for i, point in enumerate(points):
+        kappa = kappa_max * i / (n_points - 1)
+        if kappa == math.inf:
+            kappa = kappa_max * (i / (n_points - 1))
+        point[:] = kappa, moments.tau2_excess(dist.DistributionSpec(family, kappa=kappa))
+    return points
+
+
+def same_bits(a, b):
+    """True when the floats or float arrays a and b have the same shape and
+    bit patterns (so 0.0 and -0.0 differ and equal NaNs agree)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def tau2_of_kappa(family, kappa):
     """tau2 for the centred family at concentration kappa, from the
     closed form ``moments.tau2``."""

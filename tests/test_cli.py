@@ -505,18 +505,19 @@ class TestFakeuni:
     @pytest.mark.parametrize("family", ["cayley", "fvm"])
     def test_curve_only_with_out(self, family, monkeypatch, tmp_path, capsys):
         calls = []
-        real = fake_uniformity.tau2_excess
+        real = fake_uniformity.tau2_excess_at
 
-        def counting(spec):
-            calls.append(spec.kappa)
-            return real(spec)
+        def counting(family, kappa):
+            calls.append(np.atleast_1d(kappa).tolist())
+            return real(family, kappa)
 
-        monkeypatch.setattr(fake_uniformity, "tau2_excess", counting)
+        monkeypatch.setattr(fake_uniformity, "tau2_excess_at", counting)
         argv = ["fakeuni", "--family", family, "--kappa-max", "5", "--n-points", "7"]
         assert run(argv) == 0
         assert calls == []
         assert run(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
-        assert len(calls) == 7
+        # one call over the whole grid evaluates the 7 kappa values
+        assert calls == [[5.0 * i / 6 for i in range(7)]]
 
     def test_nonpositive_tol_exits_2(self):
         for tol in ("0", "-1"):

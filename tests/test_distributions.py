@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (fvm_x_beta_rejection, fz_closed_cayley, ks_critical, ks_statistic,
-                      quaternion_draws, random_rotation, rotation_density, tau_from_rho)
+                      log_bessel_gap_loop, quaternion_draws, random_rotation, rotation_density,
+                      same_bits, tau_from_rho)
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, so3
@@ -96,6 +97,56 @@ class TestBessel:
             assert all(math.isfinite(dist.log_bessel_gap(n, kappa)) for n in (0, 2))
         top = 1.7976931348623157e308
         assert abs(math.exp(dist.log_bessel_gap(2, top) - dist.log_bessel_gap(0, top)) - 5.0) < 1e-12
+
+
+LARGEST = 1.7976931348623157e308
+# Both branches, their shared edge at kappa = 10, underflowing series terms,
+# and expansions whose 16 (j - 1) kappa overflows; then kappas at which
+# numpy's SIMD np.log rounds the series sum (n = 0, then n = 2) or kappa
+# itself differently from math.log, on x86-64.
+BITWISE_KAPPAS = [0.0, 5e-324, 1e-300, 1e-20, 0.5, 2.0, math.nextafter(10.0, 0.0), 10.0,
+                  math.nextafter(10.0, 20.0), 20.0, 1e4, 1e300, LARGEST,
+                  1.5540128371982476, 6.857109384559829, 2.2361837455460423]
+
+
+class TestBesselArray:
+    """``log_bessel_gap`` over an array of kappa is bitwise the loop that
+    sums the terms one at a time (``log_bessel_gap_loop``)."""
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_grid_in_one_call(self, n):
+        kappas = [k for k in BITWISE_KAPPAS if n == 0 or k > 0.0]
+        values = dist.log_bessel_gap(n, np.array(kappas))
+        assert same_bits(values, [log_bessel_gap_loop(n, k) for k in kappas])
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("kappa", BITWISE_KAPPAS)
+    def test_float_0d_and_one_element(self, n, kappa):
+        if n == 2 and kappa == 0.0:  # L_2 is log 0 there, as in the loop
+            for value in (kappa, np.array(kappa), np.array([kappa])):
+                with pytest.raises(ValueError):
+                    dist.log_bessel_gap(n, value)
+            return
+        ref = log_bessel_gap_loop(n, kappa)
+        for value in (kappa, np.array(kappa)):
+            out = dist.log_bessel_gap(n, value)
+            assert type(out) is float and same_bits(out, ref)
+        out = dist.log_bessel_gap(n, np.array([kappa]))
+        assert isinstance(out, np.ndarray) and same_bits(out, [ref])
+
+    def test_keeps_the_shape(self):
+        kappas = np.array([[0.5, 10.0, 3.0], [1e300, 7.0, 20.0]])
+        out = dist.log_bessel_gap(2, kappas)
+        assert same_bits(out, [[log_bessel_gap_loop(2, k) for k in row] for row in kappas.tolist()])
+
+    @given(st.lists(st.floats(0.0, LARGEST) | st.floats(0.0, 20.0), min_size=1, max_size=8))
+    @example([math.nextafter(10.0, 0.0)] * 3 + [9.999, 10.0, 5e-324])
+    def test_sweep(self, kappas):
+        for n in (0, 2):
+            ks = [k for k in kappas if n == 0 or k > 0.0]
+            if ks:
+                assert same_bits(dist.log_bessel_gap(n, np.array(ks)),
+                                 [log_bessel_gap_loop(n, k) for k in ks])
 
 
 class TestSpecValidation:

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import tau2_of_kappa
+from conftest import same_bits, scan_curve_loop, tau2_excess_loop, tau2_of_kappa
 from rotgram import distributions as dist
 from rotgram import fake_uniformity as fu
 from rotgram import moments
@@ -71,6 +72,38 @@ class TestScanCurve:
             fu.scan_curve("cayley", 0.0, 5)
         with pytest.raises(DomainError):
             fu.scan_curve("cayley", 1.0, 1)
+
+
+    @pytest.mark.parametrize("family", ["cayley", "fvm"])
+    @pytest.mark.parametrize("kappa_max, n_points", [
+        (10.0, 201), (1.7976931348623157e308, 7), (1e-107, 3), (1.0, 101), (5.0, 257)])
+    def test_is_the_per_point_scan(self, family, kappa_max, n_points):
+        # the largest kappa_max takes the overflow fallback, and the
+        # Cayley-LMR form is divided through by k^2 above
+        # CAYLEY_SCALED_KAPPA: neither may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = fu.scan_curve(family, kappa_max, n_points)
+        assert same_bits(points, scan_curve_loop(family, kappa_max, n_points))
+        assert same_bits(points[:, 1], [tau2_excess_loop(family, k) for k in points[:, 0].tolist()])
+
+    def test_haar_rejected(self):
+        with pytest.raises(DomainError):
+            fu.scan_curve("haar", 1.0, 5)
+
+    def test_excess_of_an_array(self):
+        kappa = np.array([[0.0, 1.0, 1e200], [3.0, 0.5, 20.0]])
+        for family in ("cayley", "fvm"):
+            out = moments.tau2_excess_at(family, kappa)
+            assert same_bits(out, [[tau2_excess_loop(family, k) for k in row]
+                                   for row in kappa.tolist()])
+            assert type(moments.tau2_excess_at(family, 2.0)) is float
+        assert same_bits(moments.tau2_excess_at("haar", np.zeros(3)), np.zeros(3))
+        for bad in ([-1.0], [math.nan], [math.inf]):
+            with pytest.raises(DomainError):
+                moments.tau2_excess_at("fvm", np.array(bad))
+        with pytest.raises(DomainError):
+            moments.tau2_excess_at("haar", np.array([0.0, 1.0]))
 
 
 class TestFindFakeUniformity:

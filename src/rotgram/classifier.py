@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .distributions import DistributionSpec, _sample_quaternions, log_beta_cayley, log_h, mc_sum
+from .distributions import DistributionSpec, _sample_quaternions, log_beta_cayley, mc_sum
 from .errors import DomainError
 from .moments import h_integral
 
@@ -93,7 +93,7 @@ def _h_integrals(spec: DistributionSpec, alpha: float):
     hi = math.cos(0.25 * alpha) ** 2
     w = math.cos(0.5 * alpha)
     k = spec.kappa
-    log_norm, _ = log_h(spec)
+    log_norm, _ = spec.log_h
     if spec.beta_p is None:
         def h_int(width, gap):  # H(1 - gap - width, 1 - gap)
             u = 4.0 * (k * width)
@@ -164,39 +164,39 @@ def mc_accuracy(
     P = R M_label from the common centred law, applies the Bayes rule,
     and returns the fractions of correct assignments as the tuple
     (overall, class-1 accuracy, class-2 accuracy); a class that drew no
-    labels has accuracy nan.  Each chunk draws its labels first and its
-    rotations second.  The rule's statistic is tr(R S_label), with
-    S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1.  It is linear in R, so it
-    is the quadratic form q^T K(S_label) q in the unit quaternion q of R
-    (``_davenport_k``): per chunk both statistics come from one
-    (8, 4) @ (4, m) matrix product and no rotation matrix is formed.
-    A chunk works in 15 rows (``distributions.mc_sum``): the quaternions
-    (4), the sampler's scratch (2), which then holds both statistics,
-    K q (8), and one row whose bytes hold three rows of flags (labels,
-    hits, ties); only the labels are drawn into a new array.
+    labels has accuracy nan.  A chunk of m draws first draws its class-1
+    count n1 ~ Binomial(m, 1/2), then its m rotations; the first n1 are
+    class 1 and the rest class 2, which is a uniform labelling in law
+    since the rotations are i.i.d.  The rule's statistic is
+    tr(R S_label), with S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1.  It is
+    linear in R, so it is the quadratic form q^T K(S_label) q in the unit
+    quaternion q of R (``_davenport_k``): each draw forms only its own
+    statistic, from one (4, 4) @ (4, n_i) product per class and one
+    column-wise reduction, and no rotation matrix is formed.  A statistic
+    above 0 or within TIE_TOL of it, that is, above -TIE_TOL, assigns
+    class 1.  A chunk works in 9 rows (``distributions.mc_sum``): the
+    quaternions (4), K q (4), whose first two rows are the sampler's
+    scratch and whose first row's bytes then hold the verdicts, and the
+    statistic (1); nothing is allocated per draw.
     """
     stat1 = np.eye(3) - pair.m1 @ pair.m2.T  # P M1^T = R for class-1 draws
     stat2 = pair.m2 @ pair.m1.T @ stat1
-    K = np.vstack((_davenport_k(stat1), _davenport_k(stat2)))
+    K1, K2 = _davenport_k(stat1), _davenport_k(stat2)
 
     def kernel(work, chunk_rng):
         m = work.shape[1]
-        is1, hit, tie = work[14].view(bool)[:3 * m].reshape(3, m)
-        np.equal(chunk_rng.integers(1, 3, size=m), 1, out=is1)
-        q, both, Kq = work[:4], work[4:6], work[6:14]
+        n1 = chunk_rng.binomial(m, 0.5)
+        q, Kq, stat = work[:4], work[4:8], work[8]
         _sample_quaternions(pair.common, chunk_rng, work[:6])
-        np.matmul(K, q, out=Kq)
-        np.einsum("kin,in->kn", Kq.reshape(2, 4, m), q, out=both)
-        stat = both[1]
-        np.copyto(stat, both[0], where=is1)
-        np.greater(stat, 0.0, out=hit)
-        np.less(np.abs(stat, out=both[0]), TIE_TOL, out=tie)
-        hit |= tie
-        np.equal(hit, is1, out=hit)
-        np.logical_and(hit, is1, out=tie)  # tie now flags the class-1 hits
-        return np.count_nonzero(hit), np.count_nonzero(tie), np.count_nonzero(is1)
+        np.matmul(K1, q[:, :n1], out=Kq[:, :n1])
+        np.matmul(K2, q[:, n1:], out=Kq[:, n1:])
+        np.einsum("in,in->n", Kq, q, out=stat)
+        assign1 = np.greater(stat, -TIE_TOL, out=Kq[0].view(bool)[:m])
+        hit1 = np.count_nonzero(assign1[:n1])
+        hit2 = m - n1 - np.count_nonzero(assign1[n1:])
+        return hit1 + hit2, hit1, n1
 
-    correct, correct1, n1 = mc_sum(kernel, 15, n, rng, threads)
+    correct, correct1, n1 = mc_sum(kernel, 9, n, rng, threads)
     overall = correct / n
     acc1 = correct1 / n1 if n1 else math.nan
     n2 = n - n1

@@ -19,10 +19,12 @@ every run of draws chunk by chunk, for the CLI's ``sample`` and for
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import itertools
 import math
 import os
+# bound at import, so that the first threaded mc_sum call loads no module
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -81,6 +83,21 @@ class DistributionSpec:
     def beta_p(self) -> float | None:
         """p = kappa + 1/2 if X ~ Beta(p, 3/2); None for Fisher-von Mises at kappa > 0."""
         return None if self.family is Family.FVM and self.kappa > 0.0 else self.kappa + 0.5
+
+    @functools.cached_property
+    def log_h(self):
+        """h(x) = sqrt(x / (1 - x)) f_X(x) on the log scale, as the pair
+        (log_norm, tilt) with log h(x) = log_norm + tilt(x, w), w = 1 - x:
+        x^kappa / B(kappa + 1/2, 3/2) for Haar and Cayley-LMR, the tilt taken
+        as kappa log1p(-w) where w < 1/2 and kappa log x elsewhere, and
+        c e^(-4 kappa w) for Fisher-von Mises, with log c = log(2/pi) - L_0(kappa)
+        (``log_bessel_gap``).  The tilt reads whichever of x and w the caller
+        holds to full relative accuracy; both must lie in (0, 1) and are not
+        checked.  Computed once per spec."""
+        k = self.kappa
+        if self.beta_p is None:
+            return math.log(2.0 / math.pi) - log_bessel_gap(0, k), lambda x, w: -4.0 * (k * w)
+        return -log_beta_cayley(k), lambda x, w: k * (math.log1p(-w) if w < 0.5 else math.log(x))
 
 
 def haar() -> DistributionSpec:
@@ -186,28 +203,13 @@ def log_beta_cayley(kappa: float) -> float:
             + t * (-1.0 / 8.0 + t * t * (1.0 / 192.0 + t * t * (-1.0 / 640.0 + 17.0 * t * t / 14336.0))))
 
 
-def log_h(spec: DistributionSpec):
-    """h(x) = sqrt(x / (1 - x)) f_X(x) on the log scale, as the pair
-    (log_norm, tilt) with log h(x) = log_norm + tilt(x, w), w = 1 - x:
-    x^kappa / B(kappa + 1/2, 3/2) for Haar and Cayley-LMR, the tilt taken
-    as kappa log1p(-w) where w < 1/2 and kappa log x elsewhere, and
-    c e^(-4 kappa w) for Fisher-von Mises, with log c = log(2/pi) - L_0(kappa)
-    (``log_bessel_gap``).  The tilt reads whichever of x and w the caller
-    holds to full relative accuracy; both must lie in (0, 1) and are not
-    checked."""
-    k = spec.kappa
-    if spec.beta_p is None:
-        return math.log(2.0 / math.pi) - log_bessel_gap(0, k), lambda x, w: -4.0 * (k * w)
-    return -log_beta_cayley(k), lambda x, w: k * (math.log1p(-w) if w < 0.5 else math.log(x))
-
-
 def fx_density(spec: DistributionSpec, x: float) -> float:
     """Density of the angle variate X = (1 + cos Theta)/2 on (0, 1),
     with respect to Lebesgue measure: sqrt((1 - x) / x) h(x), h as in
-    ``log_h``."""
+    ``DistributionSpec.log_h``."""
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in the open interval (0, 1)")
-    log_norm, tilt = log_h(spec)
+    log_norm, tilt = spec.log_h
     return math.sqrt(1.0 - x) / math.sqrt(x) * math.exp(log_norm + tilt(x, 1.0 - x))
 
 
@@ -374,7 +376,7 @@ def mc_sum(kernel, rows: int, n: int, rng: np.random.Generator, threads: int = 1
         return kernel(flat[:rows * m].reshape(rows, m), chunk_rng)
 
     total = None
-    with concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         while batch := list(itertools.islice(chunks, workers)):
             for part in (pool.map if pool else map)(run, flats, batch):
                 total = part if total is None else tuple(a + b for a, b in zip(total, part))

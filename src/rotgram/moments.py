@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family, log_bessel_gap, log_h
+from .distributions import DistributionSpec, Family, log_bessel_gap
 from .errors import DomainError, NoConvergence
 
 # 15-point Kronrod nodes (positive half, descending) with the embedded
@@ -189,7 +189,7 @@ class MomentVector:
 
 def h_integral(spec: DistributionSpec, weight, u: float, u_c: float, end: float) -> float:
     """integral_0^end weight(x, w) h(x) dphi at x = u cos^2 phi and
-    w = 1 - x = u_c + u sin^2 phi, for h of ``distributions.log_h``,
+    w = 1 - x = u_c + u sin^2 phi, for h of ``DistributionSpec.log_h``,
     u in (0, 1], u_c = 1 - u and 0 < end <= pi/2.  With u = 1,
     f_X dx = 2 sin^2 phi h dphi, so E[g(X, 1 - X); X > t] takes weight
     2 w g and end = atan2(sqrt(1 - t), sqrt(t)); the zonal density takes
@@ -206,7 +206,7 @@ def h_integral(spec: DistributionSpec, weight, u: float, u_c: float, end: float)
     k = spec.kappa
     m = max(k, 1.0)
     r = math.sqrt(m)
-    log_norm, tilt = log_h(spec)
+    log_norm, tilt = spec.log_h
     lead = log_norm - 1.5 * math.log(m)
     top = (186.25 if spec.beta_p is None else 745.0) / k / u if k > 0.0 else 1.0
     end = min(end, math.asin(math.sqrt(min(top, 1.0))))

@@ -67,6 +67,24 @@ def quaternion_draws(spec, n, rng):
     return work[:4], work[5], work[4], z
 
 
+class RecordingGenerator:
+    """A numpy Generator proxy that records every call it forwards as
+    (method name, positional arguments, keyword arguments)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return recorded
+
+
 def fvm_x_beta_rejection(kappa, n, rng):
     """Oracle for the Fisher-von Mises X draws of ``_sample_quaternions``
     at kappa > 0: rejection from the Beta(1/2, 3/2) law, accepting with

@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import planar_block, quad_coeffs, random_rotation, sample_uniform_axes
+from conftest import (RecordingGenerator, planar_block, quad_coeffs, random_rotation,
+                      sample_uniform_axes)
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
@@ -42,16 +43,20 @@ def bayes_assign(P, pair):
 
 def two_einsum_accuracy(pair, n, rng):
     """Oracle for ``mc_accuracy``: the same labels and rotation draws,
-    chunk by chunk, chunk i from the i-th spawned child of ``rng``, with
-    the class-1 and class-2 statistics tr(R S_i) from one einsum each.
-    Returns (overall, class 1, class 2) accuracies."""
+    chunk by chunk, chunk i from the i-th spawned child of ``rng``, which
+    draws the class-1 count n1 ~ Binomial(m, 1/2) and then m rotations,
+    the first n1 of class 1.  Both statistics tr(R S_i) come from one
+    full-matrix einsum each for every draw, and class 1 is assigned when
+    the statistic is positive or within TIE_TOL of 0.  Returns (overall,
+    class 1, class 2) accuracies."""
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
     stat2 = pair.m2 @ pair.m1.T @ contrast
     labels, hits = [], []
     starts = range(0, n, dist.MC_CHUNK)
     for start, child in zip(starts, rng.spawn(len(starts))):
         m = min(dist.MC_CHUNK, n - start)
-        lab = child.integers(1, 3, size=m)
+        n1 = child.binomial(m, 0.5)
+        lab = np.array([1] * n1 + [2] * (m - n1))
         R = dist.sample_rotations(pair.common, m, child)[0]
         s1 = np.einsum("nij,ji->n", R, contrast)
         s2 = np.einsum("nij,ji->n", R, stat2)
@@ -414,10 +419,10 @@ class TestPsiKappaRange:
             monkeypatch.setattr(module, "log_bessel_gap", counting)
         pair = z_pair(1.0, dist.fisher_von_mises(2.0))
         cls.psi_closed(pair)
-        # L_0 once each for h and the two tails P(X > lo) and P(X > hi)
-        assert calls == [0] * 3
-        cls.psi_derivative(pair)  # h alone, without quadrature
-        assert calls == [0] * 4
+        # L_0 once, for the h of the spec that H and both tails read
+        assert calls == [0]
+        cls.psi_derivative(pair)  # the same spec, so no second L_0
+        assert calls == [0]
 
 
 class TestPsiDerivative:
@@ -503,13 +508,79 @@ class TestMcAccuracy:
         with pytest.raises(ValueError):
             cls.mc_accuracy(z_pair(1.0, dist.haar()), 0, np.random.default_rng(8))
 
-    @pytest.mark.parametrize("n", [1000, 2 * dist.MC_CHUNK + 4321])
+    # MC_CHUNK + 1: the last chunk holds one draw, so one of its classes is empty
+    @pytest.mark.parametrize("n", [1000, dist.MC_CHUNK + 1, 2 * dist.MC_CHUNK + 4321])
     def test_matches_two_einsum_oracle(self, n):
         rng = np.random.default_rng(17)
         m1 = random_rotation(rng)
         pair = cls.ClassPair(m1, so3.from_axis_angle(E3, 0.8) @ m1, dist.cayley(1.5))
         got = cls.mc_accuracy(pair, n, np.random.default_rng(18))
         assert got == two_einsum_accuracy(pair, n, np.random.default_rng(18))
+
+    @pytest.mark.parametrize("stat, assigned", [(0.5 * cls.TIE_TOL, 1), (-0.5 * cls.TIE_TOL, 1),
+                                                (-2.0 * cls.TIE_TOL, 2)])
+    @pytest.mark.parametrize("label", [1, 2])
+    def test_ties_go_to_class_one(self, stat, assigned, label, monkeypatch):
+        # every draw is the unit quaternion q whose class-`label` statistic
+        # q^T K q is `stat`, found by bisection between the eigenvectors
+        # of K's largest and smallest eigenvalues
+        pair = z_pair(1.0, dist.haar())
+        s1 = np.eye(3) - pair.m1 @ pair.m2.T
+        K = cls._davenport_k(s1 if label == 1 else pair.m2 @ pair.m1.T @ s1)
+        _, vectors = np.linalg.eigh(K)
+        lo, hi = 0.0, 0.5 * math.pi
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            q = math.cos(mid) * vectors[:, -1] + math.sin(mid) * vectors[:, 0]
+            lo, hi = (mid, hi) if q @ K @ q > stat else (lo, mid)
+        assert abs(q @ K @ q - stat) < 1e-15  # far inside the 5e-15 to the nearest threshold
+
+        def constant(spec, rng, work):
+            work[:4] = q[:, None]
+
+        monkeypatch.setattr(cls, "_sample_quaternions", constant)
+        accuracy = cls.mc_accuracy(pair, 200, np.random.default_rng(9))[label]
+        assert accuracy == (1.0 if assigned == label else 0.0)
+
+    def test_one_draw_leaves_one_class_empty(self):
+        pair = z_pair(1.0, dist.cayley(2.0))
+        counts = set()
+        for seed in range(10):
+            overall, acc1, acc2 = cls.mc_accuracy(pair, 1, np.random.default_rng(seed))
+            # the one chunk's class-1 count, replayed from its spawned child
+            n1 = np.random.default_rng(seed).spawn(1)[0].binomial(1, 0.5)
+            empty, drawn = (acc2, acc1) if n1 else (acc1, acc2)
+            assert math.isnan(empty) and drawn == overall and overall in (0.0, 1.0), seed
+            counts.add(n1)
+        assert counts == {0, 1}  # both classes were left empty at some seed
+
+    @pytest.mark.parametrize("common", [dist.cayley(2.0), dist.fisher_von_mises(20.0)],
+                             ids=["cayley", "fvm"])
+    def test_chunk_draws_its_class_count_then_its_rotations(self, common, monkeypatch):
+        recorders = []
+        chunks = dist.mc_chunks
+
+        def recorded_chunks(n, rng):
+            for m, child in chunks(n, rng):
+                recorders.append(RecordingGenerator(child))
+                yield m, recorders[-1]
+
+        def calls(recorder):  # out arrays by their shape
+            return [(name, args, {key: getattr(value, "shape", value) for key, value in kw.items()})
+                    for name, args, kw in recorder.calls]
+
+        monkeypatch.setattr(dist, "mc_chunks", recorded_chunks)
+        sizes = (dist.MC_CHUNK, 1000)
+        cls.mc_accuracy(z_pair(1.0, common), sum(sizes), np.random.default_rng(40))
+        children = np.random.default_rng(40).spawn(len(sizes))
+        for recorder, child, m in zip(recorders, children, sizes, strict=True):
+            # one binomial count, then exactly the sampler's calls for m
+            # draws: no label is drawn
+            assert recorder.calls[0] == ("binomial", (m, 0.5), {})
+            child.binomial(m, 0.5)
+            replay = RecordingGenerator(child)
+            dist._sample_quaternions(common, replay, np.empty((6, m)))
+            assert calls(recorder)[1:] == calls(replay)
 
 
 class TestDavenportK:

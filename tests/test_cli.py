@@ -174,7 +174,7 @@ class TestPinnedBytes:
         (PIN_GRAM, "5294cafa39a0ef47fd2ac7226615c67f6bd4b4aafa78e0e1a0fab4d28f21ce42"),
         (["classify", "--family", "cayley", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
-         "01727426fc475a641912c79e0c527dd740066d12333d2c246a0c5415b7b9430b"),
+         "476831942a4b92389fb3e18ddb7df1585f99ef2433053a3c67bac99ced622010"),
         (["classify", "--family", "cayley", "--kappa", "1e5", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1", "--n-mc", "1000"],
          "f195645f8f631693f2d78b1e45664ad228cb7ed7bbda2ffa92278cdf0bf5d6ff"),

@@ -10,9 +10,9 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fvm_x_beta_rejection, fz_closed_cayley, ks_critical, ks_statistic,
-                      log_bessel_gap_loop, quaternion_draws, random_rotation, rotation_density,
-                      same_bits, tau_from_rho)
+from conftest import (RecordingGenerator, fvm_x_beta_rejection, fz_closed_cayley, ks_critical,
+                      ks_statistic, log_bessel_gap_loop, quaternion_draws, random_rotation,
+                      rotation_density, same_bits, tau_from_rho)
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, so3
@@ -439,24 +439,6 @@ class TestFvmSampler:
         P, _, _, x = dist.sample_rotations(spec, 64, np.random.default_rng(seed))
         assert np.all(np.isfinite(x)) and np.all((x >= 0.0) & (x <= 1.0))
         assert all(so3.is_rotation(R) for R in P)
-
-
-class RecordingGenerator:
-    """A numpy Generator proxy that records every call it forwards as
-    (method name, positional arguments, keyword arguments)."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.calls = []
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def recorded(*args, **kwargs):
-            self.calls.append((name, args, kwargs))
-            return method(*args, **kwargs)
-
-        return recorded
 
 
 def replayed_gammas(spec, n, seed, z):

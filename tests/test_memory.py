@@ -84,11 +84,12 @@ def test_sample_peak_is_flat(tmp_path, monkeypatch):
 # One worker's workspace, in floats per draw: ``mc_projected_gram`` holds
 # 8 + k rows (the quaternions, the sampler's scratch, the third rows with
 # their scratch and the k = 4 landmark rows of g), 12 floats in all.
-# ``mc_accuracy`` holds 15 rows (the quaternions, the scratch that then
-# holds both statistics, K q, and one row for the three rows of flags)
-# and the int64 labels, 16 floats.  The bound leaves room for the small
-# arrays.
-FLOATS_PER_DRAW = 18
+# ``mc_accuracy`` holds 9 rows (the quaternions, K q, whose first two rows
+# are the sampler's scratch, and the statistic) and no labels, since each
+# chunk draws only its class-1 count.  Each bound leaves room for the
+# small arrays.
+GRAM_FLOATS_PER_DRAW = 18
+ACCURACY_FLOATS_PER_DRAW = 10
 
 
 def gram_run(n):
@@ -103,11 +104,11 @@ def accuracy_run(n):
     return cls.mc_accuracy(pair, n or dist.MC_CHUNK, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("run, chunk", [(gram_run, dist.MC_CHUNK),
-                                        (accuracy_run, dist.MC_CHUNK)],
+@pytest.mark.parametrize("run, floats_per_draw", [(gram_run, GRAM_FLOATS_PER_DRAW),
+                                                  (accuracy_run, ACCURACY_FLOATS_PER_DRAW)],
                          ids=["mc_projected_gram", "mc_accuracy"])
-def test_one_chunk_peak_per_draw(run, chunk):
-    assert peak_bytes(run) < FLOATS_PER_DRAW * 8 * chunk
+def test_one_chunk_peak_per_draw(run, floats_per_draw):
+    assert peak_bytes(run) < floats_per_draw * 8 * dist.MC_CHUNK
 
 
 FAULTS_PER_CHUNK = 32

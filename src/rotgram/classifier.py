@@ -81,7 +81,7 @@ def _tail(spec: DistributionSpec, t: float, t_c: float) -> float:
     """P(X > t), given t and t_c = 1 - t."""
     if spec.beta_p is not None:
         return _beta_tail(spec.beta_p, t, t_c)
-    return h_integral(spec, lambda x, w: 2.0 * w, 1.0, 0.0, math.atan2(math.sqrt(t_c), math.sqrt(t)))
+    return h_integral(spec, lambda x, w: 2.0 * w, math.atan2(math.sqrt(t_c), math.sqrt(t)))
 
 
 def _h_integrals(spec: DistributionSpec, alpha: float):

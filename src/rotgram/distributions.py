@@ -192,6 +192,26 @@ def log_bessel_gap(n: int, kappa):
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
+# The ratios of ``log_i0e``: its sums stop by j = 35 (z < 20) and k = 27 (ratios < 1 to k = 40).
+_I0_SERIES_J2 = np.arange(1.0, 41.0)[:, None] ** 2
+_I0_EXPANSION = (2.0 * np.arange(1.0, 31.0)[:, None] - 1.0) ** 2 / (8.0 * np.arange(1.0, 31.0)[:, None])
+
+
+def log_i0e(z: float) -> float:
+    """log(e^-z I_0(z)) at a float z >= 0 (inf gives -inf): the log of
+    1 + sum_{j>=1} (z/2)^(2j) / j!^2, less z, below z = 20, and above it of
+    1 + sum_{k>=1} ((2k - 1)!!)^2 / (k! (8z)^k) (DLMF 10.40.1), less
+    (log 2 pi + log z) / 2, so nothing overflows.  Every term is positive;
+    ``_sum_to_stop`` stops at the first below 1e-17 of the sum, as in
+    ``log_bessel_gap``.  Error below 2e-15 max(1, |result|)."""
+    if z < 20.0:
+        ratios, shift = 0.25 * z * z / _I0_SERIES_J2, z
+    else:
+        ratios, shift = _I0_EXPANSION / z, 0.5 * (math.log(2.0 * math.pi) + math.log(z))
+    total = _sum_to_stop(np.vstack(([[1.0]], ratios)), lambda t, s: ~(t > 1e-17 * s))[0]
+    return math.log(total) - shift
+
+
 def log_beta_cayley(kappa: float) -> float:
     """log B(kappa + 1/2, 3/2).  Above kappa = 30 the large-kappa expansion
     of log Gamma(kappa + 1/2) - log Gamma(kappa + 1), which a difference of

@@ -11,7 +11,7 @@ class DomainError(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget before
-    reaching the requested tolerance; the message names the interval,
-    the panel count and the depth reached.  Also raised if a Bessel sum
-    of ``log_bessel_gap`` does not stop within its term table."""
+    """Adaptive quadrature exhausted its subdivision budget before its
+    target, max(rel_tol, 50 eps) times the integral of |f|; the message
+    names the interval, that target, the panel count and the depth
+    reached.  Also raised if a Bessel sum does not stop in its table."""

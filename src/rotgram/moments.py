@@ -9,12 +9,12 @@ moment bridge: tau_k is the mean of a Bernstein polynomial in X with
 nonnegative weights, exact for the Beta laws of Haar and Cayley-LMR and
 one quadrature for Fisher-von Mises.
 
-``integrate`` has one setting, a float absolute tolerance (default
-1e-10).  ``h_integral`` is the one integral over the angle law that
-reaches x = 1: the Fisher-von Mises tails and moments and the zonal
-density ``fz_from_fx``, at every finite kappa, run through it to the
-roundoff floor.  ``fx_from_fz`` inverts ``fz_from_fx`` by one regularised
-Abel integral, run to 1e-9 as differences of f_Z cancel near its end.
+``integrate`` has one setting, ``rel_tol``, relative to the integral of
+|f| (default 1e-10; 0 asks for the roundoff floor).  ``h_integral``, the
+one integral over the Fisher-von Mises angle law that reaches x = 1,
+gives its tails and moments to that floor.  The zonal density
+``fz_from_fx`` is a closed form for every family, inverted by
+``fx_from_fz`` as one regularised Abel integral.
 
 The zonal density f_Z is normalised so that (1/2) * integral_{-1}^{1}
 f_Z(s) ds = 1, matching the sphere-density convention of the closed
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family, log_bessel_gap
+from .distributions import DistributionSpec, Family, log_bessel_gap, log_i0e
 from .errors import DomainError, NoConvergence
 
 # 15-point Kronrod nodes (positive half, descending) with the embedded
@@ -98,22 +98,22 @@ def _qk15(g, a: float, b: float):
     return integral, err, resabs
 
 
-def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> float:
+def integrate(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     The substitution x = a + (b - a) sin^2(t) is applied first, which
     removes endpoint singularities up to inverse-square-root type; the
     transformed integrand is then bisected adaptively until the summed
-    error estimate drops below ``abs_tol`` or below the roundoff floor
-    50 eps * integral(|f|), whichever is larger (an absolute tolerance
-    finer than that floor is unreachable in double precision).
+    error estimate is at most max(tiny, max(rel_tol, 50 eps) * integral(|f|)),
+    tiny the smallest normal float: ``rel_tol`` relative to integral(|f|),
+    never finer than the roundoff floor 50 eps, which rel_tol = 0 asks for.
 
-    Raises ValueError unless abs_tol > 0, and NoConvergence, naming
-    [a, b], the panel count and the depth reached, when the bisection
-    budget (4000 panels, depth 60) is exhausted.
+    Raises ValueError unless rel_tol >= 0, and NoConvergence, naming
+    [a, b], the target missed, the panel count and the depth reached,
+    when the bisection budget (4000 panels, depth 60) is exhausted.
     """
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be positive")
+    if not rel_tol >= 0.0:
+        raise ValueError("rel_tol must be >= 0")
     a = float(a)
     b = float(b)
     if a == b:
@@ -137,19 +137,19 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> float:
     total_resabs = resabs
     max_panels = 4000
     max_depth = 60
-    while total_err > max(abs_tol, 50.0 * _EPS * total_resabs):
+    while total_err > (target := max(_UFLOW, max(rel_tol, 50.0 * _EPS) * total_resabs)):
         neg_err, depth, lo, hi, val, err, resabs = heapq.heappop(heap)
         if err <= 55.0 * _EPS * resabs:
             # The worst panel is already at its roundoff floor; splitting
             # cannot improve the estimate, so the result is converged to
-            # machine precision even though abs_tol was not reachable.
+            # machine precision even though rel_tol was not reachable.
             heapq.heappush(heap, (neg_err, depth, lo, hi, val, err, resabs))
             break
         if depth >= max_depth or len(heap) + 2 > max_panels:
             deepest = max([depth] + [item[1] for item in heap])
             raise NoConvergence(
                 "quadrature on [%.17g, %.17g] stalled at error %.3e (target %.3e) "
-                "after %d panels, depth %d" % (a, b, total_err, abs_tol, len(heap) + 1, deepest)
+                "after %d panels, depth %d" % (a, b, total_err, target, len(heap) + 1, deepest)
             )
         mid = 0.5 * (lo + hi)
         v1, e1, r1 = _qk15(transformed, lo, mid)
@@ -187,36 +187,32 @@ class MomentVector:
         object.__setattr__(self, "tau", tau)
 
 
-def h_integral(spec: DistributionSpec, weight, u: float, u_c: float, end: float) -> float:
-    """integral_0^end weight(x, w) h(x) dphi at x = u cos^2 phi and
-    w = 1 - x = u_c + u sin^2 phi, for h of ``DistributionSpec.log_h``,
-    u in (0, 1], u_c = 1 - u and 0 < end <= pi/2.  With u = 1,
-    f_X dx = 2 sin^2 phi h dphi, so E[g(X, 1 - X); X > t] takes weight
-    2 w g and end = atan2(sqrt(1 - t), sqrt(t)); the zonal density takes
-    weight 1.  Neither has a singular end.
+def h_integral(spec: DistributionSpec, weight, end: float) -> float:
+    """integral_0^end weight(x, w) h(x) dphi at x = cos^2 phi and
+    w = 1 - x = sin^2 phi, for the Fisher-von Mises h = c e^(-4 kappa w) of
+    ``DistributionSpec.log_h`` at kappa > 0 and 0 < end <= pi/2.  As
+    f_X dx = 2 sin^2 phi h dphi, E[g(X, 1 - X); X > t] takes weight 2 w g
+    and end = atan2(sqrt(1 - t), sqrt(t)), with no singular end.
 
-    h(u cos^2 phi) peaks at phi = 0, about m^1.5 high and 1/sqrt(m) wide,
+    h(cos^2 phi) peaks at phi = 0, about m^1.5 high and 1/sqrt(m) wide,
     m = max(kappa, 1), so the integral runs in t = sqrt(m) phi, where
     h dphi = m (h / m^1.5) dt: m^-1.5 is taken in the exponent and m
     multiplies the weight.  It stops once h has fallen by at least e^-745,
-    at sin^2 phi = 745 / (4 kappa u) for Fisher-von Mises and
-    745 / (kappa u) for Haar and Cayley-LMR, as (1 - v)^kappa <= e^(-kappa v),
-    and runs to the roundoff floor.
+    at sin^2 phi = 745 / (4 kappa), and runs to the roundoff floor.
     """
     k = spec.kappa
     m = max(k, 1.0)
     r = math.sqrt(m)
     log_norm, tilt = spec.log_h
     lead = log_norm - 1.5 * math.log(m)
-    top = (186.25 if spec.beta_p is None else 745.0) / k / u if k > 0.0 else 1.0
-    end = min(end, math.asin(math.sqrt(min(top, 1.0))))
+    end = min(end, math.asin(math.sqrt(min(186.25 / k, 1.0))))
 
     def integrand(t: float) -> float:
         s, c = math.sin(t / r), math.cos(t / r)
-        x, w = u * (c * c), u_c + u * (s * s)
+        x, w = c * c, s * s
         return weight(x, w) * m * math.exp(lead + tilt(x, w))
 
-    return integrate(integrand, 0.0, r * end, _UFLOW)
+    return integrate(integrand, 0.0, r * end, 0.0)
 
 
 def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
@@ -231,7 +227,7 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
     if p is None:
         return h_integral(spec, lambda x, v: 2.0 * v * sum(w * x ** (n - j) * v ** j
                                                            for j, w in enumerate(weights)),
-                          1.0, 0.0, 0.5 * math.pi)
+                          0.5 * math.pi)
     total = 0.0
     for b, w in enumerate(weights):
         a = n - b
@@ -343,14 +339,18 @@ def fz_from_fx(spec: DistributionSpec, s: float) -> float:
         f_Z(s) = integral_0^{pi/2} h(u cos^2 phi) dphi,  u = (1 + s)/2,
 
     the Abel transform (1/2) integral_0^u f_X(x) / sqrt((u - x)(1 - x)) dx
-    after x = u cos^2 phi, taken by ``h_integral`` with no singular end; it
-    is exactly (kappa + 1) u^kappa for Cayley-LMR.  Every finite kappa is
-    supported.  The result is nonnegative and satisfies
-    (1/2) * integral_{-1}^{1} f_Z = 1.
+    after x = u cos^2 phi, in closed form for h of ``DistributionSpec.log_h``:
+    (kappa + 1) u^kappa for Haar and Cayley-LMR, and c e^(-4 kappa (1 - u))
+    (pi/2) e^-z I_0(z) at z = 2 kappa u for Fisher-von Mises (DLMF 10.32.1,
+    ``log_i0e``).  Every finite kappa is supported; f_Z >= 0 and (1/2) integral f_Z = 1.
     """
     if not -1.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (-1, 1)")
-    return h_integral(spec, lambda x, w: 1.0, 0.5 * (1.0 + s), 0.5 * (1.0 - s), 0.5 * math.pi)
+    u, u_c = 0.5 * (1.0 + s), 0.5 * (1.0 - s)
+    log_norm, tilt = spec.log_h
+    if spec.beta_p is not None:
+        return (spec.kappa + 1.0) * math.exp(tilt(u, u_c))
+    return math.exp(log_norm + math.log(0.5 * math.pi) + tilt(u, u_c) + log_i0e(2.0 * spec.kappa * u))
 
 
 def fx_from_fz(fz, s: float) -> float:
@@ -360,17 +360,16 @@ def fx_from_fz(fz, s: float) -> float:
     moved inside the integral (Gorenflo and Vessella, Abel Integral
     Equations, 1991) so that f_Z is never differentiated; with y_s = 2s - 1
 
-        f_X(s) = (2/pi) sqrt(1 - s) [f_Z(y_s) / sqrt(s) - (1/sqrt2)
-                 integral_0^{1 + y_s} (f_Z(y_s - d) - f_Z(y_s)) d^(-3/2) dd],
+        f_X(s) = (sqrt2/pi) sqrt(1 - s) integral_0^{1 + y_s}
+                 (a - (f_Z(y_s - d) - f_Z(y_s)) / d) d^(-1/2) dd,
 
-    one ``integrate`` call whose sin^2 substitution absorbs the d^(-1/2)
-    end.  ``fz`` may be any callable on (-1, 1) in the zonal normalisation
-    and is read only inside it.  Below s of about 8.3e-17, where 2s - 1
-    rounds to -1 or the double above it, DomainError is raised.  As
-    f_Z(y_s - d) - f_Z(y_s) cancels at small d, the quadrature runs to
-    abs_tol 1e-9 (to the roundoff floor, the closed Cayley-LMR pair at
-    kappa >= 100 exhausts the panel budget); the README lists where even
-    1e-9 is out of reach and NoConvergence is raised.
+    where a = f_Z(y_s) / sqrt(2s (1 + y_s)), so a d^(-1/2) integrates to
+    sqrt2 f_Z(y_s) / sqrt(s): one ``integrate`` call, whose sin^2
+    substitution absorbs the d^(-1/2) end, to rel_tol 1e-9 of an integral of
+    |integrand| about the size of the answer, or eps / s where the doubles f_Z is
+    read at, eps/2 apart on (-1, y_s) of length 2s, are coarser.  ``fz`` may be
+    any callable on (-1, 1) in the zonal normalisation, read only inside it.
+    DomainError below s ~ 8.3e-17, where 2s - 1 rounds to -1 or the next double.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in the open interval (0, 1)")
@@ -378,12 +377,13 @@ def fx_from_fz(fz, s: float) -> float:
     if y_s <= math.nextafter(-1.0, 1.0):
         raise DomainError("s = %r is too small: 2s - 1 rounds to within one double of -1" % s)
     f_s = fz(y_s)
+    a = f_s / math.sqrt(2.0 * s * (1.0 + y_s))
     top, bottom = math.nextafter(y_s, -1.0), math.nextafter(-1.0, 1.0)
 
     def integrand(d: float) -> float:
         # difference quotient of f_Z over the exact y_s - y, y the double nearest y_s - d
         y = min(max(y_s - d, bottom), top)
-        return (fz(y) - f_s) / (y_s - y) / math.sqrt(d)
+        return (a - (fz(y) - f_s) / (y_s - y)) / math.sqrt(d)
 
-    tail = integrate(integrand, 0.0, 1.0 + y_s, 1e-9)
-    return (2.0 / math.pi) * math.sqrt(1.0 - s) * (f_s / math.sqrt(s) - tail / math.sqrt(2.0))
+    tail = integrate(integrand, 0.0, 1.0 + y_s, max(1e-9, _EPS / s))
+    return math.sqrt(2.0) / math.pi * math.sqrt(1.0 - s) * tail

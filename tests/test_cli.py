@@ -178,7 +178,14 @@ class TestPinnedBytes:
         (["classify", "--family", "cayley", "--kappa", "1e5", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1", "--n-mc", "1000"],
          "f195645f8f631693f2d78b1e45664ad228cb7ed7bbda2ffa92278cdf0bf5d6ff"),
-    ], ids=["gram", "classify", "classify-rule-of-three"])
+        # Fisher-von Mises psi takes its tails through moments.h_integral
+        (["classify", "--family", "fvm", "--kappa", "2", "--modal2-axis", "0,0,1",
+          "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
+         "e3eda094198adb5fb4ed97f583649492770f8b68591eb14ea1148ee16edbf842"),
+        (["classify", "--family", "fvm", "--kappa", "1e6", "--modal2-axis", "1,1,0",
+          "--modal2-angle", "1e-3", "--n-mc", "1"],
+         "ab858fab35d893c3f0a3b336d4b76d3a25497e155f7099e35257560acaa8e3c8"),
+    ], ids=["gram", "classify", "classify-rule-of-three", "classify-fvm", "classify-fvm-concentrated"])
     def test_stdout(self, argv, sha256, tmp_path, capsys):
         self._run(argv, tmp_path)
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256

@@ -149,6 +149,45 @@ class TestBesselArray:
                                  [log_bessel_gap_loop(n, k) for k in ks])
 
 
+def log_i0e_oracle(z):
+    """log(e^-z I_0(z)) from mpmath at 40 digits: log I_0(z) - z up to
+    z = 1, where e^-z I_0(z) lies within z of 1, and the log of the
+    product above, so that neither form cancels."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        if z <= 1:
+            return mpmath.log(mpmath.besseli(0, z)) - z
+        return mpmath.log(mpmath.exp(-z) * mpmath.besseli(0, z))
+
+
+# Underflowing series terms, both sides of the branch at z = 20, and
+# expansions up to the largest float.
+I0E_GRID = [0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 2.0, 7.5, 15.0, 18.4,
+            math.nextafter(20.0, 0.0), 20.0, math.nextafter(20.0, 40.0), 25.0, 50.0, 1e3, 1e6,
+            1e16, 1e100, 1e300, 9e307, LARGEST]
+
+
+class TestLogI0e:
+    """log(e^-z I_0(z)), the kernel of the Fisher-von Mises zonal density."""
+
+    def test_against_mpmath(self):
+        for z in I0E_GRID:
+            ref = log_i0e_oracle(z)
+            assert abs(dist.log_i0e(z) - ref) <= 2e-15 * max(1.0, abs(ref)), z
+
+    @given(z=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, LARGEST)))
+    def test_sweep_against_mpmath(self, z):
+        ref = log_i0e_oracle(z)
+        assert abs(dist.log_i0e(z) - ref) <= 2e-15 * max(1.0, abs(ref))
+
+    def test_exact_values(self):
+        # log(e^-z I_0(z)) = -z + z^2/4 - ... rounds to -z at z = 1e-300,
+        # and -log(2 pi z)/2 + O(1/z) is -inf at z = inf
+        assert dist.log_i0e(0.0) == 0.0
+        assert dist.log_i0e(1e-300) == -1e-300
+        assert dist.log_i0e(math.inf) == -math.inf
+
+
 class TestSpecValidation:
     def test_haar_forces_zero_kappa(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,11 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import fz_closed_cayley, fz_fvm_oracle, g0, g0_coefficients, tau_from_rho, tau_k_g0
+from rotgram import classifier as cls
 from rotgram import distributions as dist
-from rotgram import moments
+from rotgram import moments, so3
 from rotgram.errors import DomainError, NoConvergence
 
 SQRT2 = math.sqrt(2.0)
+LARGEST = 1.7976931348623157e308
 
 
 def g0_double_sum_oracle(k, x):
@@ -114,9 +118,23 @@ class TestIntegrate:
             moments.integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
     def test_abs_tol_validation(self):
-        for abs_tol in (0.0, -1e-10, math.nan):
+        # the one setting is rel_tol, relative to integral |f|; 0 asks for the
+        # roundoff floor, where an absolute 0 used to be rejected
+        assert abs(moments.integrate(lambda x: 1.0, 0.0, 1.0, 0.0) - 1.0) < 1e-15
+        for rel_tol in (-1e-10, math.nan):
             with pytest.raises(ValueError):
-                moments.integrate(lambda x: 1.0, 0.0, 1.0, abs_tol)
+                moments.integrate(lambda x: 1.0, 0.0, 1.0, rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-10, 1e-6])
+    def test_no_convergence_names_the_target_missed(self, rel_tol):
+        # the target is max(tiny, max(rel_tol, 50 eps) * integral |f|), here
+        # with integral |f| >= 1e6; a run to the floor printed the tiny
+        # sentinel, "target 2.225e-308", and others the tolerance passed
+        with pytest.raises(NoConvergence) as info:
+            moments.integrate(lambda x: 1e6 / x, 0.0, 1.0, rel_tol)
+        target = float(re.search(r"\(target ([^)]+)\)", str(info.value)).group(1))
+        floor = max(rel_tol, 50.0 * np.finfo(float).eps)
+        assert 1e6 * floor <= target <= 1e9 * floor, str(info.value)
 
 
 class TestRhoMoment:
@@ -393,6 +411,40 @@ class TestFzFromFx:
         for s in np.linspace(-0.99, 0.99, 15):
             assert moments.fz_from_fx(spec, s) >= 0.0
 
+    @pytest.mark.parametrize("family", ["haar", "cayley", "fvm"])
+    def test_finite_and_nonnegative_at_every_kappa(self, family):
+        kappas = [0.0] if family == "haar" else [0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 2.0, 20.0,
+                                                 1e3, 1e6, 1e16, 1e100, 1e300, 9e307, LARGEST]
+        edge = 2.0 ** -53
+        grid = [-1.0 + edge, -0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0 - edge]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in kappas:
+                spec = dist.DistributionSpec(family, kappa=kappa)
+                for s in grid:
+                    value = moments.fz_from_fx(spec, s)
+                    assert math.isfinite(value) and value >= 0.0, (kappa, s)
+
+    @pytest.mark.parametrize("kappa", [9e307, LARGEST])
+    def test_fvm_is_zero_where_its_bessel_argument_overflows(self, kappa):
+        # 2 kappa, and so z = 2 kappa u, is inf from kappa ~ 8.99e307 and
+        # log_i0e(z) is -inf; e^(-4 kappa (1 - u)) has underflowed at every
+        # s < 1 there, and f_Z must read 0, not nan
+        assert 2.0 * kappa == math.inf
+        for s in (-0.5, 0.5, 0.999, 1.0 - 2.0 ** -53):
+            assert moments.fz_from_fx(dist.fisher_von_mises(kappa), s) == 0.0, s
+
+    @pytest.mark.parametrize("spec", [dist.haar()] + [family(kappa) for family in (
+        dist.cayley, dist.fisher_von_mises) for kappa in (0.5, 2.0, 20.0)],
+        ids=lambda spec: "%s-%g" % (spec.family.value, spec.kappa))
+    def test_moments_match_tau_k(self, spec):
+        # (1/2) integral s^j f_Z(s) ds = E[Z^j]: the closed forms of f_Z
+        # against tau_k's Bernstein route in X, which shares nothing with them
+        for j in range(1, 5):
+            zonal = 0.5 * moments.integrate(lambda s: s ** j * moments.fz_from_fx(spec, s),
+                                            -1.0, 1.0, 1e-13)
+            assert abs(zonal - moments.tau_k(spec, j)) < 1e-13, j
+
     def test_domain(self):
         with pytest.raises(DomainError):
             moments.fz_from_fx(dist.haar(), 1.0)
@@ -427,17 +479,41 @@ class TestFxFromFz:
             moments.fx_from_fz(lambda t: 1.0, 0.0)
 
     @pytest.mark.parametrize("kappa, bound", [(0.0, 1e-12), (0.5, 1e-12), (1.0, 1e-12), (3.0, 1e-12),
-                                              (10.0, 1e-12), (30.0, 1e-7), (100.0, 1e-4),
-                                              (1000.0, 1e-2)])
+                                              (10.0, 1e-12), (30.0, 1e-10), (100.0, 1e-10),
+                                              (1000.0, 1e-10)])
     def test_closed_cayley_pair_across_kappa(self, kappa, bound):
         # a derivative stencil of fixed width 1e-3 left 3.1e-5 at kappa = 0.5,
-        # 5.1e-9 at 10, 7.3e-4 at 100 and 4.4e-2 at 1000
+        # 5.1e-9 at 10, 7.3e-4 at 100 and 4.4e-2 at 1000; an absolute
+        # tolerance of 1e-9 left 1.3e-8 at 30, 2.2e-5 at 100 and 1.1e-3 at 1000
         spec = dist.cayley(kappa)
         for s in (0.2, 0.5, 0.8, 0.95, 0.99):
             ref = dist.fx_density(spec, s)
             if ref > 0.0:
                 value = moments.fx_from_fz(lambda t: fz_closed_cayley(kappa, t), s)
                 assert abs(value - ref) <= bound * ref, s
+
+    @pytest.mark.parametrize("kappa", [300.0, 1000.0, 1e4])
+    def test_near_the_mode_of_a_concentrated_law(self, kappa):
+        # f_Z there is 1e2 to 1e5 and f_Z(y_s - d) - f_Z(y_s) carries its
+        # rounding; an absolute tolerance of 1e-9 raised NoConvergence or
+        # returned values up to 7e-2 off
+        spec = dist.cayley(kappa)
+        for gap in (c * 10.0 ** -e for e in range(1, 13) for c in (1.0, 3.0)):
+            s = 1.0 - gap
+            ref = dist.fx_density(spec, s)
+            value = moments.fx_from_fz(lambda t: fz_closed_cayley(kappa, t), s)
+            assert abs(value - ref) <= 1e-9 * ref, gap
+
+    @pytest.mark.parametrize("kappa", [0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0])
+    def test_small_s_to_the_spacing_of_the_doubles(self, kappa):
+        # (-1, y_s) holds about 2s / (eps/2) doubles; f_Z ~ (1 + y)^kappa is
+        # read at them, so a target below eps / s relative cannot be met (a
+        # relative 1e-9 alone raises NoConvergence here from kappa = 1.5)
+        spec, eps = dist.cayley(kappa), np.finfo(float).eps
+        for s in (1e-13, 3e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+            ref = dist.fx_density(spec, s)
+            value = moments.fx_from_fz(lambda t: fz_closed_cayley(kappa, t), s)
+            assert abs(value - ref) <= max(1e-9, max(1.0, kappa) * eps / s) * ref, s
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0, 10.0])
     def test_fvm_round_trip(self, kappa):
@@ -477,3 +553,30 @@ class TestFxFromFz:
         else:
             assert math.isfinite(value)
         assert all(-1.0 < y < 1.0 for y in seen)
+
+
+class TestBetaLawsUseNoQuadrature:
+    """Haar and Cayley-LMR, whose X is Beta(kappa + 1/2, 3/2), and every
+    zonal density are closed forms: none reaches ``integrate``."""
+
+    def test_no_integrate_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(moments, "integrate", refuse)
+        with pytest.raises(AssertionError):  # the patch does catch quadrature
+            moments.rho_moment(dist.fisher_von_mises(2.0), 1)
+        for spec in (dist.haar(), *(dist.cayley(k) for k in (1e-300, 0.5, 1.0, 2.0, 1e3, 1e300))):
+            for s in (-0.5, 0.3, 0.99):
+                moments.fz_from_fx(spec, s)
+                dist.fx_density(spec, 0.5 * (1.0 + s))
+            for k in (1, 2, 5):
+                moments.rho_moment(spec, k)
+                moments.tau_k(spec, k)
+            for alpha in (1e-6, 1.0, 3.0):
+                pair = cls.ClassPair(np.eye(3), so3.from_axis_angle(np.array([0.0, 0.0, 1.0]), alpha),
+                                     spec)
+                cls.psi_closed(pair)
+                cls.psi_derivative(pair)
+        for kappa in (1e-300, 2.0, 1e3, LARGEST):
+            moments.fz_from_fx(dist.fisher_von_mises(kappa), 0.3)

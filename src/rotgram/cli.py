@@ -143,7 +143,7 @@ def cmd_gram(args) -> int:
     mc, mc_se = radon.mc_projected_gram(spec, V, args.n_mc, np.random.default_rng(args.seed),
                                         threads=args.threads)
     deviation = mc - closed
-    naive_bias = radon.recover_gram(closed, 1.0 / 3.0, (spec.modal @ V)[2]) - radon.gram(V)
+    naive_bias = radon.naive_recovery_bias(spec, V)
     _print_matrix("closed-form expected projected Gram:", closed)
     _print_matrix("monte-carlo estimate (n=%d):" % args.n_mc, mc)
     _print_matrix("entrywise deviation (mc - closed):", deviation)
@@ -195,7 +195,7 @@ def cmd_classify(args) -> int:
 
 def cmd_fakeuni(args) -> int:
     slope = fake_uniformity.initial_slope(args.family)
-    root = fake_uniformity.find_fake_uniformity(args.family, 0.0, args.kappa_max)
+    root = fake_uniformity.find_fake_uniformity(args.family, args.kappa_max)
     if args.out:
         points = fake_uniformity.scan_curve(args.family, args.kappa_max, args.n_points)
     print("family = %s" % args.family)

@@ -48,14 +48,13 @@ def _concentrated(family) -> Family:
     return family
 
 
-def find_fake_uniformity(family, kappa_lo: float, kappa_hi: float):
-    """The root kappa > 0 of tau2(kappa) - 1/3 in [kappa_lo, kappa_hi], or
-    None, from ``moments.tau2_excess``: kappa = 1 for Cayley-LMR, none for
+def find_fake_uniformity(family, kappa_max: float):
+    """The root kappa > 0 of tau2(kappa) - 1/3 in (0, kappa_max], or None,
+    from ``moments.tau2_excess``: kappa = 1 for Cayley-LMR, none for
     Fisher-von Mises.  kappa = 0 is the uniform law itself, not a root."""
-    if not 0.0 <= kappa_lo < kappa_hi < math.inf:
-        raise DomainError("need 0 <= kappa_lo < kappa_hi < inf, got [%r, %r]"
-                          % (kappa_lo, kappa_hi))
-    if _concentrated(family) is Family.CAYLEY and kappa_lo <= 1.0 <= kappa_hi:
+    if not 0.0 < kappa_max < math.inf:
+        raise DomainError("kappa_max must be positive and finite, got %r" % kappa_max)
+    if _concentrated(family) is Family.CAYLEY and kappa_max >= 1.0:
         return 1.0
     return None
 

@@ -3,19 +3,19 @@
 A 3 x k landmark matrix V is observed only through planar projections
 H A V of its random rotations A, with H = diag(1, 1, 0).  For a
 shift-symmetric rotation law (centred law conjugation-invariant, modal
-rotation M) the expected projected Gram matrix has the closed form
+rotation M) the law enters the expected projected Gram matrix only
+through e = tau2 - 1/3 (``moments.tau2_excess``), tau2 = E[Z^2] the
+second zonal moment, and w, the third row of M V:
 
-    E[Gram(H A V)] = Gram(V) - Gram(D M V),
-    D^2 = diag((1 - tau2)/2, (1 - tau2)/2, tau2),
+    E[Gram(H A V)] = (2/3) (Gram(V) + B),
+    B = 1.5 E - Gram(V) = (3/4) e Gram(V) - (9/4) e w w^T.
 
-with tau2 = E[Z^2] the second zonal moment.  The same tau2 = 1/3 as
-under the uniform law makes the expectation indistinguishable from the
-Haar case (fake uniformity), which is what breaks naive recovery.
+B is the bias of naive recovery under the uniform law.  e = 0, as for
+Cayley-LMR at kappa = 1, makes B exactly 0 and the expectation Haar's
+(fake uniformity), which is what breaks naive recovery.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,19 +30,19 @@ def gram(V) -> np.ndarray:
     return V.T @ V
 
 
-def shape_dispersion_matrix(spec: DistributionSpec) -> np.ndarray:
-    """The diagonal matrix D with D^2 = diag((1-tau2)/2, (1-tau2)/2, tau2),
-    with tau2 from the closed form ``moments.tau2``."""
-    tau2 = moments.tau2(spec)
-    d = math.sqrt(max((1.0 - tau2) / 2.0, 0.0))
-    return np.diag([d, d, math.sqrt(max(tau2, 0.0))])
+def naive_recovery_bias(spec: DistributionSpec, V) -> np.ndarray:
+    """1.5 E[Gram(H A V)] - Gram(V) = (3/4) e Gram(V) - (9/4) e w w^T, e from
+    ``moments.tau2_excess``, w = (M V)_3; exactly 0 where e is (Haar, Cayley-LMR at
+    kappa = 1).  e scales each term alone: 3 w w^T overflows before 2 Gram(V)."""
+    V = np.asarray(V, dtype=float)
+    e = moments.tau2_excess(spec)
+    w = (spec.modal @ V)[2]
+    return (0.75 * e) * gram(V) - (2.25 * e) * np.outer(w, w)
 
 
 def expected_projected_gram(spec: DistributionSpec, V) -> np.ndarray:
-    """Closed-form E[Gram(H A V)] = Gram(V) - Gram(D M V)."""
-    V = np.asarray(V, dtype=float)
-    D = shape_dispersion_matrix(spec)
-    return gram(V) - gram(D @ spec.modal @ V)
+    """Closed-form E[Gram(H A V)] = (2/3) (Gram(V) + ``naive_recovery_bias``)."""
+    return (2.0 / 3.0) * (gram(V) + naive_recovery_bias(spec, V))
 
 
 def mc_projected_gram(
@@ -97,10 +97,11 @@ def recover_gram(E, tau2: float, w) -> np.ndarray:
         Gram(V) = (2 / (1 + tau2)) * (E - ((1 - 3 tau2)/2) w w^T).
 
     At tau2 = 1/3 the w-term vanishes and recovery degenerates to
-    (3/2) E for every w: the fake-uniformity pitfall.
+    (3/2) E for every w: the fake-uniformity pitfall.  tau2 = 1, which
+    Cayley-LMR tau2 rounds to from kappa near 1e17, gives E + w w^T.
     """
-    if not 0.0 < tau2 < 1.0:
-        raise DomainError("tau2 must lie in (0, 1)")
+    if not 0.0 < tau2 <= 1.0:
+        raise DomainError("tau2 must lie in (0, 1]")
     E = np.asarray(E, dtype=float)
     w = np.asarray(w, dtype=float)
     return (2.0 / (1.0 + tau2)) * (E - 0.5 * (1.0 - 3.0 * tau2) * np.outer(w, w))

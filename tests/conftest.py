@@ -238,6 +238,21 @@ def scan_curve_loop(family, kappa_max, n_points):
     return points
 
 
+def shape_dispersion_matrix(spec):
+    """The diagonal matrix D with D^2 = diag((1-tau2)/2, (1-tau2)/2, tau2),
+    with tau2 from the closed form ``moments.tau2``."""
+    tau2 = moments.tau2(spec)
+    d = math.sqrt(max((1.0 - tau2) / 2.0, 0.0))
+    return np.diag([d, d, math.sqrt(max(tau2, 0.0))])
+
+
+def projected_gram_dispersion_route(spec, V):
+    """Oracle for ``radon.expected_projected_gram``: Gram(V) - Gram(D M V),
+    since E[g g^T] = Gram(D M V) for g the third row of R M V."""
+    V = np.asarray(V, dtype=float)
+    return radon.gram(V) - radon.gram(shape_dispersion_matrix(spec) @ spec.modal @ V)
+
+
 def same_bits(a, b):
     """True when the floats or float arrays a and b have the same shape and
     bit patterns (so 0.0 and -0.0 differ and equal NaNs agree)."""

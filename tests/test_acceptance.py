@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from conftest import (fz_closed_cayley, limit_gram_kappa_infinity, rotation_with_third_row,
-                      tau2_of_kappa, tau_from_rho)
+                      shape_dispersion_matrix, tau2_of_kappa, tau_from_rho)
 from rotgram import classifier as cls
 from rotgram import cli
 from rotgram import distributions as dist
@@ -31,7 +31,7 @@ def generic_modal():
 
 def test_criterion_01_fake_uniformity_root():
     t0 = time.perf_counter()
-    root = fu.find_fake_uniformity("cayley", 0.1, 5.0)
+    root = fu.find_fake_uniformity("cayley", 5.0)
     tau2_at_one = tau2_of_kappa("cayley", 1.0)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -73,7 +73,7 @@ def test_criterion_03_dispersion_matrix_fixture():
     worst_diag = 0.0
     worst_trace = 0.0
     for kappa in (0.0, 1.0, 2.0, 5.0):
-        D = radon.shape_dispersion_matrix(dist.cayley(kappa))
+        D = shape_dispersion_matrix(dist.cayley(kappa))
         denom = 6.0 + 5.0 * kappa + kappa * kappa
         closed = np.diag([
             math.sqrt(2.0 * (kappa + 1.0) / denom),

@@ -163,7 +163,7 @@ class TestPinnedBytes:
          "6e64de438edea7cfb426c6a7facdd23bdffed2bbd0081a08ae0e07b176c81c3a"),
         (["fakeuni", "--family", "fvm", "--kappa-max", "10", "--n-points", "257"],
          "988c70d7dc83a798f71b0d5edade43bd5f253f80a0e52ff25102a2ab0fcaa715"),
-        (PIN_GRAM, "118a018ad07d05e3403ac92209a2fcf28ac8cf72db78a29882ed098dc20cbee7"),
+        (PIN_GRAM, "fd307d72f16c263ade96b6fa601507aa7d161e83e94857980f62f8015995a78f"),
     ], ids=["figure1", "figure1-max-float", "fakeuni-cayley", "fakeuni-fvm", "gram"])
     def test_out_file(self, argv, sha256, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -171,7 +171,7 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("argv, sha256", [
-        (PIN_GRAM, "5294cafa39a0ef47fd2ac7226615c67f6bd4b4aafa78e0e1a0fab4d28f21ce42"),
+        (PIN_GRAM, "3545f202727744dba533567694c4cd8b61979568f09011a10dc74de5f535e686"),
         (["classify", "--family", "cayley", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
          "476831942a4b92389fb3e18ddb7df1585f99ef2433053a3c67bac99ced622010"),
@@ -301,14 +301,15 @@ class TestGram:
         run(["gram", "--family", "cayley", "--kappa", "1", "--landmarks", str(V),
              "--modal-axis", "1,2,2", "--modal-angle", "0.9",
              "--n-mc", "1000", "--seed", "2", "--out", str(out1)])
+        assert "\nmax |naive bias| = 0\n" in capsys.readouterr().out
         run(["gram", "--family", "haar", "--landmarks", str(V),
              "--n-mc", "1000", "--seed", "2", "--out", str(out2)])
         capsys.readouterr()
         _, rows1 = read_csv(out1)
         _, rows2 = read_csv(out2)
-        c1 = [float(r[3]) for r in rows1 if r[0] == "closed"]
-        c2 = [float(r[3]) for r in rows2 if r[0] == "closed"]
-        assert np.max(np.abs(np.array(c1) - np.array(c2))) < 1e-10
+        # tau2 - 1/3 is exactly 0 at kappa = 1: the same closed block, bit for bit
+        assert [r for r in rows1 if r[0] == "closed"] == [r for r in rows2 if r[0] == "closed"]
+        assert {float(r[3]) for r in rows1 if r[0] == "bias"} == {0.0}
 
     def test_nonzero_naive_bias_reported(self, tmp_path, capsys):
         V = self._landmarks(tmp_path)
@@ -385,6 +386,21 @@ class TestGram:
         scaled = self._blocks(capsys.readouterr().out)
         np.testing.assert_array_equal(np.ldexp(scaled["entrywise MC standard error"], 532),
                                       self._blocks(text)["entrywise MC standard error"])
+
+    @pytest.mark.parametrize("family, kappa", [("haar", "0"), ("cayley", "2"), ("fvm", "0.5")])
+    def test_largest_accepted_landmarks_are_finite(self, family, kappa, tmp_path, capsys):
+        # 2 Gram(V) is just finite; 3 w w^T is not, so the bias must not form it
+        V = tmp_path / "V.csv"
+        V.write_text("0,1e153\n0,-2e153\n9e153,3e153\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gram", "--family", family, "--kappa", kappa, "--landmarks", str(V),
+                        "--n-mc", "1000", "--seed", "4"]) == 0
+        text = capsys.readouterr().out
+        assert len(self._blocks(text)) == 5
+        for label, G in self._blocks(text).items():
+            assert G.shape == (2, 2) and np.all(np.isfinite(G)), label
+        assert "nan" not in text and "inf" not in text
 
     def test_overflowing_gram_exits_3(self, tmp_path, capsys):
         V = tmp_path / "V.csv"
@@ -507,7 +523,7 @@ class TestFakeuni:
         argv = ["fakeuni", "--family", "cayley", "--kappa-max", "inf"]
         assert run(argv + (["--out", str(path)] if out else [])) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "[0.0, inf]" in captured.err and not path.exists()
+        assert captured.out == "" and "got inf" in captured.err and not path.exists()
 
     @pytest.mark.parametrize("family", ["cayley", "fvm"])
     def test_curve_only_with_out(self, family, monkeypatch, tmp_path, capsys):

@@ -1,16 +1,38 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import (from_axis_angle_batch, is_gram, ks_statistic, limit_gram_kappa_infinity,
-                      project, quaternion_draws, random_rotation, rotation_with_third_row)
+                      project, projected_gram_dispersion_route, quaternion_draws,
+                      random_rotation, rotation_with_third_row, same_bits,
+                      shape_dispersion_matrix)
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
 from rotgram.errors import DomainError
 
 E3 = np.array([0.0, 0.0, 1.0])
+EPS = np.finfo(float).eps
+CROSS_ROUTE_GRID = [dist.haar(), dist.cayley(0.5), dist.cayley(1.0), dist.cayley(2.0),
+                    dist.cayley(1e6), dist.fisher_von_mises(1e-4), dist.fisher_von_mises(2.0),
+                    dist.fisher_von_mises(20.0)]
+
+
+def random_landmarks(rng):
+    """A 3 x k landmark matrix, k in 1..4, at a scale from 1e-150 to 1e150,
+    with some zero entries and zero columns."""
+    V = rng.normal(size=(3, int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-150.0, 150.0)
+    V[rng.random(V.shape) < 0.15] = 0.0
+    V[:, rng.random(V.shape[1]) < 0.15] = 0.0
+    return V
+
+
+def landmark_scale(V):
+    """|v_i||v_j|, the scale of entry (i, j) of Gram(V)."""
+    norms = np.linalg.norm(V, axis=0)
+    return np.outer(norms, norms)
 
 
 class TestGram:
@@ -74,17 +96,56 @@ class TestExpectedProjectedGram:
         dist.fisher_von_mises(1.3),
     ])
     def test_dispersion_trace_is_one(self, spec):
-        D = radon.shape_dispersion_matrix(spec)
+        D = shape_dispersion_matrix(spec)
         assert abs(np.trace(D @ D) - 1.0) < 1e-12
 
     def test_fake_uniformity_indistinguishable(self):
+        # tau2 - 1/3 is exactly 0 at Cayley-LMR kappa = 1, so the modal
+        # rotation drops out bit for bit, from landmarks at 1e-150 to 1e150
         rng = np.random.default_rng(3)
-        for _ in range(5):
+        for _ in range(2000):
+            V = random_landmarks(rng)
+            spec = dist.cayley(1.0, modal=random_rotation(rng))
+            Ec = radon.expected_projected_gram(spec, V)
+            assert same_bits(Ec, radon.expected_projected_gram(dist.haar(), V))
+            assert np.all(radon.naive_recovery_bias(spec, V) == 0.0)
+
+    @pytest.mark.parametrize("centred", CROSS_ROUTE_GRID)
+    def test_matches_the_dispersion_route(self, centred):
+        # within 4 eps |v_i||v_j| of Gram(V) - Gram(D M V), and the bias of
+        # 1.5 E - Gram(V) as recover_gram forms it at tau2 = 1/3
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            V = random_landmarks(rng)
+            spec = dist.DistributionSpec(centred.family, modal=random_rotation(rng),
+                                         kappa=centred.kappa)
+            E = radon.expected_projected_gram(spec, V)
+            bound = 4.0 * EPS * landmark_scale(V)
+            assert np.all(np.abs(E - projected_gram_dispersion_route(spec, V)) <= bound)
+            routed = radon.recover_gram(E, 1.0 / 3.0, (spec.modal @ V)[2]) - radon.gram(V)
+            assert np.all(np.abs(radon.naive_recovery_bias(spec, V) - routed) <= bound)
+
+    @pytest.mark.parametrize("centred", CROSS_ROUTE_GRID)
+    def test_matches_mpmath(self, centred):
+        # the same forms in e = tau2 - 1/3, taken as given, at 40 digits
+        rng = np.random.default_rng(18)
+        for _ in range(3):
             V = rng.normal(size=(3, 4))
-            M = random_rotation(rng)
-            Ec = radon.expected_projected_gram(dist.cayley(1.0, modal=M), V)
-            Eh = radon.expected_projected_gram(dist.haar(), V)
-            assert np.max(np.abs(Ec - Eh)) < 1e-10
+            spec = dist.DistributionSpec(centred.family, modal=random_rotation(rng),
+                                         kappa=centred.kappa)
+            with mpmath.workdps(40):
+                e = mpmath.mpf(moments.tau2_excess(spec))
+                Vm = mpmath.matrix(V.tolist())
+                G = Vm.T * Vm
+                w = (mpmath.matrix(spec.modal.tolist()) * Vm)[2, :]
+                bias = [[e * (3 * G[i, j] - 9 * w[i] * w[j]) / 4 for j in range(4)]
+                        for i in range(4)]
+                exact_bias = np.array(bias, dtype=float)
+                exact_E = np.array([[2 * (G[i, j] + bias[i][j]) / 3 for j in range(4)]
+                                    for i in range(4)], dtype=float)
+            bound = 4.0 * EPS * landmark_scale(V)
+            assert np.all(np.abs(radon.naive_recovery_bias(spec, V) - exact_bias) <= bound)
+            assert np.all(np.abs(radon.expected_projected_gram(spec, V) - exact_E) <= bound)
 
 
 class TestMcProjectedGram:
@@ -203,14 +264,12 @@ class TestRecoverGram:
         assert np.max(np.abs(bias)) > 0.01
 
     def test_fake_uniform_recovery_is_the_naive_formula_bitwise(self):
-        # ``rotgram gram`` prints recover_gram(E, 1/3, w) - Gram(V) as its
-        # naive-bias block; it is 1.5 E - Gram(V) bit for bit, signs of zero
-        # included, from landmarks at 1e-150 to 1e150
+        # recovery under the uniform law, recover_gram(E, 1/3, w) - Gram(V),
+        # is 1.5 E - Gram(V) bit for bit, signs of zero included, from
+        # landmarks at 1e-150 to 1e150
         rng = np.random.default_rng(10)
         for _ in range(2000):
-            V = rng.normal(size=(3, int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-150.0, 150.0)
-            V[rng.random(V.shape) < 0.15] = 0.0
-            V[:, rng.random(V.shape[1]) < 0.15] = 0.0
+            V = random_landmarks(rng)
             family = ("haar", "cayley", "fvm")[int(rng.integers(3))]
             kappa = 0.0 if family == "haar" else float(rng.uniform(0.0, 5.0))
             spec = dist.DistributionSpec(family, modal=random_rotation(rng), kappa=kappa)
@@ -220,11 +279,24 @@ class TestRecoverGram:
             np.testing.assert_array_equal(routed, naive)
             np.testing.assert_array_equal(np.signbit(routed), np.signbit(naive))
 
+    @pytest.mark.parametrize("kappa", [1e17, 1e300])
+    def test_round_trip_where_tau2_rounds_to_one(self, kappa):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            V = rng.normal(size=(3, 4))
+            spec = dist.cayley(kappa, modal=random_rotation(rng))
+            tau2 = moments.tau2(spec)
+            assert tau2 == 1.0
+            E = radon.expected_projected_gram(spec, V)
+            recovered = radon.recover_gram(E, tau2, (spec.modal @ V)[2])
+            assert np.all(np.abs(recovered - radon.gram(V)) <= 1e-15 * landmark_scale(V))
+
     def test_domain(self):
-        with pytest.raises(DomainError):
-            radon.recover_gram(np.eye(2), 0.0, np.zeros(2))
-        with pytest.raises(DomainError):
-            radon.recover_gram(np.eye(2), 1.0, np.zeros(2))
+        np.testing.assert_array_equal(radon.recover_gram(np.eye(2), 1.0, np.ones(2)),
+                                      np.eye(2) + 1.0)
+        for tau2 in (0.0, -0.5, math.nextafter(1.0, 2.0), math.nan):
+            with pytest.raises(DomainError):
+                radon.recover_gram(np.eye(2), tau2, np.zeros(2))
 
 
 class TestKappaInfinityLimit:

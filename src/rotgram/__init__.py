@@ -4,7 +4,7 @@ Bayes classification accuracy, each backed by an independent Monte Carlo
 or quadrature cross-check in the test suite."""
 
 from . import classifier, distributions, fake_uniformity, moments, radon, so3
-from .errors import DegenerateRotation, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "moments",
     "radon",
     "so3",
-    "DegenerateRotation",
     "DomainError",
     "NoConvergence",
     "__version__",

@@ -1,13 +1,10 @@
 """Exception types shared across the package."""
 
 
-class DegenerateRotation(ValueError):
-    """Rotation is too close to the identity or to a half-turn for the
-    axis-angle chart to be well defined."""
-
-
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of the operation."""
+    """Argument outside the mathematical domain of the operation, such as
+    a rotation too close to the identity or to a half-turn for
+    ``so3.to_axis_angle``."""
 
 
 class NoConvergence(RuntimeError):

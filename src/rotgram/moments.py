@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,28 +164,6 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
 # Moments
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Raw moments rho_r = E[X^r] alongside tau_j = E[Z^j]."""
-
-    rho: tuple = field(default_factory=tuple)
-    tau: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        rho = tuple(float(v) for v in self.rho)
-        tau = tuple(float(v) for v in self.tau)
-        if rho and abs(rho[0] - 1.0) > 1e-9:
-            raise ValueError("rho_0 must equal 1")
-        if tau and abs(tau[0] - 1.0) > 1e-9:
-            raise ValueError("tau_0 must equal 1")
-        if any(rho[i + 1] > rho[i] + 1e-12 for i in range(len(rho) - 1)):
-            raise ValueError("rho must be nonincreasing for X in [0, 1]")
-        if any(abs(v) > 1.0 + 1e-12 for v in tau):
-            raise ValueError("|tau_j| must not exceed 1")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "tau", tau)
-
-
 def h_integral(spec: DistributionSpec, weight, end: float) -> float:
     """integral_0^end weight(x, w) h(x) dphi at x = cos^2 phi and
     w = 1 - x = sin^2 phi, for the Fisher-von Mises h = c e^(-4 kappa w) of
@@ -320,13 +297,13 @@ def tau_k(spec: DistributionSpec, k: int) -> float:
     return 1.0 - _bernstein_mean(spec, k, weights)
 
 
-def moment_vector(spec: DistributionSpec, order: int) -> MomentVector:
-    """rho and tau up to ``order`` in 0..20 (tau via the Bernstein kernel of ``tau_k``)."""
+def moment_vector(spec: DistributionSpec, order: int):
+    """The pair (rho, tau) of tuples rho_r = E[X^r] and tau_j = E[Z^j] for
+    r, j = 0 .. ``order`` in 0..20 (tau via the Bernstein kernel of ``tau_k``)."""
     if not 0 <= order <= 20:
         raise DomainError("moment order must lie in 0..20")
-    rho = [rho_moment(spec, r) for r in range(order + 1)]
-    tau = [1.0] + [tau_k(spec, j) for j in range(1, order + 1)]
-    return MomentVector(rho=tuple(rho), tau=tuple(tau))
+    rho = tuple(rho_moment(spec, r) for r in range(order + 1))
+    return rho, (1.0,) + tuple(tau_k(spec, j) for j in range(1, order + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ def gram(V) -> np.ndarray:
 def naive_recovery_bias(spec: DistributionSpec, V) -> np.ndarray:
     """1.5 E[Gram(H A V)] - Gram(V) = (3/4) e Gram(V) - (9/4) e w w^T, e from
     ``moments.tau2_excess``, w = (M V)_3; exactly 0 where e is (Haar, Cayley-LMR at
-    kappa = 1).  e scales each term alone: 3 w w^T overflows before 2 Gram(V)."""
+    kappa = 1).  e scales each term alone: 3 w w^T overflows before 2 Gram(V).
+    The final + 0.0 turns the -0.0 of e = 0 times a negative entry into 0.0."""
     V = np.asarray(V, dtype=float)
     e = moments.tau2_excess(spec)
     w = (spec.modal @ V)[2]
-    return (0.75 * e) * gram(V) - (2.25 * e) * np.outer(w, w)
+    return (0.75 * e) * gram(V) - (2.25 * e) * np.outer(w, w) + 0.0
 
 
 def expected_projected_gram(spec: DistributionSpec, V) -> np.ndarray:

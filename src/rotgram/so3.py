@@ -5,41 +5,23 @@ Conventions:
 - Rotations are plain 3x3 numpy arrays acting on column vectors, with
   R^T R = I and det R = +1 (within ``ROTATION_TOL``).
 - The axis-angle chart is R = cos(t) I + sin(t) S(u) + (1 - cos(t)) u u^T
-  with unit axis u and angle t in [0, pi).  The identity and half-turns
-  (t = 0 or pi) are excluded from the inverse chart.
+  with unit axis u and angle t in [0, pi).  Its inverse ``to_axis_angle``
+  returns the plain pair (u, t) and raises DomainError at the identity and
+  at half-turns (t within ``DEGENERATE_ANGLE`` of 0 or pi).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRotation
+from .errors import DomainError
 
 ROTATION_TOL = 1e-12
 DEGENERATE_ANGLE = 1e-9
 
 _EYE3 = np.eye(3)
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    """Unit rotation axis plus angle in [0, pi)."""
-
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,):
-            raise ValueError("axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            raise ValueError("axis must have unit norm")
-        if not 0.0 <= self.angle < math.pi:
-            raise ValueError("angle must lie in [0, pi)")
-        object.__setattr__(self, "axis", axis)
 
 
 def skew(a) -> np.ndarray:
@@ -129,27 +111,33 @@ def rotation_row(q: np.ndarray, i: int, out: np.ndarray, w2: np.ndarray) -> np.n
     return out
 
 
-def to_axis_angle(R) -> AxisAngle:
-    """Invert the axis-angle chart.
+def _angle_parts(D: np.ndarray):
+    """(v, c, t) for a rotation D: v = vee((D - D^T)/2) = sin(t) u,
+    c = (tr D - 1)/2 = cos(t) and its angle t = atan2(|v|, c) in [0, pi],
+    accurate over the whole range, near 0 and pi too."""
+    v = vee((D - D.T) / 2.0)
+    c = (float(np.trace(D)) - 1.0) / 2.0
+    return v, c, math.atan2(float(np.linalg.norm(v)), c)
 
-    Raises DegenerateRotation when the rotation angle is within
-    ``DEGENERATE_ANGLE`` of 0 or pi, where the chart is not defined.
-    The angle is recovered from atan2 of the skew and trace parts, which
-    is accurate over the whole admissible range; the axis is taken from
-    the skew part away from pi and from the symmetric part near pi,
-    where the skew part degenerates.
+
+def to_axis_angle(R):
+    """Invert the axis-angle chart: the pair (axis, angle) of the
+    rotation R, a unit 3-vector and an angle in (0, pi).
+
+    Raises ValueError when R is not a rotation (``require_rotation``) and
+    DomainError when its angle is within ``DEGENERATE_ANGLE`` of 0 or pi,
+    where the chart is not defined.  The axis is taken from the skew part
+    away from pi and from the symmetric part near pi, where the skew part
+    degenerates.
     """
-    R = np.asarray(R, dtype=float)
-    s_vec = vee((R - R.T) / 2.0)
-    s = float(np.linalg.norm(s_vec))
-    c = (float(np.trace(R)) - 1.0) / 2.0
-    angle = math.atan2(s, c)
+    R = require_rotation(R)
+    s_vec, c, angle = _angle_parts(R)
     if angle < DEGENERATE_ANGLE or angle > math.pi - DEGENERATE_ANGLE:
-        raise DegenerateRotation(
+        raise DomainError(
             "rotation angle %.3e is within %.0e of 0 or pi" % (angle, DEGENERATE_ANGLE)
         )
     if angle <= 0.75 * math.pi:
-        axis = s_vec / s
+        axis = s_vec / np.linalg.norm(s_vec)
     else:
         # Near pi the skew part is O(pi - angle); the symmetric part gives
         # u u^T with condition number O(1).
@@ -160,17 +148,10 @@ def to_axis_angle(R) -> AxisAngle:
         i = int(np.argmax(np.abs(s_vec)))
         if axis[i] * s_vec[i] < 0.0:
             axis = -axis
-    return AxisAngle(axis=axis, angle=angle)
+    return axis, angle
 
 
 def rotation_angle_between(m1, m2) -> float:
-    """Riemannian distance on SO(3): the rotation angle of M1 M2^T, in [0, pi].
-
-    Evaluated as atan2(|skew part|, (trace - 1)/2), which agrees with
-    arccos((tr(M1 M2^T) - 1)/2) but stays accurate near 0 and pi.
-    """
-    D = np.asarray(m1, dtype=float) @ np.asarray(m2, dtype=float).T
-    s = float(np.linalg.norm(vee((D - D.T) / 2.0)))
-    c = (float(np.trace(D)) - 1.0) / 2.0
-    c = min(1.0, max(-1.0, c))
-    return math.atan2(s, c)
+    """Riemannian distance on SO(3): the rotation angle of M1 M2^T, in [0, pi],
+    from ``_angle_parts``; it agrees with arccos((tr(M1 M2^T) - 1)/2)."""
+    return _angle_parts(np.asarray(m1, dtype=float) @ np.asarray(m2, dtype=float).T)[2]

@@ -22,8 +22,7 @@ def z_pair(alpha, common):
 def spectral_rotation(m1, m2):
     """Q with Q^T A(alpha) Q = I - M1 M2^T: any rotation taking the axis
     of M1 M2^T to e3."""
-    aa = so3.to_axis_angle(m1 @ m2.T)
-    u = aa.axis
+    u, _ = so3.to_axis_angle(m1 @ m2.T)
     cross = np.cross(u, E3)
     norm = np.linalg.norm(cross)
     if norm < 1e-12:

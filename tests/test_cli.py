@@ -311,6 +311,20 @@ class TestGram:
         assert [r for r in rows1 if r[0] == "closed"] == [r for r in rows2 if r[0] == "closed"]
         assert {float(r[3]) for r in rows1 if r[0] == "bias"} == {0.0}
 
+    def test_zero_naive_bias_prints_unsigned(self, tmp_path, capsys):
+        # e = 0 times the Gram entry -1 is -0.0
+        V = tmp_path / "V.csv"
+        V.write_text("1,-1\n0,0\n0,0\n", encoding="utf-8")
+        out = tmp_path / "g.csv"
+        assert run(["gram", "--family", "haar", "--landmarks", str(V),
+                    "--n-mc", "100", "--seed", "1", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        block = text.split("naive uniform-law recovery bias (1.5 E - Gram(V)):\n")[1]
+        assert block.splitlines()[:2] == ["  0  0", "  0  0"]
+        assert "-0" not in block.split("max |deviation|")[0]
+        _, rows = read_csv(out)
+        assert [r[3] for r in rows if r[0] == "bias"] == ["0"] * 4
+
     def test_nonzero_naive_bias_reported(self, tmp_path, capsys):
         V = self._landmarks(tmp_path)
         assert run(["gram", "--family", "cayley", "--kappa", "2", "--landmarks", str(V),

@@ -348,22 +348,25 @@ class TestTau2:
 
 class TestMomentVector:
     def test_build_and_invariants(self):
-        mv = moments.moment_vector(dist.cayley(1.0), 3)
-        assert mv.rho[0] == 1.0 and mv.tau[0] == 1.0
-        assert all(mv.rho[i + 1] <= mv.rho[i] + 1e-12 for i in range(3))
-        assert all(abs(t) <= 1.0 + 1e-12 for t in mv.tau)
+        rho, tau = moments.moment_vector(dist.cayley(1.0), 3)
+        assert type(rho) is tuple and type(tau) is tuple
+        assert len(rho) == len(tau) == 4
+        assert rho[0] == tau[0] == 1.0
+        assert all(rho[i + 1] <= rho[i] + 1e-12 for i in range(3))
+        assert all(abs(t) <= 1.0 + 1e-12 for t in tau)
 
-    def test_rejects_increasing_rho(self):
-        with pytest.raises(ValueError):
-            moments.MomentVector(rho=(1.0, 0.2, 0.5), tau=(1.0,))
-
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            moments.MomentVector(rho=(1.0,), tau=(1.0, 1.5))
+    @pytest.mark.parametrize("spec", [dist.cayley(1e300), dist.cayley(1e-300),
+                                      dist.fisher_von_mises(1e300), dist.fisher_von_mises(1e-300)],
+                             ids=["cayley-1e300", "cayley-1e-300", "fvm-1e300", "fvm-1e-300"])
+    def test_invariants_at_extreme_kappa(self, spec):
+        rho, tau = moments.moment_vector(spec, 20)
+        assert rho[0] == tau[0] == 1.0
+        assert all(rho[i + 1] <= rho[i] + 1e-12 for i in range(20))
+        assert all(abs(t) <= 1.0 + 1e-12 for t in tau)
 
     @pytest.mark.parametrize("order", [-1, -5, 21])
     def test_rejects_order_outside_range(self, order):
-        # order -1 returned MomentVector(rho=(), tau=(1.0,))
+        # order -1 returned rho = () and tau = (1.0,)
         with pytest.raises(DomainError):
             moments.moment_vector(dist.cayley(1.0), order)
 

@@ -15,6 +15,7 @@ import shlex
 
 import pytest
 
+import rotgram
 from rotgram import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -103,3 +104,9 @@ def test_every_public_function_is_used_or_named():
         and loads[fn.name] == sum(loaded_name(node) == fn.name for node in ast.walk(fn))
         and "rotgram.%s.%s" % (module, fn.name) not in named]
     assert orphans == []
+
+
+def test_package_exports():
+    assert sorted(rotgram.__all__) == sorted([
+        "classifier", "distributions", "fake_uniformity", "moments", "radon", "so3",
+        "DomainError", "NoConvergence", "__version__"])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import from_axis_angle_batch, planar_block, random_rotation, sample_uniform_axes
 from rotgram import so3
-from rotgram.errors import DegenerateRotation
+from rotgram.errors import DomainError
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -146,18 +146,28 @@ class TestRotationRow:
 
 class TestToAxisAngle:
     def test_z_quarter_turn(self):
-        aa = so3.to_axis_angle(so3.from_axis_angle(E3, math.pi / 2))
-        np.testing.assert_allclose(aa.axis, E3, atol=1e-12)
-        assert abs(aa.angle - math.pi / 2) < 1e-12
+        out = so3.to_axis_angle(so3.from_axis_angle(E3, math.pi / 2))
+        assert type(out) is tuple and len(out) == 2
+        axis, angle = out
+        assert axis.shape == (3,) and type(angle) is float
+        np.testing.assert_allclose(axis, E3, atol=1e-12)
+        assert abs(angle - math.pi / 2) < 1e-12
 
     def test_identity_is_degenerate(self):
-        with pytest.raises(DegenerateRotation):
+        with pytest.raises(DomainError, match="within 1e-09 of 0 or pi"):
             so3.to_axis_angle(np.eye(3))
 
     def test_half_turn_is_degenerate(self):
         R = so3.from_axis_angle(E1, math.pi - 1e-12)
-        with pytest.raises(DegenerateRotation):
+        with pytest.raises(DomainError, match="within 1e-09 of 0 or pi"):
             so3.to_axis_angle(R)
+
+    def test_rejects_non_rotations(self):
+        R = so3.from_axis_angle(np.array([0.6, 0.8, 0.0]), 1.0)
+        shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for M in (1.001 * R, shear, R[[1, 0, 2]], np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(ValueError, match="not a rotation"):
+                so3.to_axis_angle(M)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(4)
@@ -165,8 +175,8 @@ class TestToAxisAngle:
             u = sample_uniform_axes(1, rng)[0]
             t = rng.uniform(1e-6, math.pi - 1e-6)
             R = so3.from_axis_angle(u, t)
-            aa = so3.to_axis_angle(R)
-            back = so3.from_axis_angle(aa.axis, aa.angle)
+            axis, angle = so3.to_axis_angle(R)
+            back = so3.from_axis_angle(axis, angle)
             assert np.max(np.abs(back - R)) < 1e-10
 
     def test_round_trip_near_degenerate_edges(self):
@@ -174,17 +184,24 @@ class TestToAxisAngle:
         for t in [3e-9, 1e-7, 1e-4, math.pi - 1e-4, math.pi - 1e-7, math.pi - 3e-9]:
             u = sample_uniform_axes(1, rng)[0]
             R = so3.from_axis_angle(u, t)
-            back = so3.to_axis_angle(R)
-            rebuilt = so3.from_axis_angle(back.axis, back.angle)
+            axis, angle = so3.to_axis_angle(R)
+            rebuilt = so3.from_axis_angle(axis, angle)
             assert np.max(np.abs(rebuilt - R)) < 1e-10
 
     def test_angle_matches_arccos_of_trace(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             R = random_rotation(rng)
-            aa = so3.to_axis_angle(R)
+            _, angle = so3.to_axis_angle(R)
             expected = math.acos(min(1.0, max(-1.0, (np.trace(R) - 1.0) / 2.0)))
-            assert abs(aa.angle - expected) < 1e-9
+            assert abs(angle - expected) < 1e-9
+
+    def test_validators(self):
+        assert so3.is_rotation(np.eye(3))
+        assert not so3.is_rotation(np.eye(3) * 1.001)
+        assert not so3.is_rotation(np.diag([1.0, 1.0, -1.0]))
+        with pytest.raises(ValueError):
+            so3.require_rotation(np.zeros((3, 3)))
 
 
 class TestRotationAngleBetween:
@@ -201,8 +218,8 @@ class TestRotationAngleBetween:
             m1, m2 = random_rotation(rng), random_rotation(rng)
             alpha = so3.rotation_angle_between(m1, m2)
             try:
-                chart = so3.to_axis_angle(m1 @ m2.T).angle
-            except DegenerateRotation:
+                _, chart = so3.to_axis_angle(m1 @ m2.T)
+            except DomainError:
                 continue
             assert abs(alpha - chart) < 1e-10
 
@@ -250,20 +267,3 @@ class TestSampleUniformAxis:
         u = sample_uniform_axes(1, rng)[0]
         assert u.shape == (3,)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-
-
-class TestAxisAngleType:
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(ValueError):
-            so3.AxisAngle(axis=np.array([1.0, 1.0, 0.0]), angle=0.5)
-
-    def test_rejects_angle_out_of_range(self):
-        with pytest.raises(ValueError):
-            so3.AxisAngle(axis=E1, angle=math.pi)
-
-    def test_validators(self):
-        assert so3.is_rotation(np.eye(3))
-        assert not so3.is_rotation(np.eye(3) * 1.001)
-        assert not so3.is_rotation(np.diag([1.0, 1.0, -1.0]))
-        with pytest.raises(ValueError):
-            so3.require_rotation(np.zeros((3, 3)))

@@ -11,7 +11,8 @@ tail P(X > t) and the integrals H(a, b) over [a, b] of
 
 which is x^kappa / B(kappa + 1/2, 3/2) for Haar and Cayley-LMR and
 c e^(-4 kappa (1 - x)) for Fisher-von Mises, c the normaliser of f_X.
-Every finite kappa is supported.
+Every finite kappa is supported.  ``mc_accuracy`` checks psi by
+simulation, from class-1 draws alone.
 """
 
 from __future__ import annotations
@@ -152,53 +153,34 @@ def _davenport_k(S: np.ndarray) -> np.ndarray:
     return K
 
 
-def mc_accuracy(
-    pair: ClassPair,
-    n: int,
-    rng: np.random.Generator,
-    threads: int = 1,
-):
-    """Monte Carlo estimate of the classification accuracy.
+def mc_accuracy(pair: ClassPair, n: int, rng: np.random.Generator, threads: int = 1) -> float:
+    """Monte Carlo estimate of the classification accuracy psi: the
+    fraction of n class-1 observations P = R M1 that the Bayes rule
+    assigns to class 1.
 
-    Draws class labels uniformly, samples each observation as
-    P = R M_label from the common centred law, applies the Bayes rule,
-    and returns the fractions of correct assignments as the tuple
-    (overall, class-1 accuracy, class-2 accuracy); a class that drew no
-    labels has accuracy nan.  A chunk of m draws first draws its class-1
-    count n1 ~ Binomial(m, 1/2), then its m rotations; the first n1 are
-    class 1 and the rest class 2, which is a uniform labelling in law
-    since the rotations are i.i.d.  The rule's statistic is
-    tr(R S_label), with S_1 = I - M1 M2^T and S_2 = M2 M1^T S_1.  It is
-    linear in R, so it is the quadratic form q^T K(S_label) q in the unit
-    quaternion q of R (``_davenport_k``): each draw forms only its own
-    statistic, from one (4, 4) @ (4, n_i) product per class and one
-    column-wise reduction, and no rotation matrix is formed.  A statistic
-    above 0 or within TIE_TOL of it, that is, above -TIE_TOL, assigns
-    class 1.  A chunk works in 9 rows (``distributions.mc_sum``): the
-    quaternions (4), K q (4), whose first two rows are the sampler's
-    scratch and whose first row's bytes then hold the verdicts, and the
-    statistic (1); nothing is allocated per draw.
+    Every family's density depends on tr R alone, so R -> R^T keeps the
+    law, and tr(R^T D^T) = tr(R D) for D = M1 M2^T: a class-2 draw is
+    classified correctly with the class-1 probability, up to the tie band
+    |tr(R S)| < TIE_TOL, so the count has the Binomial(n, psi) law of a
+    uniformly labelled sample's.  The statistic tr(R S), S = I - D, is
+    linear in R, so it is the quadratic form q^T K q in the unit
+    quaternion q of R (``_davenport_k``); no rotation matrix is formed.
+    Above -TIE_TOL, that is, above 0 or within TIE_TOL of it, it assigns
+    class 1.  A chunk makes only the sampler's draws and works in 9 rows
+    (``distributions.mc_sum``): the quaternions (4), K q (4), whose first
+    two rows are the sampler's scratch and whose first row's bytes then
+    hold the verdicts, and the statistic (1); nothing is allocated per
+    draw.
     """
-    stat1 = np.eye(3) - pair.m1 @ pair.m2.T  # P M1^T = R for class-1 draws
-    stat2 = pair.m2 @ pair.m1.T @ stat1
-    K1, K2 = _davenport_k(stat1), _davenport_k(stat2)
+    K = _davenport_k(np.eye(3) - pair.m1 @ pair.m2.T)  # P M1^T = R
 
     def kernel(work, chunk_rng):
-        m = work.shape[1]
-        n1 = chunk_rng.binomial(m, 0.5)
         q, Kq, stat = work[:4], work[4:8], work[8]
         _sample_quaternions(pair.common, chunk_rng, work[:6])
-        np.matmul(K1, q[:, :n1], out=Kq[:, :n1])
-        np.matmul(K2, q[:, n1:], out=Kq[:, n1:])
+        np.matmul(K, q, out=Kq)
         np.einsum("in,in->n", Kq, q, out=stat)
-        assign1 = np.greater(stat, -TIE_TOL, out=Kq[0].view(bool)[:m])
-        hit1 = np.count_nonzero(assign1[:n1])
-        hit2 = m - n1 - np.count_nonzero(assign1[n1:])
-        return hit1 + hit2, hit1, n1
+        assign1 = np.greater(stat, -TIE_TOL, out=Kq[0].view(bool)[:work.shape[1]])
+        return (np.count_nonzero(assign1),)
 
-    correct, correct1, n1 = mc_sum(kernel, 9, n, rng, threads)
-    overall = correct / n
-    acc1 = correct1 / n1 if n1 else math.nan
-    n2 = n - n1
-    acc2 = (correct - correct1) / n2 if n2 else math.nan
-    return overall, acc1, acc2
+    correct, = mc_sum(kernel, 9, n, rng, threads)
+    return int(correct) / n

@@ -85,12 +85,20 @@ def _spec(args) -> distributions.DistributionSpec:
     return distributions.DistributionSpec(args.family, modal=modal, kappa=args.kappa)
 
 
+def _rng(args) -> np.random.Generator:
+    """The PCG64 generator of --seed, checked before anything is drawn."""
+    if args.seed < 0:
+        raise DomainError("--seed must be >= 0")
+    return np.random.default_rng(args.seed)
+
+
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
+    rng = _rng(args)
     spec = _spec(args)
     draws = (distributions.sample_rotations(spec, m, chunk_rng)
-             for m, chunk_rng in distributions.mc_chunks(args.n, np.random.default_rng(args.seed)))
+             for m, chunk_rng in distributions.mc_chunks(args.n, rng))
     _write_csv(args.out or None, ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
                                   "theta", "u1", "u2", "u3", "x"],
                ((P.reshape(-1, 9), angles, axes, x) for P, axes, angles, x in draws))
@@ -133,6 +141,7 @@ def _print_matrix(label: str, G: np.ndarray) -> None:
 def cmd_gram(args) -> int:
     if args.n_mc < 1:
         raise DomainError("--n-mc must be >= 1")
+    rng = _rng(args)
     spec = _spec(args)
     try:
         V = _load_landmarks(args.landmarks)
@@ -140,8 +149,7 @@ def cmd_gram(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     closed = radon.expected_projected_gram(spec, V)
-    mc, mc_se = radon.mc_projected_gram(spec, V, args.n_mc, np.random.default_rng(args.seed),
-                                        threads=args.threads)
+    mc, mc_se = radon.mc_projected_gram(spec, V, args.n_mc, rng, threads=args.threads)
     deviation = mc - closed
     naive_bias = radon.naive_recovery_bias(spec, V)
     _print_matrix("closed-form expected projected Gram:", closed)
@@ -170,14 +178,14 @@ def cmd_gram(args) -> int:
 def cmd_classify(args) -> int:
     if args.n_mc < 1:
         raise DomainError("--n-mc must be >= 1")
+    rng = _rng(args)
     m1 = _parse_modal("--modal", args.modal_axis, args.modal_angle)
     m2 = _parse_modal("--modal2", args.modal2_axis, args.modal2_angle)
     common = distributions.DistributionSpec(args.family, kappa=args.kappa)
     pair = classifier.ClassPair(m1=m1, m2=m2, common=common)
     psi = classifier.psi_closed(pair)
     dpsi = classifier.psi_derivative(pair)
-    acc, _, _ = classifier.mc_accuracy(pair, args.n_mc, np.random.default_rng(args.seed),
-                                       threads=args.threads)
+    acc = classifier.mc_accuracy(pair, args.n_mc, rng, threads=args.threads)
     if 0.0 < acc < 1.0:
         stderr = "%.17g" % math.sqrt(acc * (1.0 - acc) / args.n_mc)
     else:

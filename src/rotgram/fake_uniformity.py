@@ -10,6 +10,8 @@ from the closed form ``moments.tau2_excess_at`` of tau2 - 1/3:
 - Fisher-von Mises: (2/15) (I2 - I3) / (I0 - I1) at 2 kappa, positive for
   every kappa > 0 because I_n(z) strictly decreases in n for z > 0, so it
   has no root; it is kappa^2/15 + O(kappa^3), so its slope at 0 is 0.
+  In floating point it is positive from kappa about 5.9e-162 on, and
+  underflows to +0.0 below that (subnormal below about 5.8e-154).
 """
 
 from __future__ import annotations

@@ -240,8 +240,10 @@ def tau2_excess_at(family, kappa):
     the normaliser c(k) = e^k (I0 - I1), tr R = 4X - 1 and
     I_{n-1} - I_{n+1} = (2n/z) I_n, taken as (2/15) exp(L_2 - L_0) from
     one ``log_bessel_gap`` call per n over all k > 0, with ``math.exp``
-    of each value; no terms cancel as k -> 0 or overflow as k grows,
-    and the value is positive for every k > 0.
+    of each value; no terms cancel as k -> 0 or overflow as k grows.
+    The value, about k^2/15 at small k, is positive for k above about
+    5.9e-162, subnormal (with fewer digits) below about 5.8e-154, and
+    +0.0 below 5.9e-162, where k^2/15 is under the smallest subnormal.
 
     k = 0 gives +0.0 (2 * 0 * (0 - 1) is -0.0).  Above
     CAYLEY_SCALED_KAPPA the Cayley-LMR form is divided through by k^2,

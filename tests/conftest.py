@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import settings
 
 from rotgram import distributions as dist
-from rotgram import moments, radon, so3
+from rotgram import classifier, moments, radon, so3
 from rotgram.errors import DomainError
 
 SQRT2 = math.sqrt(2.0)
@@ -135,6 +135,37 @@ def rotation_with_third_row(p):
 
 # ---------------------------------------------------------------------------
 # Second routes kept as oracles for the production code
+
+
+def two_class_accuracy(pair, n, rng):
+    """The former two-class ``classifier.mc_accuracy``, an oracle for the
+    swap symmetry that lets the production MC draw class 1 alone.  A chunk
+    of m draws first draws its class-1 count n1 ~ Binomial(m, 1/2), then m
+    quaternions from ``distributions._sample_quaternions``; the first n1
+    are class 1 and the rest class 2, each classified by the statistic
+    tr(R S_label) = q^T K(S_label) q, with S_1 = I - M1 M2^T and
+    S_2 = M2 M1^T S_1, and assigned class 1 above -TIE_TOL.  Returns the
+    accuracies (overall, class 1, class 2), nan for a class with no draws."""
+    s1 = np.eye(3) - pair.m1 @ pair.m2.T
+    K1, K2 = classifier._davenport_k(s1), classifier._davenport_k(pair.m2 @ pair.m1.T @ s1)
+
+    def kernel(work, chunk_rng):
+        m = work.shape[1]
+        n1 = chunk_rng.binomial(m, 0.5)
+        q, Kq, stat = work[:4], work[4:8], work[8]
+        dist._sample_quaternions(pair.common, chunk_rng, work[:6])
+        np.matmul(K1, q[:, :n1], out=Kq[:, :n1])
+        np.matmul(K2, q[:, n1:], out=Kq[:, n1:])
+        np.einsum("in,in->n", Kq, q, out=stat)
+        assign1 = stat > -classifier.TIE_TOL
+        hit1 = np.count_nonzero(assign1[:n1])
+        hit2 = m - n1 - np.count_nonzero(assign1[n1:])
+        return hit1 + hit2, hit1, n1
+
+    correct, correct1, n1 = dist.mc_sum(kernel, 9, n, rng)
+    n2 = n - n1
+    return (correct / n, correct1 / n1 if n1 else math.nan,
+            (correct - correct1) / n2 if n2 else math.nan)
 
 
 def tau_from_rho(rho1, rho2):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (RecordingGenerator, planar_block, quad_coeffs, random_rotation,
-                      sample_uniform_axes)
+                      same_bits, sample_uniform_axes, two_class_accuracy)
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
@@ -40,31 +40,20 @@ def bayes_assign(P, pair):
     return 1 if (stat > 0.0 or abs(stat) < cls.TIE_TOL) else 2
 
 
-def two_einsum_accuracy(pair, n, rng):
-    """Oracle for ``mc_accuracy``: the same labels and rotation draws,
-    chunk by chunk, chunk i from the i-th spawned child of ``rng``, which
-    draws the class-1 count n1 ~ Binomial(m, 1/2) and then m rotations,
-    the first n1 of class 1.  Both statistics tr(R S_i) come from one
-    full-matrix einsum each for every draw, and class 1 is assigned when
-    the statistic is positive or within TIE_TOL of 0.  Returns (overall,
-    class 1, class 2) accuracies."""
+def one_einsum_accuracy(pair, n, rng):
+    """Oracle for ``mc_accuracy``: the same class-1 draws, chunk by chunk,
+    chunk i from the i-th spawned child of ``rng``, drawn as rotation
+    matrices by ``sample_rotations``.  The statistic tr(R (I - M1 M2^T))
+    comes from one full-matrix einsum, and class 1 is assigned when it is
+    positive or within TIE_TOL of 0."""
     contrast = np.eye(3) - pair.m1 @ pair.m2.T
-    stat2 = pair.m2 @ pair.m1.T @ contrast
-    labels, hits = [], []
+    hits = 0
     starts = range(0, n, dist.MC_CHUNK)
     for start, child in zip(starts, rng.spawn(len(starts))):
-        m = min(dist.MC_CHUNK, n - start)
-        n1 = child.binomial(m, 0.5)
-        lab = np.array([1] * n1 + [2] * (m - n1))
-        R = dist.sample_rotations(pair.common, m, child)[0]
-        s1 = np.einsum("nij,ji->n", R, contrast)
-        s2 = np.einsum("nij,ji->n", R, stat2)
-        stat = np.where(lab == 1, s1, s2)
-        assign1 = (stat > 0.0) | (np.abs(stat) < cls.TIE_TOL)
-        labels.append(lab)
-        hits.append(np.where(lab == 1, assign1, ~assign1))
-    labels, hit = np.concatenate(labels), np.concatenate(hits)
-    return hit.mean(), hit[labels == 1].mean(), hit[labels == 2].mean()
+        R = dist.sample_rotations(pair.common, min(dist.MC_CHUNK, n - start), child)[0]
+        stat = np.einsum("nij,ji->n", R, contrast)
+        hits += np.count_nonzero((stat > 0.0) | (np.abs(stat) < cls.TIE_TOL))
+    return hits / n
 
 
 def psi_theta_form(pair):
@@ -471,29 +460,35 @@ class TestPsiDerivative:
 class TestMcAccuracy:
     def test_haar_is_half(self):
         pair = z_pair(1.0, dist.haar())
-        acc, _, _ = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(3))
+        acc = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(3))
         assert abs(acc - 0.5) < 4.0 * math.sqrt(0.25 / (2 * 10 ** 5))
 
     def test_highly_concentrated_is_almost_perfect(self):
         pair = z_pair(math.pi / 2, dist.cayley(200.0))
-        acc, _, _ = cls.mc_accuracy(pair, 10 ** 5, np.random.default_rng(4))
+        acc = cls.mc_accuracy(pair, 10 ** 5, np.random.default_rng(4))
         assert acc >= 0.99
 
     def test_matches_closed_form(self):
         pair = z_pair(1.0, dist.cayley(1.0))
         psi = cls.psi_closed(pair)
-        acc, _, _ = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(5))
+        acc = cls.mc_accuracy(pair, 2 * 10 ** 5, np.random.default_rng(5))
         assert abs(acc - psi) < 4.0 * math.sqrt(psi * (1.0 - psi) / (2 * 10 ** 5))
 
     def test_class_conditional_symmetry(self):
-        # overall accuracy equals the class-1-conditional accuracy up to
-        # sampling noise, by the swap symmetry of the rule
-        pair = z_pair(1.0, dist.cayley(2.0))
+        # the two-class oracle's per-class accuracies agree, and both its
+        # overall accuracy and the class-1-only estimate match psi, by the
+        # swap symmetry of the rule
+        m1, m2 = so3.from_axis_angle(E3, 0.4), so3.from_axis_angle(E3, 1.3)
         n = 4 * 10 ** 5
-        overall, acc1, acc2 = cls.mc_accuracy(pair, n, np.random.default_rng(6))
-        se = 2.0 / math.sqrt(n)  # generous bound on the binomial se scale
-        assert abs(acc1 - acc2) < 4.0 * se
-        assert abs(overall - cls.psi_closed(pair)) < 4.0 * se
+        for common in (dist.haar(), dist.cayley(2.0), dist.fisher_von_mises(2.0),
+                       dist.fisher_von_mises(20.0)):
+            pair = cls.ClassPair(m1, m2, common)
+            psi = cls.psi_closed(pair)
+            se = math.sqrt(psi * (1.0 - psi) / n)
+            overall, acc1, acc2 = two_class_accuracy(pair, n, np.random.default_rng(6))
+            assert abs(acc1 - acc2) < 4.0 * (2.0 * se), common  # each class holds about n/2
+            assert abs(overall - psi) < 4.0 * se, common
+            assert abs(cls.mc_accuracy(pair, n, np.random.default_rng(6)) - psi) < 4.0 * se, common
 
     def test_modal_axis_only_enters_through_alpha(self):
         rng = np.random.default_rng(7)
@@ -510,14 +505,14 @@ class TestMcAccuracy:
         with pytest.raises(ValueError):
             cls.mc_accuracy(z_pair(1.0, dist.haar()), 0, np.random.default_rng(8))
 
-    # MC_CHUNK + 1: the last chunk holds one draw, so one of its classes is empty
     @pytest.mark.parametrize("n", [1000, dist.MC_CHUNK + 1, 2 * dist.MC_CHUNK + 4321])
-    def test_matches_two_einsum_oracle(self, n):
+    def test_matches_one_einsum_oracle(self, n):
         rng = np.random.default_rng(17)
         m1 = random_rotation(rng)
         pair = cls.ClassPair(m1, so3.from_axis_angle(E3, 0.8) @ m1, dist.cayley(1.5))
         got = cls.mc_accuracy(pair, n, np.random.default_rng(18))
-        assert got == two_einsum_accuracy(pair, n, np.random.default_rng(18))
+        assert type(got) is float
+        assert same_bits(got, one_einsum_accuracy(pair, n, np.random.default_rng(18)))
 
     @pytest.mark.parametrize("stat, assigned", [(0.5 * cls.TIE_TOL, 1), (-0.5 * cls.TIE_TOL, 1),
                                                 (-2.0 * cls.TIE_TOL, 2)])
@@ -525,7 +520,8 @@ class TestMcAccuracy:
     def test_ties_go_to_class_one(self, stat, assigned, label, monkeypatch):
         # every draw is the unit quaternion q whose class-`label` statistic
         # q^T K q is `stat`, found by bisection between the eigenvectors
-        # of K's largest and smallest eigenvalues
+        # of K's largest and smallest eigenvalues; class 2 is only drawn
+        # by the two-class oracle
         pair = z_pair(1.0, dist.haar())
         s1 = np.eye(3) - pair.m1 @ pair.m2.T
         K = cls._davenport_k(s1 if label == 1 else pair.m2 @ pair.m1.T @ s1)
@@ -541,24 +537,21 @@ class TestMcAccuracy:
             work[:4] = q[:, None]
 
         monkeypatch.setattr(cls, "_sample_quaternions", constant)
-        accuracy = cls.mc_accuracy(pair, 200, np.random.default_rng(9))[label]
+        monkeypatch.setattr(dist, "_sample_quaternions", constant)
+        if label == 1:
+            accuracy = cls.mc_accuracy(pair, 200, np.random.default_rng(9))
+        else:
+            accuracy = two_class_accuracy(pair, 200, np.random.default_rng(9))[2]
         assert accuracy == (1.0 if assigned == label else 0.0)
 
-    def test_one_draw_leaves_one_class_empty(self):
+    def test_one_draw_is_all_or_nothing(self):
         pair = z_pair(1.0, dist.cayley(2.0))
-        counts = set()
-        for seed in range(10):
-            overall, acc1, acc2 = cls.mc_accuracy(pair, 1, np.random.default_rng(seed))
-            # the one chunk's class-1 count, replayed from its spawned child
-            n1 = np.random.default_rng(seed).spawn(1)[0].binomial(1, 0.5)
-            empty, drawn = (acc2, acc1) if n1 else (acc1, acc2)
-            assert math.isnan(empty) and drawn == overall and overall in (0.0, 1.0), seed
-            counts.add(n1)
-        assert counts == {0, 1}  # both classes were left empty at some seed
+        accs = [cls.mc_accuracy(pair, 1, np.random.default_rng(seed)) for seed in range(10)]
+        assert set(accs) == {0.0, 1.0}, accs
 
     @pytest.mark.parametrize("common", [dist.cayley(2.0), dist.fisher_von_mises(20.0)],
                              ids=["cayley", "fvm"])
-    def test_chunk_draws_its_class_count_then_its_rotations(self, common, monkeypatch):
+    def test_chunk_makes_only_the_samplers_draws(self, common, monkeypatch):
         recorders = []
         chunks = dist.mc_chunks
 
@@ -576,13 +569,10 @@ class TestMcAccuracy:
         cls.mc_accuracy(z_pair(1.0, common), sum(sizes), np.random.default_rng(40))
         children = np.random.default_rng(40).spawn(len(sizes))
         for recorder, child, m in zip(recorders, children, sizes, strict=True):
-            # one binomial count, then exactly the sampler's calls for m
-            # draws: no label is drawn
-            assert recorder.calls[0] == ("binomial", (m, 0.5), {})
-            child.binomial(m, 0.5)
+            # exactly the sampler's calls for m draws: no label count
             replay = RecordingGenerator(child)
             dist._sample_quaternions(common, replay, np.empty((6, m)))
-            assert calls(recorder)[1:] == calls(replay)
+            assert calls(recorder) == calls(replay)
 
 
 class TestDavenportK:

@@ -174,17 +174,17 @@ class TestPinnedBytes:
         (PIN_GRAM, "3545f202727744dba533567694c4cd8b61979568f09011a10dc74de5f535e686"),
         (["classify", "--family", "cayley", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
-         "476831942a4b92389fb3e18ddb7df1585f99ef2433053a3c67bac99ced622010"),
+         "fa318b0e865fea4a5dd5be372b076e202765d9ef68663f66ad3e88a81eda7abb"),
         (["classify", "--family", "cayley", "--kappa", "1e5", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1", "--n-mc", "1000"],
          "f195645f8f631693f2d78b1e45664ad228cb7ed7bbda2ffa92278cdf0bf5d6ff"),
         # Fisher-von Mises psi takes its tails through moments.h_integral
         (["classify", "--family", "fvm", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
-         "e3eda094198adb5fb4ed97f583649492770f8b68591eb14ea1148ee16edbf842"),
+         "c771a39403ac16b5308c3c61e6d2035324319eb0e613fa348e1a43d00bcff9d0"),
         (["classify", "--family", "fvm", "--kappa", "1e6", "--modal2-axis", "1,1,0",
           "--modal2-angle", "1e-3", "--n-mc", "1"],
-         "ab858fab35d893c3f0a3b336d4b76d3a25497e155f7099e35257560acaa8e3c8"),
+         "34569a20ddddf0fb1114336b5e50481d95b24d7a9340ccb4ce4ec563368e6efe"),
     ], ids=["gram", "classify", "classify-rule-of-three", "classify-fvm", "classify-fvm-concentrated"])
     def test_stdout(self, argv, sha256, tmp_path, capsys):
         self._run(argv, tmp_path)
@@ -658,6 +658,27 @@ def test_modal_errors_name_their_flag(command, stem, other, flags, message, caps
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert stem + message in captured.err and other not in captured.err, captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "2", "--out", "o.csv"],
+    ["gram", "--landmarks", "V.csv", "--n-mc", "10", "--out", "o.csv"],
+    ["classify", "--modal2-axis", "0,0,1", "--modal2-angle", "1", "--n-mc", "10"],
+], ids=["sample", "gram", "classify"])
+def test_negative_seed_names_its_flag(command, tmp_path, capsys, monkeypatch):
+    # the seed is checked before any closed form runs or anything is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    for module, name in ((dist, "mc_chunks"), (radon, "expected_projected_gram"),
+                         (cli.classifier, "psi_closed")):
+        monkeypatch.setattr(module, name, refuse)
+    (tmp_path / "V.csv").write_text(PIN_LANDMARKS, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(command + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --seed must be >= 0\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 FINITE_KAPPAS = ["0.5", "50", "51", "1e5", "2e5", "1e8", "1e300", "1.7976931348623157e308"]

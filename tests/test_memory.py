@@ -85,9 +85,9 @@ def test_sample_peak_is_flat(tmp_path, monkeypatch):
 # 8 + k rows (the quaternions, the sampler's scratch, the third rows with
 # their scratch and the k = 4 landmark rows of g), 12 floats in all.
 # ``mc_accuracy`` holds 9 rows (the quaternions, K q, whose first two rows
-# are the sampler's scratch, and the statistic) and no labels, since each
-# chunk draws only its class-1 count.  Each bound leaves room for the
-# small arrays.
+# are the sampler's scratch, and the statistic) and no labels, since every
+# draw is a class-1 observation.  Each bound leaves room for the small
+# arrays.
 GRAM_FLOATS_PER_DRAW = 18
 ACCURACY_FLOATS_PER_DRAW = 10
 

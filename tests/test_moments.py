@@ -329,6 +329,14 @@ class TestTau2:
         assert moments.tau2_excess(dist.cayley(1.5)) > 0.0
         assert moments.tau2_excess(dist.haar()) == 0.0
 
+    def test_fvm_excess_underflows_only_below_the_smallest_subnormal(self):
+        # the excess is about kappa^2/15, under 5e-324 below kappa ~ 5.9e-162
+        for kappa in (5.9e-162, 1e-154, 1e-12):
+            assert moments.tau2_excess_at("fvm", kappa) > 0.0, kappa
+        for kappa in (5.8e-162, 1e-200):
+            excess = moments.tau2_excess_at("fvm", kappa)
+            assert excess == 0.0 and math.copysign(1.0, excess) == 1.0, kappa
+
     def test_zero_concentration_is_positive_zero(self):
         for spec in (dist.haar(), dist.cayley(0.0), dist.fisher_von_mises(0.0)):
             assert math.copysign(1.0, moments.tau2_excess(spec)) == 1.0

@@ -133,6 +133,9 @@ _EXPANSION_J = np.arange(2.0, 45.0)[:, None]
 _EXPANSION_NUM = {n: (2.0 * n + 2.0 * _EXPANSION_J - 1.0) * (2.0 * _EXPANSION_J - 2.0 * n - 3.0)
                   for n in (0, 2)}
 _EXPANSION_DEN = 16.0 * (_EXPANSION_J - 1.0)
+# Kappas per block of ``log_bessel_gap``: its tables and their running
+# terms and sums hold a few KB per kappa.
+BESSEL_BLOCK = 4096
 
 
 def _sum_to_stop(table: np.ndarray, stop) -> np.ndarray:
@@ -158,18 +161,29 @@ def log_bessel_gap(n: int, kappa):
     coefficient differences with 1/kappa factored out, so nothing cancels
     or overflows.  Relative error below 1e-15.
 
-    Each branch builds one table for all its kappas, the term index on
-    axis 0: the first term, then the ratios of consecutive terms.  Its
-    terms and their partial sums are ``np.multiply.accumulate`` and
-    ``np.add.accumulate`` of it, both strictly in row order.  Each kappa
-    stops at its first term below 1e-17 of the sum (also once the terms
-    underflow) or, in the expansion, before the first ratio of size >= 1,
-    where the divergent tail starts.  Every log is ``math.log`` of one
-    value (``np.log`` rounds a few inputs differently), so each result is
-    bitwise that of adding the terms one by one in a loop.
+    The kappas are taken ``BESSEL_BLOCK`` at a time, so memory stays
+    bounded whatever their number.  In a block each branch builds one
+    table for all its kappas, the term index on axis 0: the first term,
+    then the ratios of consecutive terms.  Its terms and their partial
+    sums are ``np.multiply.accumulate`` and ``np.add.accumulate`` of it,
+    both strictly in row order.  Each kappa stops at its first term below
+    1e-17 of the sum (also once the terms underflow) or, in the expansion,
+    before the first ratio of size >= 1, where the divergent tail starts.
+    Every log is ``math.log`` of one value (``np.log`` rounds a few inputs
+    differently), so each result is bitwise that of adding the terms one
+    by one in a loop.
     """
     k = np.asarray(kappa, dtype=float)
     flat = k.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, BESSEL_BLOCK):
+        block = slice(start, start + BESSEL_BLOCK)
+        out[block] = _log_bessel_gap_block(n, flat[block])
+    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
+
+
+def _log_bessel_gap_block(n: int, flat: np.ndarray) -> np.ndarray:
+    """``log_bessel_gap`` at each kappa of the 1-d array flat."""
     out = np.empty(flat.shape)
     low = flat < 10.0
     n_low = np.count_nonzero(low)
@@ -189,7 +203,7 @@ def log_bessel_gap(n: int, kappa):
         total = _sum_to_stop(table, lambda t, s: ~(np.abs(t[:-1]) > 1e-17 * s[:-1])
                              | (np.abs(table[1:]) >= 1.0))
         out[~low] = _each(math.log, total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * _each(math.log, ks)
-    return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
+    return out
 
 
 # The ratios of ``log_i0e``: its sums stop by j = 35 (z < 20) and k = 27 (ratios < 1 to k = 40).

@@ -57,33 +57,49 @@ def mc_projected_gram(
     entrywise standard error, as the pair (mean, stderr).
 
     Gram(H A V) = Gram(V) - g g^T with g the third row of A V.  For a
-    draw A = R M that row is r M V, with r the third row of R, and r is
-    quadratic in the unit quaternion of R, so a draw enters only through
-    the three numbers r: no rotation matrix is formed.  Each chunk of
-    draws adds g^T g and, for the standard error, (g*g)^T (g*g) as two
-    matrix products, g squared in place, in a workspace of 8 + k rows
-    (``distributions.mc_sum``), k the number of landmarks: the
-    quaternions (4), the sampler's scratch (2), then r with its scratch
-    row (4) from row 4 on, and g (k).  The sums are formed on V 2^-e,
-    |V| < 2^e, and scaled back exactly, so that the fourth powers stay
-    finite for every finite V.
+    draw A = R M that row is g = W^T r, with W = M V and r the third row
+    of R, and r is quadratic in the unit quaternion of R, so a draw enters
+    only through the six products p = (r_i r_j, i <= j): no rotation
+    matrix is formed.  Each chunk adds sum p and sum p p^T, a 6-vector and
+    a 6 x 6 matrix whatever the number k of landmarks, in a workspace of
+    14 rows (``distributions.mc_sum``): the quaternions (4), the sampler's
+    scratch (2), then r with its scratch row (4) from row 4 on, and p (6).
+    Once per call, with S the 3 x 3 matrix of the mean of r r^T and C the
+    6 x k matrix of the W_ia W_ja (doubled where i != j), the mean of
+    g g^T is W^T S W and the mean of g_a^2 g_b^2 is entry (a, b) of
+    C^T (mean of p p^T) C; both are symmetrised as (B + B^T) / 2.  The
+    sums are formed on V 2^-e, |V| < 2^e, and scaled back exactly, so that
+    the fourth powers stay finite for every finite V.
+
+    The variance is the mean of g_a^2 g_b^2 less the square of the mean of
+    g_a g_b, so the standard error has a rounding floor near
+    sqrt(eps E[g_a^2 g_b^2] / n): an entry whose true value lies below it,
+    as where g tends to w = (M V)_3 at large kappa, is rounding noise and
+    may read 0 (entry (3, 3) for V = I at Cayley-LMR kappa = 1e12).
     """
     V = np.asarray(V, dtype=float)
     e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
     U = np.ldexp(V, -e)
-    MU_T = (spec.modal @ U).T
+    pairs = np.triu_indices(3)  # the (i, j) of p, i <= j, row by row
 
     def kernel(work, chunk_rng):
         _sample_quaternions(spec, chunk_rng, work[:6])
-        g = np.matmul(MU_T, so3.rotation_row(work[:4], 2, work[4:7], work[7]), out=work[8:])
-        outer = g @ g.T
-        g *= g
-        return outer, g @ g.T
+        r = so3.rotation_row(work[:4], 2, work[4:7], work[7])
+        p = work[8:]
+        for row, i, j in zip(p, *pairs):
+            np.multiply(r[i], r[j], out=row)
+        return p.sum(axis=1), p @ p.T
 
-    total, total_sq = mc_sum(kernel, 8 + len(MU_T), n, rng, threads)
-    outer = total / n
+    sum_p, sum_pp = mc_sum(kernel, 14, n, rng, threads)
+    i, j = pairs
+    S = np.empty((3, 3))
+    S[i, j] = S[j, i] = sum_p / n
+    W = spec.modal @ U
+    C = W[i] * W[j]
+    C[i != j] *= 2.0
+    outer, fourth = (0.5 * (B + B.T) for B in (W.T @ S @ W, C.T @ (sum_pp / n) @ C))
     mean = np.ldexp(gram(U) - outer, 2 * e)
-    var = np.maximum(total_sq / n - outer * outer, 0.0)
+    var = np.maximum(fourth - outer * outer, 0.0)
     if n > 1:
         var *= n / (n - 1.0)
     return mean, np.ldexp(np.sqrt(var / n), 2 * e)

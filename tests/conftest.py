@@ -168,6 +168,32 @@ def two_class_accuracy(pair, n, rng):
             (correct - correct1) / n2 if n2 else math.nan)
 
 
+def g_kernel_projected_gram(spec, V, n, rng, threads=1):
+    """The former kernel of ``radon.mc_projected_gram``, an oracle for the
+    fixed-size one: each chunk forms g = (M U)^T r, U = V 2^-e, for its m
+    draws in a workspace of 8 + k rows and adds g g^T and (g*g)(g*g)^T.
+    Returns the same (mean, stderr) pair."""
+    V = np.asarray(V, dtype=float)
+    e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
+    U = np.ldexp(V, -e)
+    MU_T = (spec.modal @ U).T
+
+    def kernel(work, chunk_rng):
+        dist._sample_quaternions(spec, chunk_rng, work[:6])
+        g = np.matmul(MU_T, so3.rotation_row(work[:4], 2, work[4:7], work[7]), out=work[8:])
+        outer = g @ g.T
+        g *= g
+        return outer, g @ g.T
+
+    total, total_sq = dist.mc_sum(kernel, 8 + len(MU_T), n, rng, threads)
+    outer = total / n
+    mean = np.ldexp(radon.gram(U) - outer, 2 * e)
+    var = np.maximum(total_sq / n - outer * outer, 0.0)
+    if n > 1:
+        var *= n / (n - 1.0)
+    return mean, np.ldexp(np.sqrt(var / n), 2 * e)
+
+
 def tau_from_rho(rho1, rho2):
     """(tau_1, tau_2) from the first two X-moments:
     tau_1 = -1/3 + (4/3) rho_1,  tau_2 = 7/15 - (8/5) rho_1 + (32/15) rho_2.

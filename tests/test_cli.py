@@ -163,7 +163,7 @@ class TestPinnedBytes:
          "6e64de438edea7cfb426c6a7facdd23bdffed2bbd0081a08ae0e07b176c81c3a"),
         (["fakeuni", "--family", "fvm", "--kappa-max", "10", "--n-points", "257"],
          "988c70d7dc83a798f71b0d5edade43bd5f253f80a0e52ff25102a2ab0fcaa715"),
-        (PIN_GRAM, "fd307d72f16c263ade96b6fa601507aa7d161e83e94857980f62f8015995a78f"),
+        (PIN_GRAM, "74147bb79e99f8253535fa2e1cbb1e75897d8f20df99f4579f9774e7b5af72aa"),
     ], ids=["figure1", "figure1-max-float", "fakeuni-cayley", "fakeuni-fvm", "gram"])
     def test_out_file(self, argv, sha256, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -171,7 +171,7 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("argv, sha256", [
-        (PIN_GRAM, "3545f202727744dba533567694c4cd8b61979568f09011a10dc74de5f535e686"),
+        (PIN_GRAM, "62c8c2090e42718a6cde9204dbfa3a3ab6b4cffd80270ccc1082ed05a4454234"),
         (["classify", "--family", "cayley", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
          "fa318b0e865fea4a5dd5be372b076e202765d9ef68663f66ad3e88a81eda7abb"),

@@ -134,6 +134,14 @@ class TestBesselArray:
         out = dist.log_bessel_gap(n, np.array([kappa]))
         assert isinstance(out, np.ndarray) and same_bits(out, [ref])
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_grid_across_blocks(self, n, monkeypatch):
+        # blocks of 3 split the grid between the two branches and mid-branch
+        monkeypatch.setattr(dist, "BESSEL_BLOCK", 3)
+        kappas = [k for k in BITWISE_KAPPAS if n == 0 or k > 0.0]
+        values = dist.log_bessel_gap(n, np.array(kappas))
+        assert same_bits(values, [log_bessel_gap_loop(n, k) for k in kappas])
+
     def test_keeps_the_shape(self):
         kappas = np.array([[0.5, 10.0, 3.0], [1e300, 7.0, 20.0]])
         out = dist.log_bessel_gap(2, kappas)

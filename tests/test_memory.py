@@ -8,6 +8,7 @@ CLI's CSV writer likewise holds one block of rows at a time, and
 so its pages are not returned to the OS and faulted back in chunk after
 chunk."""
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 
 from rotgram import classifier as cls
 from rotgram import distributions as dist
-from rotgram import cli, radon, so3
+from rotgram import cli, fake_uniformity, radon, so3
 
 # From two chunks on: one chunk's results are still held while the next
 # is drawn.
@@ -61,11 +62,12 @@ def test_mc_accuracy_peak_is_flat():
 
 
 def test_mc_projected_gram_peak_is_flat():
-    V = np.random.default_rng(2).normal(size=(3, 4))
     spec = dist.cayley(2.0)
-    assert_flat(lambda n, threads: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
-                                                           threads=threads),
-                dist.MC_CHUNK)
+    for k in (4, 128):
+        V = np.random.default_rng(2).normal(size=(3, k))
+        assert_flat(lambda n, threads: radon.mc_projected_gram(spec, V, n, np.random.default_rng(3),
+                                                               threads=threads),
+                    dist.MC_CHUNK)
 
 
 def test_sample_peak_is_flat(tmp_path, monkeypatch):
@@ -82,8 +84,10 @@ def test_sample_peak_is_flat(tmp_path, monkeypatch):
 
 
 # One worker's workspace, in floats per draw: ``mc_projected_gram`` holds
-# 8 + k rows (the quaternions, the sampler's scratch, the third rows with
-# their scratch and the k = 4 landmark rows of g), 12 floats in all.
+# 14 rows whatever the number k of landmarks (the quaternions, the
+# sampler's scratch, the third rows with their scratch and their six
+# products r_i r_j), checked at k = 4 and 128; its k x k results come
+# after the workspace is freed, and at k = 128 they are small beside it.
 # ``mc_accuracy`` holds 9 rows (the quaternions, K q, whose first two rows
 # are the sampler's scratch, and the statistic) and no labels, since every
 # draw is a class-1 observation.  Each bound leaves room for the small
@@ -92,8 +96,8 @@ GRAM_FLOATS_PER_DRAW = 18
 ACCURACY_FLOATS_PER_DRAW = 10
 
 
-def gram_run(n):
-    V = np.random.default_rng(2).normal(size=(3, 4))
+def gram_run(n, k=4):
+    V = np.random.default_rng(2).normal(size=(3, k))
     return radon.mc_projected_gram(dist.cayley(2.0), V, n or dist.MC_CHUNK,
                                    np.random.default_rng(3))
 
@@ -104,11 +108,20 @@ def accuracy_run(n):
     return cls.mc_accuracy(pair, n or dist.MC_CHUNK, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("run, floats_per_draw", [(gram_run, GRAM_FLOATS_PER_DRAW),
-                                                  (accuracy_run, ACCURACY_FLOATS_PER_DRAW)],
-                         ids=["mc_projected_gram", "mc_accuracy"])
+@pytest.mark.parametrize("run, floats_per_draw", [
+    (gram_run, GRAM_FLOATS_PER_DRAW),
+    (functools.partial(gram_run, k=128), GRAM_FLOATS_PER_DRAW),
+    (accuracy_run, ACCURACY_FLOATS_PER_DRAW),
+], ids=["mc_projected_gram", "mc_projected_gram-128-landmarks", "mc_accuracy"])
 def test_one_chunk_peak_per_draw(run, floats_per_draw):
     assert peak_bytes(run) < floats_per_draw * 8 * dist.MC_CHUNK
+
+
+def test_fvm_curve_peak_per_point():
+    # ``log_bessel_gap`` takes BESSEL_BLOCK kappas at a time: its term
+    # tables for the whole grid took about 3 KB per point
+    n = 10 ** 5
+    assert peak_bytes(lambda m: fake_uniformity.scan_curve("fvm", 10.0, m or n)) < 400 * n
 
 
 FAULTS_PER_CHUNK = 32

@@ -82,7 +82,7 @@ def _tail(spec: DistributionSpec, t: float, t_c: float) -> float:
     """P(X > t), given t and t_c = 1 - t."""
     if spec.beta_p is not None:
         return _beta_tail(spec.beta_p, t, t_c)
-    return h_integral(spec, lambda x, w: 2.0 * w, math.atan2(math.sqrt(t_c), math.sqrt(t)))
+    return h_integral(spec, lambda x, w: 1.0, t, t_c)
 
 
 def _h_integrals(spec: DistributionSpec, alpha: float):
@@ -144,7 +144,7 @@ def _davenport_k(S: np.ndarray) -> np.ndarray:
         z = (S_23 - S_32, S_31 - S_13, S_12 - S_21),
 
     for which tr(R S) = q^T K q, R the rotation of the unit quaternion
-    q = (w, v) in ``so3.from_quaternion_batch``."""
+    q = (w, v) whose rows ``so3.rotation_row`` gives."""
     t = np.trace(S)
     K = np.empty((4, 4))
     K[0, 0] = t

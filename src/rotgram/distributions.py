@@ -359,14 +359,21 @@ def sample_rotations(spec: DistributionSpec, n: int, rng: np.random.Generator):
 
     Each sample is built as P = R M, with R the rotation of the unit
     quaternion (w, v) of ``_sample_quaternions``, which is the axis-angle
-    rotation about u by theta = 2 atan2(sqrt(1 - X), sqrt(X)).  The
-    angles come from the complement 1 - X, so they keep full relative
-    accuracy near theta = 0.
+    rotation about u by theta = 2 atan2(sqrt(1 - X), sqrt(X)).  Row i of
+    every R is ``so3.rotation_row`` in block i of a C-contiguous (3, 3, n)
+    array, and M^T times each block gives P in one (3, 3, n) array,
+    returned as its (n, 3, 3) view.  The angles come from the complement
+    1 - X, so they keep full relative accuracy near theta = 0.
     """
     work = np.empty((6, n))
     z = _sample_quaternions(spec, rng, work, np.empty((3, n)))
     q = work[:4]
-    P = so3.from_quaternion_batch(q) @ spec.modal
+    R, w2 = np.empty((3, 3, n)), np.empty(n)
+    for i in range(3):
+        so3.rotation_row(q, i, R[i], w2)
+    del w2  # each scratch array is freed once spent, so a chunk peaks at R and P
+    P = np.matmul(spec.modal.T, R).transpose(2, 0, 1)
+    del R
     axes = (z / np.sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2])).T
     return P, axes, 2.0 * np.arctan2(np.sqrt(work[4]), q[0]), work[5]
 

@@ -34,7 +34,6 @@ def scan_curve(family, kappa_max: float, n_points: int) -> np.ndarray:
         raise DomainError("kappa_max must be positive and finite")
     if n_points < 2:
         raise DomainError("n_points must be >= 2")
-    family = _concentrated(family)
     i = np.arange(n_points, dtype=float)
     with np.errstate(over="ignore"):  # the overflowing products take the fallback
         kappa = kappa_max * i / (n_points - 1)

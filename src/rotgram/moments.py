@@ -10,9 +10,9 @@ nonnegative weights, exact for the Beta laws of Haar and Cayley-LMR and
 one quadrature for Fisher-von Mises.
 
 ``integrate`` has one setting, ``rel_tol``, relative to the integral of
-|f| (default 1e-10; 0 asks for the roundoff floor).  ``h_integral``, the
-one integral over the Fisher-von Mises angle law that reaches x = 1,
-gives its tails and moments to that floor.  The zonal density
+|f| (default 1e-10; 0 asks for the roundoff floor).  ``h_integral``,
+E[g(X, 1 - X); X > t] under the Fisher-von Mises angle law, gives its
+tails and moments to that floor.  The zonal density
 ``fz_from_fx`` is a closed form for every family, inverted by
 ``fx_from_fz`` as one regularised Abel integral.
 
@@ -61,7 +61,6 @@ _WG = (
 
 _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
-CAYLEY_SCALED_KAPPA = 1e150
 
 
 def _qk15(g, a: float, b: float):
@@ -164,17 +163,18 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10) -> float:
 # Moments
 
 
-def h_integral(spec: DistributionSpec, weight, end: float) -> float:
-    """integral_0^end weight(x, w) h(x) dphi at x = cos^2 phi and
-    w = 1 - x = sin^2 phi, for the Fisher-von Mises h = c e^(-4 kappa w) of
-    ``DistributionSpec.log_h`` at kappa > 0 and 0 < end <= pi/2.  As
-    f_X dx = 2 sin^2 phi h dphi, E[g(X, 1 - X); X > t] takes weight 2 w g
-    and end = atan2(sqrt(1 - t), sqrt(t)), with no singular end.
+def h_integral(spec: DistributionSpec, g, t: float = 0.0, t_c: float = 1.0) -> float:
+    """E[g(X, 1 - X); X > t] for the Fisher-von Mises law of ``spec`` at
+    kappa > 0, given t in [0, 1] and t_c = 1 - t, g a function of (x, w)
+    with w = 1 - x.  The integral runs over x = cos^2 phi, w = sin^2 phi, in
+    which f_X dx = 2 w h dphi, h = c e^(-4 kappa w) of
+    ``DistributionSpec.log_h``, has no singular end, from phi = 0 to
+    atan2(sqrt(t_c), sqrt(t)).
 
     h(cos^2 phi) peaks at phi = 0, about m^1.5 high and 1/sqrt(m) wide,
-    m = max(kappa, 1), so the integral runs in t = sqrt(m) phi, where
-    h dphi = m (h / m^1.5) dt: m^-1.5 is taken in the exponent and m
-    multiplies the weight.  It stops once h has fallen by at least e^-745,
+    m = max(kappa, 1), so the integral runs in u = sqrt(m) phi, where
+    h dphi = m (h / m^1.5) du: m^-1.5 is taken in the exponent and m
+    multiplies the integrand.  It stops once h has fallen by at least e^-745,
     at sin^2 phi = 745 / (4 kappa), and runs to the roundoff floor.
     """
     k = spec.kappa
@@ -182,12 +182,12 @@ def h_integral(spec: DistributionSpec, weight, end: float) -> float:
     r = math.sqrt(m)
     log_norm, tilt = spec.log_h
     lead = log_norm - 1.5 * math.log(m)
-    end = min(end, math.asin(math.sqrt(min(186.25 / k, 1.0))))
+    end = min(math.atan2(math.sqrt(t_c), math.sqrt(t)), math.asin(math.sqrt(min(186.25 / k, 1.0))))
 
-    def integrand(t: float) -> float:
-        s, c = math.sin(t / r), math.cos(t / r)
+    def integrand(u: float) -> float:
+        s, c = math.sin(u / r), math.cos(u / r)
         x, w = c * c, s * s
-        return weight(x, w) * m * math.exp(lead + tilt(x, w))
+        return 2.0 * w * g(x, w) * m * math.exp(lead + tilt(x, w))
 
     return integrate(integrand, 0.0, r * end, 0.0)
 
@@ -202,9 +202,8 @@ def _bernstein_mean(spec: DistributionSpec, n: int, weights) -> float:
     """
     p = spec.beta_p
     if p is None:
-        return h_integral(spec, lambda x, v: 2.0 * v * sum(w * x ** (n - j) * v ** j
-                                                           for j, w in enumerate(weights)),
-                          0.5 * math.pi)
+        return h_integral(spec, lambda x, v: sum(w * x ** (n - j) * v ** j
+                                                 for j, w in enumerate(weights)))
     total = 0.0
     for b, w in enumerate(weights):
         a = n - b
@@ -245,11 +244,12 @@ def tau2_excess_at(family, kappa):
     5.9e-162, subnormal (with fewer digits) below about 5.8e-154, and
     +0.0 below 5.9e-162, where k^2/15 is under the smallest subnormal.
 
-    k = 0 gives +0.0 (2 * 0 * (0 - 1) is -0.0).  Above
-    CAYLEY_SCALED_KAPPA the Cayley-LMR form is divided through by k^2,
-    because k^2 overflows near 1.3e154; the excess tends to 2/3, so
-    tau2 tends to 1.  Each form is taken on its own kappas only, so
-    nothing overflows.  DomainError for Haar at any k > 0.
+    The Cayley-LMR form is taken as 2 (k / (k + 2)) ((k - 1) / (k + 3) / 3),
+    whose factors are bounded, so no finite k overflows it; it is within
+    2 eps relative wherever the value is a normal float, with the exact
+    sign, exactly 0 at k = 1 and tending to 2/3, so tau2 tends to 1.
+    k = 0 gives +0.0, set apart, as 2 * 0 * (0 - 1) is -0.0.  DomainError
+    for Haar at any k > 0.
     """
     family = Family(family)
     k = np.asarray(kappa, dtype=float)
@@ -264,11 +264,8 @@ def tau2_excess_at(family, kappa):
         gap = log_bessel_gap(2, kp) - log_bessel_gap(0, kp)
         out[positive] = (2.0 / 15.0) * np.fromiter(map(math.exp, gap.tolist()), float, gap.size)
     else:
-        scaled = k > CAYLEY_SCALED_KAPPA
-        plain = positive & ~scaled
-        kp, ks = k[plain], k[scaled]
-        out[plain] = 2.0 * kp * (kp - 1.0) / (3.0 * (kp + 2.0) * (kp + 3.0))
-        out[scaled] = 2.0 * (1.0 - 1.0 / ks) / (3.0 * (1.0 + 2.0 / ks) * (1.0 + 3.0 / ks))
+        kp = k[positive]
+        out[positive] = 2.0 * (kp / (kp + 2.0)) * ((kp - 1.0) / (kp + 3.0) / 3.0)
     return float(out) if out.ndim == 0 else out
 
 

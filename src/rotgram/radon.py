@@ -68,8 +68,10 @@ def mc_projected_gram(
     6 x k matrix of the W_ia W_ja (doubled where i != j), the mean of
     g g^T is W^T S W and the mean of g_a^2 g_b^2 is entry (a, b) of
     C^T (mean of p p^T) C; both are symmetrised as (B + B^T) / 2.  The
-    sums are formed on V 2^-e, |V| < 2^e, and scaled back exactly, so that
-    the fourth powers stay finite for every finite V.
+    sums are formed on V with each landmark a scaled by 2^-e_a, its largest
+    entry below 2^e_a in size, and entry (a, b) is scaled back exactly by
+    2^(e_a + e_b), so that the fourth powers stay finite for every finite V,
+    and those of small landmarks do not underflow beside large ones.
 
     The variance is the mean of g_a^2 g_b^2 less the square of the mean of
     g_a g_b, so the standard error has a rounding floor near
@@ -78,8 +80,9 @@ def mc_projected_gram(
     may read 0 (entry (3, 3) for V = I at Cayley-LMR kappa = 1e12).
     """
     V = np.asarray(V, dtype=float)
-    e = int(np.frexp(np.max(np.abs(V), initial=0.0))[1])
+    e = np.frexp(np.max(np.abs(V), axis=0))[1]
     U = np.ldexp(V, -e)
+    e_ab = e[:, None] + e
     pairs = np.triu_indices(3)  # the (i, j) of p, i <= j, row by row
 
     def kernel(work, chunk_rng):
@@ -98,11 +101,11 @@ def mc_projected_gram(
     C = W[i] * W[j]
     C[i != j] *= 2.0
     outer, fourth = (0.5 * (B + B.T) for B in (W.T @ S @ W, C.T @ (sum_pp / n) @ C))
-    mean = np.ldexp(gram(U) - outer, 2 * e)
+    mean = np.ldexp(gram(U) - outer, e_ab)
     var = np.maximum(fourth - outer * outer, 0.0)
     if n > 1:
         var *= n / (n - 1.0)
-    return mean, np.ldexp(np.sqrt(var / n), 2 * e)
+    return mean, np.ldexp(np.sqrt(var / n), e_ab)
 
 
 def recover_gram(E, tau2: float, w) -> np.ndarray:

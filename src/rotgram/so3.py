@@ -1,5 +1,5 @@
-"""Deterministic SO(3) algebra: the axis-angle chart, rotations from
-unit quaternions, skew operator and angles between rotations.
+"""Deterministic SO(3) algebra: the axis-angle chart, the rows of the
+rotations of unit quaternions, skew operator and angles between rotations.
 
 Conventions:
 - Rotations are plain 3x3 numpy arrays acting on column vectors, with
@@ -65,28 +65,14 @@ def from_axis_angle(axis, angle: float) -> np.ndarray:
     return c * _EYE3 + s * skew(u) + (1.0 - c) * np.outer(u, u)
 
 
-def from_quaternion_batch(q: np.ndarray) -> np.ndarray:
-    """Rotations of the unit quaternions in the columns of the (4, n)
-    array q, each (w, v) with w^2 + |v|^2 = 1 -> (n,3,3).
-
-    R = (2 w^2 - 1) I + 2 v v^T + 2 w S(v), filled row by row through
-    ``rotation_row``.  With w = cos(t/2) and v = sin(t/2) u this is the
-    axis-angle chart at angle t, but it needs no trigonometry, and it
-    stays accurate near t = pi, where w is small.
-    """
-    q = np.asarray(q, dtype=float)
-    R = np.empty((q.shape[1], 3, 3))
-    w2 = np.empty(q.shape[1])
-    for i in range(3):
-        rotation_row(q, i, R[:, i].T, w2)
-    return R
-
-
 def rotation_row(q: np.ndarray, i: int, out: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Row i of the rotations of the unit quaternions (w, v) in the
     columns of the (4, m) array q, written to the (3, m) array out and
-    returned; w2 is a length-m scratch array.  With (i, j, k) a cyclic
-    order of (0, 1, 2):
+    returned; w2 is a length-m scratch array.  The rotation is
+    R = (2 w^2 - 1) I + 2 v v^T + 2 w S(v): with w = cos(t/2) and
+    v = sin(t/2) u it is the axis-angle chart at angle t, but it needs no
+    trigonometry, and it stays accurate near t = pi, where w is small.
+    With (i, j, k) a cyclic order of (0, 1, 2):
 
         R_ii = (2w w - 1) + (2v_i) v_i,
         R_ij = (2v_j) v_i - (2w) v_k,

@@ -40,9 +40,21 @@ def random_rotation(rng):
     return so3.from_axis_angle(axis, angle)
 
 
+def rotations_from_quaternions(q):
+    """The (n, 3, 3) rotations of the unit quaternions in the columns of the
+    (4, n) array q, each row i from ``so3.rotation_row``, assembled as
+    ``distributions.sample_rotations`` assembles them."""
+    R = np.empty((3, 3, q.shape[1]))
+    w2 = np.empty(q.shape[1])
+    for i, row in enumerate(R):
+        so3.rotation_row(q, i, row, w2)
+    return R.transpose(2, 0, 1)
+
+
 def from_axis_angle_batch(axes, angles):
-    """Oracle for ``so3.from_quaternion_batch``: the vectorised
-    axis-angle chart, (n,3) axes and (n,) angles -> (n,3,3)."""
+    """Oracle for the rotations of unit quaternions that ``so3.rotation_row``
+    builds row by row: the vectorised axis-angle chart, (n,3) axes and (n,)
+    angles -> (n,3,3)."""
     u = np.asarray(axes, dtype=float)
     t = np.asarray(angles, dtype=float)
     c = np.cos(t)[:, None, None]
@@ -277,9 +289,7 @@ def tau2_excess_loop(family, kappa):
         return 0.0
     if dist.Family(family) is dist.Family.FVM:
         return (2.0 / 15.0) * math.exp(log_bessel_gap_loop(2, k) - log_bessel_gap_loop(0, k))
-    if k > moments.CAYLEY_SCALED_KAPPA:
-        return 2.0 * (1.0 - 1.0 / k) / (3.0 * (1.0 + 2.0 / k) * (1.0 + 3.0 / k))
-    return 2.0 * k * (k - 1.0) / (3.0 * (k + 2.0) * (k + 3.0))
+    return 2.0 * (k / (k + 2.0)) * ((k - 1.0) / (k + 3.0) / 3.0)
 
 
 def scan_curve_loop(family, kappa_max, n_points):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (RecordingGenerator, planar_block, quad_coeffs, random_rotation,
-                      same_bits, sample_uniform_axes, two_class_accuracy)
+                      rotations_from_quaternions, same_bits, sample_uniform_axes,
+                      two_class_accuracy)
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, radon, so3
@@ -582,7 +583,7 @@ class TestDavenportK:
         rng = np.random.default_rng(21)
         q = rng.normal(size=(4, 1000))
         q /= np.linalg.norm(q, axis=0)
-        R = so3.from_quaternion_batch(q)
+        R = rotations_from_quaternions(q)
         for _ in range(5):
             S = rng.normal(size=(3, 3))
             form = np.einsum("in,in->n", cls._davenport_k(S) @ q, q)

@@ -156,11 +156,11 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("argv, sha256", [
         (["figure1", "--kappa-max", "10", "--n-points", "201"],
-         "34f20316a2b26d07da51319795e57903a85ccbdbe75b4cf782db71ed5ad88884"),
+         "e6f97791976a7f1f99a6c44945a74b919803420a7c0370928cb986df690c4356"),
         (["figure1", "--kappa-max", "1.7976931348623157e308", "--n-points", "7"],
          "9e6000f114a5b7e2902c89c80715066b6e8727f3e3b9a14972574652186d9efa"),
         (["fakeuni", "--family", "cayley", "--kappa-max", "5"],
-         "6e64de438edea7cfb426c6a7facdd23bdffed2bbd0081a08ae0e07b176c81c3a"),
+         "0770340b8f21b09b4d06c71b7c01bbef2ecc2ea2f00a64b4c181ba85bf1ce32f"),
         (["fakeuni", "--family", "fvm", "--kappa-max", "10", "--n-points", "257"],
          "988c70d7dc83a798f71b0d5edade43bd5f253f80a0e52ff25102a2ab0fcaa715"),
         (PIN_GRAM, "74147bb79e99f8253535fa2e1cbb1e75897d8f20df99f4579f9774e7b5af72aa"),
@@ -434,6 +434,15 @@ class TestGram:
         assert run(["gram", "--landmarks", str(bad)]) == 3
         bad.write_text("a,b,c\nd,e,f\ng,h,i\n", encoding="utf-8")
         assert run(["gram", "--landmarks", str(bad)]) == 3
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_file_exits_3_with_one_line(self, entry, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,0\n0,%s\n0,1\n" % entry, encoding="utf-8")
+        assert run(["gram", "--landmarks", str(bad), "--n-mc", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: landmark CSV contains non-finite entries\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n\n"])
     def test_empty_file_exits_3_with_one_line(self, text, tmp_path, capsys):

@@ -79,8 +79,7 @@ class TestScanCurve:
         (10.0, 201), (1.7976931348623157e308, 7), (1e-107, 3), (1.0, 101), (5.0, 257)])
     def test_is_the_per_point_scan(self, family, kappa_max, n_points):
         # the largest kappa_max takes the overflow fallback, and the
-        # Cayley-LMR form is divided through by k^2 above
-        # CAYLEY_SCALED_KAPPA: neither may warn
+        # Cayley-LMR form may not overflow at huge kappa: neither may warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             points = fu.scan_curve(family, kappa_max, n_points)

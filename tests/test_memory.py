@@ -169,7 +169,6 @@ def test_kernels_form_no_rotation_matrix(run, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a rotation matrix was formed")
 
-    monkeypatch.setattr(so3, "from_quaternion_batch", refuse)
     monkeypatch.setattr(dist, "sample_rotations", refuse)
     run(3000)
 

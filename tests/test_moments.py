@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -347,11 +348,26 @@ class TestTau2:
         assert abs(moments.tau2_excess(dist.cayley(kappa)) - 2.0 / 3.0) <= 1e-15
         assert abs(moments.tau2(dist.cayley(kappa)) - 1.0) <= 2e-16
 
-    def test_scaled_cayley_form_is_continuous(self):
-        k = moments.CAYLEY_SCALED_KAPPA
-        below = moments.tau2_excess(dist.cayley(k))
-        above = moments.tau2_excess(dist.cayley(math.nextafter(k, math.inf)))
-        assert abs(above - below) <= 2e-16
+    def test_cayley_excess_against_exact_rationals(self):
+        # 2k (k - 1) / (3 (k + 2)(k + 3)) in exact rationals: within 2 eps
+        # relative wherever it is a normal float, from kappa = 1e-300 to the
+        # largest float, both sides of 1 and of 1e150 included, with the
+        # exact sign everywhere and +0.0 at kappa = 1
+        near = [math.nextafter(c, d) for c in (1.0, 1e150) for d in (0.0, math.inf)]
+        kappa = np.concatenate((np.logspace(-300.0, 308.0, 6000),
+                                1.0 + np.logspace(-15.0, 0.0, 1000),
+                                1.0 - np.logspace(-16.0, -0.5, 1000), near,
+                                [1.0, 1e150, 2.0, 3.0, np.finfo(float).max]))
+        got = moments.tau2_excess_at("cayley", kappa)
+        tiny, eps = Fraction(2) ** -1022, Fraction(2) ** -52
+        for k, value in zip(kappa.tolist(), got.tolist()):
+            K = Fraction(k)
+            exact = 2 * K * (K - 1) / (3 * (K + 2) * (K + 3))
+            assert math.copysign(1.0, value) == (-1.0 if exact < 0 else 1.0), k
+            if abs(exact) >= tiny:
+                assert abs(Fraction(value) - exact) <= 2 * eps * abs(exact), k
+            else:
+                assert exact == 0 and value == 0.0, k
 
 
 class TestMomentVector:

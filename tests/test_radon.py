@@ -245,6 +245,19 @@ class TestMcProjectedGram:
         np.testing.assert_array_equal(se, np.ldexp(small_se, 532))
         np.testing.assert_array_equal(mean, np.ldexp(small_mean, 532))
 
+    def test_mixed_landmark_scales_keep_their_standard_errors(self):
+        # with one power of two for all of V, the fourth powers of the unit
+        # landmarks underflowed beside 1e100 and their standard errors read 0;
+        # scaled landmark by landmark, their entries are those of V = I
+        n = 20000
+        mean, se = radon.mc_projected_gram(dist.haar(), np.diag([1e100, 1.0, 1.0]), n,
+                                           np.random.default_rng(17))
+        unit_mean, unit_se = radon.mc_projected_gram(dist.haar(), np.eye(3), n,
+                                                     np.random.default_rng(17))
+        assert np.all(se[1:, 1:] > 1e-3)
+        np.testing.assert_array_equal(se[1:, 1:], unit_se[1:, 1:])
+        np.testing.assert_array_equal(mean[1:, 1:], unit_mean[1:, 1:])
+
     def test_mean_is_symmetric(self):
         V = np.random.default_rng(15).normal(size=(3, 5))
         G, _ = radon.mc_projected_gram(dist.cayley(1.0), V, 5000, np.random.default_rng(16))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import from_axis_angle_batch, planar_block, random_rotation, sample_uniform_axes
+from conftest import (from_axis_angle_batch, planar_block, random_rotation,
+                      rotations_from_quaternions, sample_uniform_axes)
 from rotgram import so3
 from rotgram.errors import DomainError
 
@@ -79,7 +80,7 @@ def quaternion_and_oracle(x, axes):
     x = np.asarray(x, dtype=float)
     w = np.sqrt(x)
     s = np.sqrt(1.0 - x)
-    R = so3.from_quaternion_batch(np.vstack((w, s * axes.T)))
+    R = rotations_from_quaternions(np.vstack((w, s * axes.T)))
     return R, from_axis_angle_batch(axes, 2.0 * np.arctan2(s, w))
 
 
@@ -88,6 +89,9 @@ unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
 
 
 class TestFromQuaternionBatch:
+    """Whole rotations of a batch of unit quaternions, assembled from the
+    three rows of ``so3.rotation_row``."""
+
     @given(st.floats(0.0, 1.0), unit_axes)
     def test_matches_axis_angle_oracle(self, x, u):
         R, oracle = quaternion_and_oracle([x], u[None, :])
@@ -109,7 +113,7 @@ class TestFromQuaternionBatch:
 
     def test_half_turn_layout(self):
         # w = 0: R = -I + 2 u u^T
-        R = so3.from_quaternion_batch(np.r_[0.0, E1][:, None])[0]
+        R = rotations_from_quaternions(np.r_[0.0, E1][:, None])[0]
         np.testing.assert_array_equal(R, np.diag([1.0, -1.0, -1.0]))
 
 
@@ -202,6 +206,12 @@ class TestToAxisAngle:
         assert not so3.is_rotation(np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(ValueError):
             so3.require_rotation(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("M", [np.eye(2), np.eye(4), np.ones(3)], ids=["2x2", "4x4", "3"])
+    def test_other_shapes_are_not_rotations(self, M):
+        assert not so3.is_rotation(M)
+        with pytest.raises(ValueError, match="not a rotation"):
+            so3.require_rotation(M)
 
 
 class TestRotationAngleBetween:

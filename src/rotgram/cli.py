@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import math
+import operator
 import sys
 import warnings
 
@@ -46,16 +47,21 @@ def _open_out(path):
 def _write_csv(path, header, tables):
     """Write ``header`` and the rows of ``tables`` to ``path``, or to stdout
     with no path, every value as '%.17g', in blocks of ROW_BLOCK rows.
-    Each table is a tuple of float columns (1-D or 2-D arrays of equal
-    length, side by side), and the rows of each follow those of the one
-    before, so a generator of tables is written one table at a time."""
+    Each table is a tuple of float arrays of equal length, side by side,
+    each row of an array flattened to its columns a block at a time; the
+    rows of each table follow those of the one before.  A generator of
+    tables is written one table at a time, and each is let go before the
+    next is asked for."""
     from . import _csv  # here, so that a command writing no CSV does not compile the kernel
     with contextlib.nullcontext(sys.stdout) if path is None else _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for columns in tables:
-            for start in range(0, len(columns[0]), ROW_BLOCK):
-                fh.write(_csv.format_rows(np.column_stack([c[start:start + ROW_BLOCK]
+            n = len(columns[0])
+            for start in range(0, n, ROW_BLOCK):
+                rows = min(ROW_BLOCK, n - start)
+                fh.write(_csv.format_rows(np.column_stack([c[start:start + rows].reshape(rows, -1)
                                                            for c in columns])))
+            del columns
 
 
 def _parse_modal(stem: str, axis: str | None, angle: float | None) -> np.ndarray:
@@ -99,9 +105,10 @@ def cmd_sample(args) -> int:
     spec = _spec(args)
     draws = (distributions.sample_rotations(spec, m, chunk_rng)
              for m, chunk_rng in distributions.mc_chunks(args.n, rng))
+    # (P, angles, axes, x) of each chunk; neither generator holds a chunk once it is yielded
     _write_csv(args.out or None, ["r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
                                   "theta", "u1", "u2", "u3", "x"],
-               ((P.reshape(-1, 9), angles, axes, x) for P, axes, angles, x in draws))
+               map(operator.itemgetter(0, 2, 1, 3), draws))
     return EXIT_OK
 
 
@@ -202,6 +209,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fakeuni(args) -> int:
+    if args.n_points < 2:
+        raise DomainError("--n-points must be >= 2")
     slope = fake_uniformity.initial_slope(args.family)
     root = fake_uniformity.find_fake_uniformity(args.family, args.kappa_max)
     if args.out:
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["cayley", "fvm"], default="cayley")
     p.add_argument("--kappa-max", type=float, required=True)
     p.add_argument("--n-points", type=int, default=129,
-                   help="grid points of the --out curve (>= 2, default 129); unused without --out")
+                   help="grid points of the --out curve (>= 2, default 129)")
     p.add_argument("--out", help="optional CSV path for the curve")
     p.set_defaults(func=cmd_fakeuni)
 

@@ -116,114 +116,99 @@ def fisher_von_mises(kappa: float, modal=None) -> DistributionSpec:
 # Log-scale normalisers
 
 
-def _each(f, values: np.ndarray) -> np.ndarray:
-    """f(v) of each v of the 1-d float array values, as Python floats."""
-    return np.fromiter(map(f, values.tolist()), float, values.size)
+def _each(f, values):
+    """f(v) of a float v, or of each v of an array as an array of its shape:
+    ``math.log`` and ``math.log1p`` one value at a time, since ``np.log``
+    rounds a few inputs differently."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0:
+        return f(float(v))
+    return np.fromiter(map(f, v.reshape(-1).tolist()), float, v.size).reshape(v.shape)
 
 
-# The term tables of ``log_bessel_gap``, for n = 0 and 2, by term j.  The
-# series runs to j = 72, where its longest sum (at the double below
-# kappa = 10) stops, with ratios -kappa / d_j; the expansion runs to j = 44,
-# as for every kappa >= 10 a ratio num_j / (16 (j - 1) kappa) of size >= 1
-# comes by j = 43.
-_SERIES_J = np.arange(1.0, 73.0)[:, None]
-_SERIES_D = {n: np.where(_SERIES_J % 2.0 == 0.0, _SERIES_J / 2.0, (_SERIES_J + 1.0) / 2.0 + n)
-             for n in (0, 2)}
-_EXPANSION_J = np.arange(2.0, 45.0)[:, None]
-_EXPANSION_NUM = {n: (2.0 * n + 2.0 * _EXPANSION_J - 1.0) * (2.0 * _EXPANSION_J - 2.0 * n - 3.0)
-                  for n in (0, 2)}
-_EXPANSION_DEN = 16.0 * (_EXPANSION_J - 1.0)
-# Kappas per block of ``log_bessel_gap``: its tables and their running
-# terms and sums hold a few KB per kappa.
+# The term index s of ``_log_kummer``'s tables.  Below kappa = 10 all 108
+# terms are summed, the last below 1e-17 of the sum at the double below 10
+# for each (a, b) in use; from 10 on, a term below 1e-17 of the sum or a
+# ratio of size >= 1 comes by s = 42 for each, so the expansion takes 43.
+_KUMMER_S = np.arange(1.0, 109.0)[:, None]
+# Kappas per block of ``_log_kummer``: its table holds under 1 KB per kappa.
 BESSEL_BLOCK = 4096
 
 
-def _sum_to_stop(table: np.ndarray, stop) -> np.ndarray:
+def _sum_to_stop(table: np.ndarray) -> np.ndarray:
     """Column by column, the sum of the terms np.multiply.accumulate(table)
-    in row order, up to the first row at which the bool array
-    stop(terms, sums) holds; NoConvergence if it holds in no row."""
+    in row order, up to the first row whose term is below 1e-17 of the sum
+    (also once the terms underflow) or whose next ratio has size >= 1,
+    where the divergent tail of an asymptotic expansion starts;
+    NoConvergence if no row is."""
     terms = np.multiply.accumulate(table, axis=0)
     sums = np.add.accumulate(terms, axis=0)
-    held = stop(terms, sums)
+    held = ~(np.abs(terms[:-1]) > 1e-17 * sums[:-1]) | (np.abs(table[1:]) >= 1.0)
     last, columns = np.argmax(held, axis=0), np.arange(table.shape[1])
     if np.count_nonzero(held[last, columns]) < len(columns):
-        raise NoConvergence("a Bessel sum did not stop within %d terms" % len(held))
+        raise NoConvergence("a Kummer sum did not stop within %d terms" % len(held))
     return sums[last, columns]
 
 
-def log_bessel_gap(n: int, kappa):
-    """L_n(kappa) = log(e^-z (I_n(z) - I_{n+1}(z))) at z = 2 kappa, n = 0 or 2,
-    kappa > 0 (or 0 for n = 0), at a float or at each kappa of an array: a
-    float (or a 0-d array) gives a float, an array an array of its shape.
+def _log_kummer(a: float, b: float, kappa):
+    """log M(a, b, -4 kappa) for Kummer's function M = 1F1, b > a > 0 and
+    kappa >= 0 (inf gives -inf), at a float or at each kappa of an array:
+    a float (or a 0-d array) gives a float, an array an array of its shape.
 
-    Below z = 20 the power series in kappa with kappa^n factored out; above,
-    the large-z expansions (DLMF 10.40.1) summed term by term from their
-    coefficient differences with 1/kappa factored out, so nothing cancels
-    or overflows.  Relative error below 1e-15.
+    With x = 4 kappa, below kappa = 10 it is ``math.log1p`` of the terms
+    after the first of Kummer's transformation e^-x M(b - a, b, x) (DLMF
+    13.2.39), less x: the terms, with ratios (b - a + s - 1) x / ((b + s - 1) s),
+    are positive, so nothing cancels but the final x.  From 10 on it is
+    log Gamma(b) - log Gamma(b - a) - a log x plus the log of the sum of
+    the expansion (DLMF 13.7.2) with ratios (a + s - 1)(a - b + s) / (s x),
+    each divided by kappa last, so that x is never formed and cannot
+    overflow; the part it leaves out, e^-x x^(2a - b) Gamma(b - a) / Gamma(a)
+    of the value, is below 4e-16 for each (a, b) in use.
 
     The kappas are taken ``BESSEL_BLOCK`` at a time, so memory stays
-    bounded whatever their number.  In a block each branch builds one
-    table for all its kappas, the term index on axis 0: the first term,
-    then the ratios of consecutive terms.  Its terms and their partial
-    sums are ``np.multiply.accumulate`` and ``np.add.accumulate`` of it,
-    both strictly in row order.  Each kappa stops at its first term below
-    1e-17 of the sum (also once the terms underflow) or, in the expansion,
-    before the first ratio of size >= 1, where the divergent tail starts.
-    Every log is ``math.log`` of one value (``np.log`` rounds a few inputs
-    differently), so each result is bitwise that of adding the terms one
-    by one in a loop.
+    bounded.  Each branch of a block builds one table of ratios for all
+    its kappas, the index s on axis 0, whose terms and partial sums are
+    ``np.multiply.accumulate`` and ``np.add.accumulate`` of it, strictly in
+    row order.  Every log is ``math.log`` or ``math.log1p`` of one value,
+    so each result is bitwise that of adding the terms one by one in a loop.
     """
     k = np.asarray(kappa, dtype=float)
     flat = k.reshape(-1)
     out = np.empty(flat.shape)
+    s = _KUMMER_S
     for start in range(0, flat.size, BESSEL_BLOCK):
-        block = slice(start, start + BESSEL_BLOCK)
-        out[block] = _log_bessel_gap_block(n, flat[block])
+        ks, block = flat[start:start + BESSEL_BLOCK], out[start:start + BESSEL_BLOCK]
+        low = ks < 10.0
+        if low.any():
+            x = 4.0 * ks[low]
+            table = (b - a - 1.0 + s) / ((b - 1.0 + s) * s) * x
+            np.multiply.accumulate(table, axis=0, out=table)
+            block[low] = _each(math.log1p, np.add.accumulate(table, axis=0, out=table)[-1]) - x
+        if not low.all():
+            kh, e = ks[~low], s[:43]
+            table = np.ones((len(e) + 1, kh.size))
+            np.divide((a - 1.0 + e) * (a - b + e) / (4.0 * e), kh, out=table[1:])
+            block[~low] = (_each(math.log, _sum_to_stop(table)) - a * _each(math.log, kh)
+                           + (math.lgamma(b) - math.lgamma(b - a) - a * math.log(4.0)))
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
-def _log_bessel_gap_block(n: int, flat: np.ndarray) -> np.ndarray:
-    """``log_bessel_gap`` at each kappa of the 1-d array flat."""
-    out = np.empty(flat.shape)
-    low = flat < 10.0
-    n_low = np.count_nonzero(low)
-    if n_low:
-        ks = flat[low]
-        table = np.empty((len(_SERIES_J) + 1, ks.size))
-        table[0] = 1.0 / math.factorial(n)
-        np.divide(-ks, _SERIES_D[n], out=table[1:])
-        total = _sum_to_stop(table, lambda t, s: ~(np.abs(t) > 1e-17 * s))
-        out[low] = _each(math.log, total) - 2.0 * ks + (n * _each(math.log, ks) if n else 0.0)
-    if n_low < flat.size:
-        ks = flat[~low]
-        table = np.empty((len(_EXPANSION_J) + 1, ks.size))
-        table[0] = (2.0 * n + 1.0) / 4.0
-        with np.errstate(over="ignore"):  # 16 (j - 1) kappa is inf above kappa ~ 2.6e305
-            np.divide(_EXPANSION_NUM[n], _EXPANSION_DEN * ks, out=table[1:])
-        total = _sum_to_stop(table, lambda t, s: ~(np.abs(t[:-1]) > 1e-17 * s[:-1])
-                             | (np.abs(table[1:]) >= 1.0))
-        out[~low] = _each(math.log, total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * _each(math.log, ks)
-    return out
-
-
-# The ratios of ``log_i0e``: its sums stop by j = 35 (z < 20) and k = 27 (ratios < 1 to k = 40).
-_I0_SERIES_J2 = np.arange(1.0, 41.0)[:, None] ** 2
-_I0_EXPANSION = (2.0 * np.arange(1.0, 31.0)[:, None] - 1.0) ** 2 / (8.0 * np.arange(1.0, 31.0)[:, None])
+def log_bessel_gap(n: int, kappa):
+    """L_n(kappa) = log(e^-z (I_n(z) - I_{n+1}(z))) at z = 2 kappa, n = 0 or
+    2, kappa > 0 (or 0 for n = 0), at a float or each kappa of an array as
+    in ``_log_kummer``: the logs of the normaliser and the tau2 numerator
+    of the Fisher-von Mises angle law, Beta(1/2, 3/2) tilted by
+    e^(-4 kappa (1 - X)), are L_n = n log kappa - log n! +
+    log M(n + 3/2, 2n + 2, -4 kappa).  Relative error below 1e-15."""
+    return _log_kummer(n + 1.5, 2.0 * n + 2.0, kappa) + (
+        n * _each(math.log, kappa) - math.log(math.factorial(n)) if n else 0.0)
 
 
 def log_i0e(z: float) -> float:
-    """log(e^-z I_0(z)) at a float z >= 0 (inf gives -inf): the log of
-    1 + sum_{j>=1} (z/2)^(2j) / j!^2, less z, below z = 20, and above it of
-    1 + sum_{k>=1} ((2k - 1)!!)^2 / (k! (8z)^k) (DLMF 10.40.1), less
-    (log 2 pi + log z) / 2, so nothing overflows.  Every term is positive;
-    ``_sum_to_stop`` stops at the first below 1e-17 of the sum, as in
-    ``log_bessel_gap``.  Error below 2e-15 max(1, |result|)."""
-    if z < 20.0:
-        ratios, shift = 0.25 * z * z / _I0_SERIES_J2, z
-    else:
-        ratios, shift = _I0_EXPANSION / z, 0.5 * (math.log(2.0 * math.pi) + math.log(z))
-    total = _sum_to_stop(np.vstack(([[1.0]], ratios)), lambda t, s: ~(t > 1e-17 * s))[0]
-    return math.log(total) - shift
+    """log(e^-z I_0(z)) = log M(1/2, 1, -2z) at a float z >= 0 (inf gives
+    -inf), the kernel of the Fisher-von Mises zonal density.  Error below
+    2e-15 max(1, |result|)."""
+    return _log_kummer(0.5, 1.0, 0.5 * z)
 
 
 def log_beta_cayley(kappa: float) -> float:

@@ -256,29 +256,37 @@ def tau_k_g0(spec, k):
     return 1.0 - (k / SQRT2) * value
 
 
-def log_bessel_gap_loop(n, kappa):
-    """Oracle for ``distributions.log_bessel_gap`` at one float kappa: the
-    same series and expansion, summed one term at a time in a loop that
-    stops at the first term below 1e-17 of the sum or, in the expansion,
-    before the first ratio of size >= 1."""
+def log_kummer_loop(a, b, kappa):
+    """Oracle for ``distributions._log_kummer`` at one float kappa: the same
+    series and expansion, summed one term at a time in a loop.  Below
+    kappa = 10 the loop takes the 108 terms after the first; from 10 on
+    it stops at the first term below 1e-17 of the sum or before the first
+    ratio of size >= 1."""
     if kappa < 10.0:
-        term = total = 1.0 / math.factorial(n)
-        j = 0
-        while abs(term) > 1e-17 * total:  # also stops once the terms underflow
-            j += 1
-            term *= -kappa / (j // 2 if j % 2 == 0 else j // 2 + 1 + n)
+        x = 4.0 * kappa
+        term, total = 1.0, 0.0
+        for s in range(1, 109):
+            term *= (b - a - 1.0 + s) / ((b - 1.0 + s) * s) * x
             total += term
-        return math.log(total) - 2.0 * kappa + (n * math.log(kappa) if n else 0.0)
-    u = total = (2.0 * n + 1.0) / 4.0
-    j = 1
-    while abs(u) > 1e-17 * total:
-        j += 1
-        step = (2 * n + 2 * j - 1) * (2 * j - 2 * n - 3) / (16.0 * (j - 1) * kappa)
-        if abs(step) >= 1.0:  # the divergent tail starts: stop at the smallest term
+        return math.log1p(total) - x
+    term = total = 1.0
+    s = 0
+    while abs(term) > 1e-17 * total:  # also stops once the terms underflow
+        s += 1
+        ratio = (a - 1.0 + s) * (a - b + s) / (4.0 * s) / kappa
+        if abs(ratio) >= 1.0:  # the divergent tail starts: stop at the smallest term
             break
-        u *= step
-        total += u
-    return math.log(total) - 0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(kappa)
+        term *= ratio
+        total += term
+    shift = math.lgamma(b) - math.lgamma(b - a) - a * math.log(4.0)
+    return math.log(total) - a * math.log(kappa) + shift
+
+
+def log_bessel_gap_loop(n, kappa):
+    """Oracle for ``distributions.log_bessel_gap`` at one float kappa:
+    n log kappa - log n! + ``log_kummer_loop(n + 3/2, 2n + 2, kappa)``."""
+    return log_kummer_loop(n + 1.5, 2.0 * n + 2.0, kappa) + (
+        n * math.log(kappa) - math.log(math.factorial(n)) if n else 0.0)
 
 
 def tau2_excess_loop(family, kappa):

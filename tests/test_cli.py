@@ -156,13 +156,13 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("argv, sha256", [
         (["figure1", "--kappa-max", "10", "--n-points", "201"],
-         "e6f97791976a7f1f99a6c44945a74b919803420a7c0370928cb986df690c4356"),
+         "b956aa353f9774e081a8de9c8ed9e95e539475dd9153acad6762b019b3510271"),
         (["figure1", "--kappa-max", "1.7976931348623157e308", "--n-points", "7"],
-         "9e6000f114a5b7e2902c89c80715066b6e8727f3e3b9a14972574652186d9efa"),
+         "3106dd27a2332eed441681535c950012745086ed10ca2a7734357a27d359900f"),
         (["fakeuni", "--family", "cayley", "--kappa-max", "5"],
          "0770340b8f21b09b4d06c71b7c01bbef2ecc2ea2f00a64b4c181ba85bf1ce32f"),
         (["fakeuni", "--family", "fvm", "--kappa-max", "10", "--n-points", "257"],
-         "988c70d7dc83a798f71b0d5edade43bd5f253f80a0e52ff25102a2ab0fcaa715"),
+         "e7fffb257169f472114c491e50732b01540dc2548580122d171f99093563bb51"),
         (PIN_GRAM, "74147bb79e99f8253535fa2e1cbb1e75897d8f20df99f4579f9774e7b5af72aa"),
     ], ids=["figure1", "figure1-max-float", "fakeuni-cayley", "fakeuni-fvm", "gram"])
     def test_out_file(self, argv, sha256, tmp_path, capsys):
@@ -181,7 +181,7 @@ class TestPinnedBytes:
         # Fisher-von Mises psi takes its tails through moments.h_integral
         (["classify", "--family", "fvm", "--kappa", "2", "--modal2-axis", "0,0,1",
           "--modal2-angle", "1.0", "--n-mc", "20000", "--seed", "5"],
-         "c771a39403ac16b5308c3c61e6d2035324319eb0e613fa348e1a43d00bcff9d0"),
+         "86cd08d8ef7e8359aa5704156c2925666be504d24f24483f96770ef3a192a706"),
         (["classify", "--family", "fvm", "--kappa", "1e6", "--modal2-axis", "1,1,0",
           "--modal2-angle", "1e-3", "--n-mc", "1"],
          "34569a20ddddf0fb1114336b5e50481d95b24d7a9340ccb4ce4ec563368e6efe"),
@@ -564,6 +564,13 @@ class TestFakeuni:
         assert run(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
         # one call over the whole grid evaluates the 7 kappa values
         assert calls == [[5.0 * i / 6 for i in range(7)]]
+
+    @pytest.mark.parametrize("n_points", ["1", "0", "-3"])
+    def test_n_points_checked_without_out(self, n_points, tmp_path, capsys):
+        argv = ["fakeuni", "--family", "fvm", "--kappa-max", "5", "--n-points", n_points]
+        for extra in ([], ["--out", str(tmp_path / "curve.csv")]):
+            assert run(argv + extra) == 2
+            assert capsys.readouterr().err == "error: --n-points must be >= 2\n"
 
     def test_nonpositive_tol_exits_2(self):
         for tol in ("0", "-1"):

@@ -16,7 +16,7 @@ from conftest import (RecordingGenerator, fvm_x_beta_rejection, fz_closed_cayley
 from rotgram import classifier as cls
 from rotgram import distributions as dist
 from rotgram import moments, so3
-from rotgram.errors import DomainError
+from rotgram.errors import DomainError, NoConvergence
 
 mpmath.mp.dps = 40
 
@@ -83,8 +83,34 @@ class TestBessel:
             ref = log_bessel_gap_oracle(n, mpmath.mpf(z))
             assert math.isfinite(value) and abs(value - ref) <= 1e-13 * abs(ref) + 1e-15, n
 
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-20, 1e-8])
+    def test_small_kappa_to_full_relative_accuracy(self, kappa):
+        # L_0 ~ -3 kappa: a sum 1 - kappa + ... rounds the kappa away, and
+        # mpmath needs about -log10(kappa) more digits to keep it
+        with mpmath.workdps(40 - int(math.log10(kappa))):
+            z = 2 * mpmath.mpf(kappa)
+            ref = float(mpmath.log(mpmath.exp(-z) * (mpmath.besseli(0, z) - mpmath.besseli(1, z))))
+        assert abs(dist.log_bessel_gap(0, kappa) - ref) <= 4 * np.finfo(float).eps * abs(ref)
+
+    @pytest.mark.parametrize("a, b", [(1.5, 2.0), (3.5, 6.0), (0.5, 1.0)],
+                             ids=["L_0", "L_2", "log_i0e"])
+    def test_series_table_is_long_enough(self, a, b):
+        # below kappa = 10 every row is summed, with no stop test; the
+        # terms fall off slowest at the double below 10
+        x = 4.0 * math.nextafter(10.0, 0.0)
+        s = dist._KUMMER_S[:, 0]
+        terms = np.multiply.accumulate((b - a - 1.0 + s) / ((b - 1.0 + s) * s) * x)
+        assert terms[-1] < 1e-17 * terms.sum()
+
+    def test_sum_that_never_stops_raises(self):
+        # terms 1, 1/2, 1/4, ...: none below 1e-17 of the sum and no ratio >= 1
+        table = np.full((6, 3), 0.5)
+        table[0] = 1.0
+        with pytest.raises(NoConvergence, match="within 5 terms"):
+            dist._sum_to_stop(table)
+
     def test_branch_agreement_at_cutoff(self):
-        # the power series runs below kappa = 10, the asymptotic sum from it
+        # the Kummer series runs below kappa = 10, the expansion from it
         below = math.nextafter(10.0, 0.0)
         for n in (0, 2):
             assert abs(dist.log_bessel_gap(n, below) - dist.log_bessel_gap(n, 10.0)) < 1e-14
@@ -100,13 +126,15 @@ class TestBessel:
 
 
 LARGEST = 1.7976931348623157e308
-# Both branches, their shared edge at kappa = 10, underflowing series terms,
-# and expansions whose 16 (j - 1) kappa overflows; then kappas at which
-# numpy's SIMD np.log rounds the series sum (n = 0, then n = 2) or kappa
-# itself differently from math.log, on x86-64.
+# Both branches, their shared edge at kappa = 10, underflowing series terms
+# and expansions whose 4 kappa overflows; then two more series kappas, one
+# at which numpy's SIMD np.log rounds kappa itself, and two at which
+# np.log1p rounds the series sum (n = 0, then n = 2) differently from
+# math on x86-64.
 BITWISE_KAPPAS = [0.0, 5e-324, 1e-300, 1e-20, 0.5, 2.0, math.nextafter(10.0, 0.0), 10.0,
                   math.nextafter(10.0, 20.0), 20.0, 1e4, 1e300, LARGEST,
-                  1.5540128371982476, 6.857109384559829, 2.2361837455460423]
+                  1.5540128371982476, 6.857109384559829, 2.2361837455460423,
+                  2.3064220899374743, 2.986961328189226]
 
 
 class TestBesselArray:

@@ -117,9 +117,23 @@ def test_one_chunk_peak_per_draw(run, floats_per_draw):
     assert peak_bytes(run) < floats_per_draw * 8 * dist.MC_CHUNK
 
 
+# ``sample`` holds one chunk at a time: at the matmul the sampler's
+# workspace (6 rows), its normal triples (3), R (9) and P (9), 27 floats
+# per draw.  Holding the last chunk's P, angles, axes and workspace
+# (19 floats) while the next is drawn would read 46.
+SAMPLE_FLOATS_PER_DRAW = 28
+
+
+def test_sample_peak_per_draw(tmp_path):
+    path = str(tmp_path / "s.csv")
+    peak = peak_bytes(lambda n: cli.main(["sample", "--family", "cayley", "--kappa", "1", "--n",
+                                          str(n or 3 * dist.MC_CHUNK), "--out", path]))
+    assert peak < SAMPLE_FLOATS_PER_DRAW * 8 * dist.MC_CHUNK
+
+
 def test_fvm_curve_peak_per_point():
-    # ``log_bessel_gap`` takes BESSEL_BLOCK kappas at a time: its term
-    # tables for the whole grid took about 3 KB per point
+    # ``log_bessel_gap`` takes BESSEL_BLOCK kappas at a time, so its term
+    # tables, about 1 KB per kappa, do not grow with the grid
     n = 10 ** 5
     assert peak_bytes(lambda m: fake_uniformity.scan_curve("fvm", 10.0, m or n)) < 400 * n
 

@@ -126,6 +126,18 @@ class TestIntegrate:
             with pytest.raises(ValueError):
                 moments.integrate(lambda x: 1.0, 0.0, 1.0, rel_tol)
 
+    @pytest.mark.parametrize("f, a, b, clamped", [
+        (lambda x: -math.log1p(-x), 0.0, 1.0, math.nextafter(1.0, 0.0)),
+        (lambda x: -math.log(x - 1.0), 1.0, 2.0, math.nextafter(1.0, 2.0)),
+    ], ids=["upper", "lower"])
+    def test_endpoint_is_never_evaluated(self, f, a, b, clamped):
+        # sin^2 rounds to the endpoint at some nodes, where f raises; those
+        # nodes are moved to the nearest double inside [a, b]
+        seen = []
+        value = moments.integrate(lambda x: seen.append(x) or f(x), a, b, 0.0)
+        assert clamped in seen and a < min(seen) and max(seen) < b
+        assert abs(value - 1.0) <= 50.0 * np.finfo(float).eps
+
     @pytest.mark.parametrize("rel_tol", [0.0, 1e-10, 1e-6])
     def test_no_convergence_names_the_target_missed(self, rel_tol):
         # the target is max(tiny, max(rel_tol, 50 eps) * integral |f|), here
